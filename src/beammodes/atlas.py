@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -136,17 +137,26 @@ def _tasks(spec: SweepSpec) -> list[tuple]:
     return tasks
 
 
+def _compute_cells(tasks: list[tuple], jobs: int) -> list[AtlasCell]:
+    """Cells of `tasks` in order, on at most `jobs` worker processes.
+
+    The pool starts every worker up front, so the worker count is clamped
+    to the cores and the cells; one worker means no pool at all.
+    """
+    if jobs < 1:
+        raise DomainError("jobs must be at least 1")
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        return [_compute_cell(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_compute_cell, tasks,
+                             chunksize=max(1, len(tasks) // (4 * workers))))
+
+
 def sweep(spec: SweepSpec, jobs: int = 1) -> list[AtlasCell]:
     """Evaluate the sweep; the cell order (and every cell value) is
     independent of the worker count."""
-    if jobs < 1:
-        raise DomainError("jobs must be at least 1")
-    tasks = _tasks(spec)
-    if jobs == 1:
-        return [_compute_cell(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_compute_cell, tasks, chunksize=chunk))
+    return _compute_cells(_tasks(spec), jobs)
 
 
 def _interval_score(left: AtlasCell, right: AtlasCell, margin_floor: float) -> float | None:
@@ -222,12 +232,7 @@ def adaptive_amplitude_sweep(
     grid = [theta0_min + i * (theta0_max - theta0_min) / (backbone - 1)
             for i in range(backbone)]
     grid[-1] = theta0_max
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_compute_cell, [task(t) for t in grid],
-                                  chunksize=max(1, backbone // (4 * jobs))))
-    else:
-        cells = [_compute_cell(task(t)) for t in grid]
+    cells = _compute_cells([task(t) for t in grid], jobs)
 
     heap: list[tuple[float, float, int, int]] = []
 

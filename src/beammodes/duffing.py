@@ -19,8 +19,8 @@ is conserved and organizes the phase portrait:
   theta(t) = sqrt(2) sqrt(P - k^2) / (k cosh(k sqrt(P - k^2) t)) and the
   unstable rest point theta == 0; E > 0 orbits cross the hump.
 
-Periods come from a closed elliptic-K form for E > 0 and from a
-Gauss-Legendre quadrature of the turning-point integral for well orbits.
+Every period is a closed elliptic-K form, evaluated by the AGM on
+whichever of the modulus or its complement has no cancellation.
 """
 
 from __future__ import annotations
@@ -28,23 +28,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .special import elliptic_k
+from .special import elliptic_k, elliptic_k_from_complement
 
 # Regime classification tolerance; scales with the energy magnitude.
 _CLASSIFY_TOL = 1e-13
-
-# Quadrature control for well periods: Gauss-Legendre node count doubles
-# until the value settles to this relative tolerance.
-_QUAD_REL_TOL = 1e-10
-_QUAD_NODES = 128
-_QUAD_MAX_NODES = 4096
 
 
 class EnergyRegime(Enum):
@@ -226,79 +219,52 @@ def duffing_rhs(params: ModeParams) -> Callable[[float, np.ndarray], np.ndarray]
     return rhs
 
 
-@lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _well_quarter_integral(delta_sq: float) -> float:
-    """int_delta^1 dtheta / sqrt((1 - theta^2)(theta^2 - delta^2)).
-
-    Written after the substitution theta^2 = delta^2 + (1 - delta^2) sin^2(phi),
-    which removes both endpoint singularities:
-
-        int_0^{pi/2} dphi / sqrt(delta^2 + (1 - delta^2) sin^2(phi)).
-
-    Gauss-Legendre on the smooth integrand, doubling the node count until
-    the value settles.
-    """
-    if not 0.0 < delta_sq < 1.0:
-        raise DomainError(f"the well integral needs 0 < delta^2 < 1, got {delta_sq!r}")
-
-    def value(nodes: int) -> float:
-        x, w = _leggauss(nodes)
-        phi = 0.25 * math.pi * (x + 1.0)
-        s = np.sin(phi)
-        f = 1.0 / np.sqrt(delta_sq + (1.0 - delta_sq) * s * s)
-        return 0.25 * math.pi * float(w @ f)
-
-    nodes = _QUAD_NODES
-    prev = value(nodes)
-    while nodes < _QUAD_MAX_NODES:
-        nodes *= 2
-        curr = value(nodes)
-        if abs(curr - prev) <= _QUAD_REL_TOL * abs(curr):
-            return curr
-        prev = curr
-    return prev
-
-
 def period_of(params: ModeParams, E: float) -> float:
     """Period of the mode orbit at energy E.
 
-    E > 0 uses the closed elliptic form
+    With gap = k^2 - P and X = 4 E + gap^2, orbits with E > 0 have
 
-        T = 4 / (k X^(1/4)) K( sqrt(1/2 - (k^2 - P) / (2 sqrt(X))) ),
-        X = 4 E + (k^2 - P)^2,
+        T = 4 / (k X^(1/4)) K(kappa),  kappa^2 = 1/2 - gap / (2 sqrt(X)),
 
-    whose modulus lies in [0, 1) for every E > 0.  Well orbits (E < 0) use
-    the turning-point integral
+    and kappa lies in [0, 1) for every E > 0, in [0, 1/sqrt(2)] when
+    gap >= 0.  When the mode has a well (gap < 0), kappa -> 1 as E -> 0+,
+    so K is taken from the complementary parameter
+    1 - kappa^2 = 2 E / (sqrt(X) (sqrt(X) - gap)), which has no
+    cancellation (DLMF 19.8).  Well orbits (E < 0) have
 
-        T = 2 sqrt(2) / (k sqrt(P - k^2 + s)) * Q(delta),
-        s = sqrt((P - k^2)^2 + 4 E),  delta^2 = (P - k^2 - s)/(P - k^2 + s),
+        T = 2 sqrt(2) / (k sqrt(P - k^2 + s)) K'(delta),
+        s = sqrt((P - k^2)^2 + 4 E),  delta^2 = -4 E / (P - k^2 + s)^2,
 
-    with Q evaluated by Gauss-Legendre quadrature.  The limits are
-    T -> 2 pi / (k sqrt(k^2 - P)) as E -> 0+ (infinite when k^2 = P),
-    T -> pi sqrt(2) / (k sqrt(P - k^2)) at the well bottom, and T -> 0 as
-    E -> infinity.
+    where K'(delta) = K(sqrt(1 - delta^2)) is the turning-point integral.
+    The limits are T -> 2 pi / (k sqrt(k^2 - P)) as E -> 0+ (infinite when
+    k^2 = P), T -> pi sqrt(2) / (k sqrt(P - k^2)) at the well bottom, and
+    T -> 0 as E -> infinity.
     """
     regime = classify_energy(params, E)
     k = float(params.k)
     if regime is EnergyRegime.POSITIVE:
         gap = k * k - params.P
-        X = 4.0 * E + gap * gap
-        modulus_sq = 0.5 - gap / (2.0 * math.sqrt(X))
-        return 4.0 / (k * X**0.25) * elliptic_k(math.sqrt(modulus_sq))
+        root = math.sqrt(4.0 * E + gap * gap)
+        scale = 4.0 / (k * math.sqrt(root))
+        if gap < 0.0:
+            return scale * elliptic_k_from_complement(
+                math.sqrt(2.0 * E / (root * (root - gap))))
+        return scale * elliptic_k(math.sqrt(0.5 - gap / (2.0 * root)))
     if regime is EnergyRegime.BOTTOM_OF_WELL:
         # Limiting period of the surrounding small oscillations.
         return math.pi * math.sqrt(2.0) / (k * math.sqrt(params.P - k * k))
     if regime is EnergyRegime.HOMOCLINIC:
         raise DomainError("the homoclinic orbit is not periodic")
+    if regime is EnergyRegime.TRIVIAL:
+        raise DomainError(
+            f"mode k={params.k}, P={params.P}: the trivial orbit theta == 0 at "
+            f"E={E!r} has no period"
+        )
     gap = params.P - k * k
     s = math.sqrt(gap * gap + 4.0 * E)
-    delta_sq = (gap - s) / (gap + s)
-    prefactor = 2.0 * math.sqrt(2.0) / (k * math.sqrt(gap + s))
-    return prefactor * _well_quarter_integral(delta_sq)
+    delta = 2.0 * math.sqrt(-E) / (gap + s)
+    return 2.0 * math.sqrt(2.0) / (k * math.sqrt(gap + s)) \
+        * elliptic_k_from_complement(delta)
 
 
 def orbit_from_energy(params: ModeParams, E: float, sign: int = 1) -> DuffingOrbit:

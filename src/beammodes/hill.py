@@ -42,7 +42,9 @@ from .special import sigma_constant
 # not flip verdicts on roundoff.
 DEFAULT_TOL_MARGIN = 1e-6
 
-# Monodromy determinant drift beyond this is a failed computation.
+# Monodromy determinant drift beyond this, relative to max(1, max|M_ij|^2),
+# is a failed computation: det is a difference of products of entries, so
+# its rounding error grows with their square.
 _DET_QUALITY_TOL = 1e-6
 
 
@@ -136,11 +138,14 @@ def classify_matrix(matrix: np.ndarray, tol_margin: float = DEFAULT_TOL_MARGIN) 
 
     |trace| < 2 - tol_margin: Stable; |trace| > 2 + tol_margin: Unstable;
     the band in between (including |trace| = 2 exactly) is Marginal.
+    Raises NumericalQualityError when |det - 1| exceeds the quality
+    tolerance scaled by max(1, max|M_ij|^2).
     """
     matrix = np.asarray(matrix, dtype=float)
     det = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
     trace = float(matrix[0, 0] + matrix[1, 1])
-    if abs(det - 1.0) > _DET_QUALITY_TOL:
+    scale = max(1.0, float(np.max(np.abs(matrix))) ** 2)
+    if abs(det - 1.0) > _DET_QUALITY_TOL * scale:
         raise NumericalQualityError(
             f"monodromy determinant drifted to {det}; result not trustworthy"
         )

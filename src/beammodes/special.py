@@ -14,19 +14,27 @@ from .errors import DomainError
 _AGM_REL_TOL = 1e-15
 
 
-def elliptic_k(x: float) -> float:
-    """K(x) = int_0^1 dt / sqrt((1 - t^2)(1 - x^2 t^2)), for 0 <= x < 1.
+def elliptic_k_from_complement(kp: float) -> float:
+    """K(sqrt(1 - kp^2)) = pi / (2 agm(1, kp)), for 0 < kp <= 1.
 
-    Computed by the arithmetic-geometric mean iteration:
-    K(x) = pi / (2 agm(1, sqrt(1 - x^2))).
+    Taking the complementary modulus kp directly keeps every digit when
+    the modulus is close to 1, where forming 1 - x^2 would cancel.
     """
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"elliptic_k requires 0 <= x < 1, got {x!r}")
-    a = 1.0
-    b = math.sqrt((1.0 - x) * (1.0 + x))
+    if not 0.0 < kp <= 1.0:
+        raise DomainError(
+            f"elliptic_k_from_complement requires 0 < kp <= 1, got {kp!r}"
+        )
+    a, b = 1.0, kp
     while abs(a - b) > _AGM_REL_TOL * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)
+
+
+def elliptic_k(x: float) -> float:
+    """K(x) = int_0^1 dt / sqrt((1 - t^2)(1 - x^2 t^2)), for 0 <= x < 1."""
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"elliptic_k requires 0 <= x < 1, got {x!r}")
+    return elliptic_k_from_complement(math.sqrt((1.0 - x) * (1.0 + x)))
 
 
 def sigma_constant() -> float:

@@ -167,7 +167,7 @@ class TransferVerdict(Enum):
 
 @dataclass(frozen=True)
 class TransferReport:
-    """Growth of the z channel relative to its seed energy.
+    """Departure of the z channel from its seed energy, as a ratio.
 
     The 100x default threshold is a reporting convention for "energy
     moved", not a theorem constant; pick another threshold when comparing
@@ -192,13 +192,18 @@ def transfer_report(
     channels: EnergyChannels,
     threshold: float = DEFAULT_TRANSFER_THRESHOLD,
 ) -> TransferReport:
-    """Peak E_z(t)/E_z(0) over the sampled history."""
+    """Peak 1 + |E_z(t) - E_z(0)| / E_z(0) over the sampled history.
+
+    While E_z grows this is the plain ratio E_z(t)/E_z(0).  Measuring the
+    departure instead also sees transfer into a mode n with a well of its
+    own (n^2 < P): once z falls into that well, E_z turns negative.
+    """
     if threshold <= 0.0:
         raise DomainError("threshold must be positive")
     seed = float(channels.e_z[0])
     if seed <= 0.0:
         raise DomainError("transfer ratio needs a positive z seed energy")
-    ratios = channels.e_z / seed
+    ratios = 1.0 + np.abs(channels.e_z - seed) / seed
     i = int(np.argmax(ratios))
     ratio = float(ratios[i])
     verdict = (TransferVerdict.TRANSFER_OBSERVED if ratio > threshold

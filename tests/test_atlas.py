@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from beammodes import atlas
 from beammodes import (
     CSV_HEADER,
     AtlasCell,
@@ -85,6 +86,34 @@ class TestSweep:
     def test_jobs_validated(self):
         with pytest.raises(DomainError):
             sweep(SMALL, jobs=0)
+
+    def test_workers_clamped_to_cells_and_cores(self, monkeypatch):
+        """The pool starts every worker up front; it gets no more than
+        there are cores and cells, and no pool runs for one worker."""
+        pools = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(atlas, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(atlas.os, "cpu_count", lambda: 2)
+        one = SweepSpec(P=0.0, modes=[(2, 1)], theta0_grid=[0.3])
+        assert sweep(one, jobs=64) == sweep(one)
+        assert pools == []
+        assert sweep(SMALL, jobs=64) == sweep(SMALL)
+        assert pools == [2]
+        adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 8, jobs=64)
+        assert pools == [2, 2]
 
     def test_failed_cell_is_flagged_not_fatal(self):
         spec = SweepSpec(P=0.0, modes=[(2, 2), (2, 1)], energy_grid=[1.0])

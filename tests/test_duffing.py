@@ -149,6 +149,41 @@ class TestPeriod:
             T = period_of(ModeParams(k=k, P=P), 1e12)
             assert T * k * 1e3 / 4 == pytest.approx(sig, rel=1e-3)
 
+    @pytest.mark.parametrize("E", [0.0, 2.5e-15, -2.5e-15])
+    def test_trivial_orbit_has_no_period(self, E):
+        # without a well, |E| within the classification tolerance is theta == 0
+        with pytest.raises(DomainError, match="trivial orbit"):
+            period_of(ModeParams(k=1, P=0.5), E)
+
+    @pytest.mark.parametrize("k,P", [
+        (1, 0.0), (1, 0.5), (1, 1.0), (1, 2.0), (2, 6.0), (3, 5.0),
+        (3, 19.0), (4, 17.0), (5, 26.0), (5, 51.0),
+    ])
+    def test_matches_mpmath(self, k, P):
+        """40-digit K(m) on both branches, from 1e-12 to 1e8 times the
+        energy scale, with the well approached from its bottom and its top."""
+        mpmath = pytest.importorskip("mpmath")
+        params = ModeParams(k=k, P=P)
+        gap = P - k * k
+        scale = max(gap * gap, 1.0)
+        energies = [scale * 10.0 ** j for j in np.arange(-12.0, 8.5, 0.5)]
+        if params.has_well:
+            f = 10.0 ** np.arange(-12.0, 0.0, 0.5)
+            energies += [params.floor_energy * x for x in (*f, *(1.0 - f))]
+        with mpmath.workdps(40):
+            for E in energies:
+                mk, mP, mE = mpmath.mpf(k), mpmath.mpf(P), mpmath.mpf(E)
+                mgap = mP - mk * mk
+                if E > 0.0:
+                    X = 4 * mE + mgap * mgap
+                    want = 4 * mpmath.ellipk(0.5 + mgap / (2 * mpmath.sqrt(X))) \
+                        / (mk * mpmath.root(X, 4))
+                else:
+                    s = mpmath.sqrt(mgap * mgap + 4 * mE)
+                    want = 2 * mpmath.sqrt(2) * mpmath.ellipk(2 * s / (mgap + s)) \
+                        / (mk * mpmath.sqrt(mgap + s))
+                assert period_of(params, E) == pytest.approx(float(want), rel=1e-13), E
+
     def test_well_period_between_limits(self):
         params = ModeParams(k=2, P=7.0)
         bottom = period_of(params, params.floor_energy)

@@ -128,6 +128,11 @@ class TestClassifyMatrix:
         with pytest.raises(NumericalQualityError):
             classify_matrix(M)
 
+    def test_determinant_gate_scales_with_entries(self):
+        # the tolerance scales with max|M_ij|^2 = 1e8, so a 1e-3 drift passes
+        M = np.array([[1e4, 0.0], [0.0, 1.001e-4]])
+        assert classify_matrix(M).verdict is Verdict.UNSTABLE
+
 
 class TestCriteria:
     def test_zhukovskii_near_well_bottom(self):
@@ -217,6 +222,19 @@ class TestClassifyStability:
         report = classify_stability(1, 2, 3.0, E)
         assert report.verdict is Verdict.STABLE
         assert report.monodromy.trace == pytest.approx(-0.2249, abs=2e-3)
+
+    def test_strongly_unstable_well_row_classifies(self):
+        """(1, 5) at P = 80: thirty energies between the floor and 0.  The
+        seven nearest the separatrix grow by 1e5 to 1e10 per period, where
+        det is a difference of products that large; each is Unstable."""
+        P = 80.0
+        floor = ModeParams(k=1, P=P).floor_energy
+        fractions = [1.0 - (i + 0.5) / 30 for i in range(30)]
+        reports = [classify_stability(1, 5, P, floor * f) for f in fractions]
+        deep = [r for f, r in zip(fractions, reports) if f < 0.25]
+        assert len(deep) == 7
+        assert all(r.verdict is Verdict.UNSTABLE for r in deep)
+        assert all(abs(r.monodromy.trace) > 1e5 for r in deep)
 
     def test_report_to_dict(self):
         import json

@@ -8,6 +8,7 @@ import scipy.integrate
 import scipy.special
 
 from beammodes import DomainError, comparison_bounds, elliptic_k, sigma_constant
+from beammodes.special import elliptic_k_from_complement
 
 
 def test_elliptic_k_zero_modulus():
@@ -41,6 +42,19 @@ def test_elliptic_k_monotone_and_divergent():
 def test_elliptic_k_domain(x):
     with pytest.raises(DomainError):
         elliptic_k(x)
+
+
+@pytest.mark.parametrize("kp", [1e-150, 1e-12, 1e-6, 0.01, 0.5, 0.9, 1.0])
+def test_elliptic_k_from_complement_against_scipy(kp):
+    # ellipkm1(p) = K(1 - p) keeps its digits for p -> 0
+    assert elliptic_k_from_complement(kp) == pytest.approx(
+        scipy.special.ellipkm1(kp * kp), rel=1e-14)
+
+
+@pytest.mark.parametrize("kp", [0.0, -0.1, 1.5, math.inf, math.nan])
+def test_elliptic_k_from_complement_domain(kp):
+    with pytest.raises(DomainError):
+        elliptic_k_from_complement(kp)
 
 
 def test_sigma_against_quadrature():

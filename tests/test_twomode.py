@@ -127,6 +127,17 @@ class TestTransfer:
         slope = np.polyfit(ts, np.log(np.abs(e_z)), 1)[0]
         assert slope == pytest.approx(2.0 * rate, rel=0.1)
 
+    def test_transfer_into_a_mode_with_its_own_well(self):
+        """n^2 < P: z falls into its well and E_z turns negative, so the
+        transfer shows as a departure from the seed, not as growth."""
+        cfg = seeded(2, 1, 3.0, 0.96, 1e-8)
+        res = simulate(cfg, 30.0,
+                       integrator=IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13))
+        assert res.channels.e_z.max() < 2e-8 and res.channels.e_z.min() < -0.5
+        report = transfer_report(res.channels)
+        assert report.verdict is TransferVerdict.TRANSFER_OBSERVED
+        assert report.max_ratio > 1e7
+
     def test_threshold_must_be_positive(self):
         cfg = seeded(2, 1, 0.0, 1.0, 1e-8)
         res = simulate(cfg, 1.0)
