@@ -10,7 +10,6 @@ from .duffing import (
     EnergyLevel,
     EnergyRegime,
     ModeParams,
-    ScaledEnergy,
     TurningRoots,
     classify_energy,
     constant_orbit,
@@ -22,7 +21,6 @@ from .duffing import (
     orbit_from_energy,
     orbit_trajectory,
     period_of,
-    scaled_energy_functions,
     turning_roots,
 )
 from .errors import (
@@ -61,8 +59,7 @@ from .regime import (
     table_regime,
 )
 from .special import comparison_bounds, elliptic_k, sigma_constant
-from .stationary import (StationarySolution, perturbed, residual_check,
-                         stationary_catalog)
+from .stationary import StationarySolution, residual_check, stationary_catalog
 from .twomode import (
     EnergyChannels,
     SimulationResult,
@@ -84,7 +81,7 @@ __all__ = [
     "EnergyRegime", "FrequencyRatioClass", "GammaMembership", "HillProblem",
     "IntegrationError", "IntegratorConfig", "ModeParams", "MonodromyResult",
     "NoCrossingError", "NumericalQualityError", "RegimeReport",
-    "ResonanceDiagnostics", "ScaledEnergy", "SimulationResult",
+    "ResonanceDiagnostics", "SimulationResult",
     "StabilityReport", "StationarySolution", "StepLimitError", "SweepSpec",
     "Trajectory", "TransferReport", "TurningRoots", "TwoModeConfig",
     "Verdict", "VerdictSource", "adaptive_amplitude_sweep", "build_hill",
@@ -94,10 +91,9 @@ __all__ = [
     "energy_from_initial_amplitude", "energy_of", "find_thresholds",
     "find_zero_crossing", "hill_integral", "homoclinic", "integrate",
     "li_zhang_criterion", "monodromy", "negative_coefficient_criterion",
-    "orbit_from_energy", "orbit_trajectory", "period_of", "perturbed",
-    "residual_check", "resonance_diagnostics", "resonance_quartic_scan",
-    "scaled_energy_functions", "sigma_constant", "simulate",
-    "stationary_catalog", "sweep", "table_regime", "transfer_report",
-    "turning_roots", "verdict_runs", "write_cells_csv",
+    "orbit_from_energy", "orbit_trajectory", "period_of", "residual_check",
+    "resonance_diagnostics", "resonance_quartic_scan", "sigma_constant",
+    "simulate", "stationary_catalog", "sweep", "table_regime",
+    "transfer_report", "turning_roots", "verdict_runs", "write_cells_csv",
     "zhukovskii_criterion",
 ]

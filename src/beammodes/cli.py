@@ -134,7 +134,8 @@ def _cmd_hill_classify(args) -> int:
 
 def _cmd_hill_criteria(args) -> int:
     problem = hill.build_hill(args.m, args.n, args.P, args.E)
-    report = hill.criteria_report(problem, config=_integrator(args))
+    result = hill.monodromy(problem, config=_integrator(args))
+    report = hill.criteria_report(problem, result)
     _emit_json(args, {"m": args.m, "n": args.n, "P": args.P, "E": args.E,
                       "coeff_period": problem.coeff_period,
                       **report.to_dict()})
@@ -356,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_hill_classify)
 
-    p = hill_sub.add_parser("criteria", help="analytic criteria only")
+    p = hill_sub.add_parser("criteria", help="analytic criteria, read off the "
+                            "monodromy pass (its determinant gate applies)")
     for flag in ("--m", "--n"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--P", type=float, required=True)

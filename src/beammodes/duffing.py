@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive_int
 from .integrate import IntegratorConfig, Trajectory, integrate
 from .special import elliptic_k, elliptic_k_from_complement
 
@@ -58,8 +58,7 @@ class ModeParams:
     P: float
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise DomainError(f"mode number must be a positive integer, got {self.k!r}")
+        require_positive_int("mode number", self.k)
         if not math.isfinite(self.P):
             raise DomainError("load P must be finite")
 
@@ -381,36 +380,6 @@ def hill_integral(
     y0 = np.array([*orbit.initial_state, 0.0])
     run = integrate(augmented, y0, (0.0, 0.5 * orbit.period), config, dense=False)
     return float(run.final_state[2])
-
-
-class ScaledEnergy(NamedTuple):
-    """Monotone reparametrizations of the energy used by the period laws.
-
-    disc = 4 E + (k^2 - P)^2 is the turning-quadratic discriminant,
-    disc_ratio = disc / (k^2 - P)^2, and
-    modulus_term = 1/2 - 1 / (2 sqrt(disc_ratio)) in (0, 1/2).
-    """
-
-    disc: float
-    disc_ratio: float
-    modulus_term: float
-
-
-def scaled_energy_functions(k: int, P: float, E: float) -> ScaledEnergy:
-    """The triple (disc, disc_ratio, modulus_term) at energy E > 0.
-
-    All three are strictly increasing in E.  Undefined at P = k^2, where
-    the normalization collapses.
-    """
-    params = ModeParams(k=k, P=P)
-    if E <= 0.0:
-        raise DomainError(f"scaled energy functions require E > 0, got {E!r}")
-    gap = float(params.k**2) - params.P
-    if gap == 0.0:
-        raise DomainError("scaled energy functions are undefined at P = k^2")
-    disc = 4.0 * E + gap * gap
-    ratio = disc / (gap * gap)
-    return ScaledEnergy(disc, ratio, 0.5 - 0.5 / math.sqrt(ratio))
 
 
 def energy_from_initial_amplitude(params: ModeParams, theta0: float) -> float:

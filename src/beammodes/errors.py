@@ -3,8 +3,11 @@
 DomainError marks inputs outside an operation's mathematical domain,
 IntegrationError marks ODE driver failures, and NumericalQualityError marks
 results whose internal checks (determinant drift, residuals) failed even
-though the computation ran to completion.
+though the computation ran to completion.  require_positive_int is the one
+check on mode numbers.
 """
+
+from numbers import Integral
 
 
 class BeamModesError(Exception):
@@ -39,3 +42,9 @@ class NumericalQualityError(BeamModesError, RuntimeError):
 
 class ConsistencyError(BeamModesError, RuntimeError):
     """An analytic criterion and a direct computation disagree."""
+
+
+def require_positive_int(label: str, value) -> None:
+    """Raise DomainError unless value is an integer (Python or numpy) >= 1."""
+    if not isinstance(value, Integral) or value < 1:
+        raise DomainError(f"{label} must be a positive integer, got {value!r}")

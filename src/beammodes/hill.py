@@ -11,15 +11,17 @@ one-signed well orbits.  Stability is read off the monodromy matrix M of
 the coefficient period: det M = 1, so |trace M| < 2 means bounded
 solutions (multipliers on the unit circle) and |trace M| > 2 exponential
 growth.  Two sufficient stability criteria and one sufficient instability
-criterion are available as cheap analytic pre-checks; whenever one of
-them applies, the monodromy verdict must agree.
+criterion cross-check that verdict; whenever one of them applies, the
+monodromy verdict must agree.  The one integration that yields the
+monodromy also carries the coefficient integrals the Li-Zhang criterion
+needs, so a classified cell integrates its orbit once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -29,11 +31,13 @@ from .duffing import (
     DuffingOrbit,
     EnergyRegime,
     ModeParams,
+    classify_energy,
     constant_orbit,
     duffing_rhs,
     orbit_from_energy,
 )
-from .errors import ConsistencyError, DomainError, NumericalQualityError
+from .errors import (ConsistencyError, DomainError, NumericalQualityError,
+                     require_positive_int)
 from .integrate import IntegratorConfig, integrate
 from .special import sigma_constant
 
@@ -95,11 +99,10 @@ def build_hill(m: int, n: int, P: float, E: float) -> HillProblem:
     """
     if m == n:
         raise DomainError("perturbation mode must differ from the orbit mode")
-    for label, v in (("m", m), ("n", n)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
-            raise DomainError(f"{label} must be a positive integer, got {v!r}")
+    require_positive_int("m", m)
+    require_positive_int("n", n)
     params = ModeParams(k=m, P=P)
-    if params.has_well and abs(E - params.well_bottom) <= 1e-13 * (1.0 + abs(E)):
+    if classify_energy(params, E) is EnergyRegime.BOTTOM_OF_WELL:
         orbit = constant_orbit(params)
     else:
         orbit = orbit_from_energy(params, E)
@@ -113,7 +116,9 @@ class MonodromyResult:
 
     multipliers are the two Floquet multipliers, the roots of
     lambda^2 - trace lambda + det; their product is det, which equals 1 up
-    to integration error.
+    to integration error.  coefficient_integrals holds (int_0^T a,
+    int_0^T (a^+)^2) from the same integration when the matrix comes from
+    monodromy, and None when a bare matrix was classified.
     """
 
     matrix: np.ndarray
@@ -121,6 +126,7 @@ class MonodromyResult:
     trace: float
     multipliers: tuple[complex, complex]
     verdict: Verdict
+    coefficient_integrals: tuple[float, float] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -167,10 +173,11 @@ def classify_matrix(matrix: np.ndarray, tol_margin: float = DEFAULT_TOL_MARGIN) 
 
 
 def _coupled_rhs(problem: HillProblem) -> Callable[[float, np.ndarray], np.ndarray]:
-    # One pass integrates the orbit and both fundamental Hill solutions:
-    # y = (theta, theta', xi1, xi1', xi2, xi2').  Driving the Hill columns
-    # with the integrated orbit keeps coefficient and solutions in phase to
-    # the integrator tolerance.
+    # One pass integrates the orbit, both fundamental Hill solutions and the
+    # two coefficient quadratures of the Li-Zhang criterion:
+    # y = (theta, theta', xi1, xi1', xi2, xi2', int a, int (a^+)^2).
+    # Driving the Hill columns with the integrated orbit keeps coefficient
+    # and solutions in phase to the integrator tolerance.
     rhs = duffing_rhs(problem.orbit.params)
     linear = problem.linear_term
     coupling = problem.coupling
@@ -178,7 +185,8 @@ def _coupled_rhs(problem: HillProblem) -> Callable[[float, np.ndarray], np.ndarr
     def coupled(t: float, y: np.ndarray) -> np.ndarray:
         d_theta = rhs(t, y[:2])
         a = linear + coupling * y[0] * y[0]
-        return np.array([d_theta[0], d_theta[1], y[3], -a * y[2], y[5], -a * y[4]])
+        return np.array([d_theta[0], d_theta[1], y[3], -a * y[2], y[5], -a * y[4],
+                         a, max(a, 0.0) ** 2])
 
     return coupled
 
@@ -188,14 +196,16 @@ def monodromy(
     config: IntegratorConfig = IntegratorConfig(),
     tol_margin: float = DEFAULT_TOL_MARGIN,
 ) -> MonodromyResult:
-    """Monodromy matrix over one coefficient period of the Hill problem."""
+    """Monodromy matrix over one coefficient period of the Hill problem,
+    with the coefficient integrals of the same pass attached."""
     theta0, dtheta0 = problem.orbit.initial_state
-    y0 = np.array([theta0, dtheta0, 1.0, 0.0, 0.0, 1.0])
+    y0 = np.array([theta0, dtheta0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     run = integrate(_coupled_rhs(problem), y0, (0.0, problem.coeff_period),
                     config, dense=False)
     yT = run.final_state
     matrix = np.array([[yT[2], yT[4]], [yT[3], yT[5]]])
-    return classify_matrix(matrix, tol_margin)
+    result = classify_matrix(matrix, tol_margin)
+    return replace(result, coefficient_integrals=(float(yT[6]), float(yT[7])))
 
 
 @dataclass(frozen=True)
@@ -263,34 +273,14 @@ def zhukovskii_criterion(problem: HillProblem) -> ZhukovskiiResult:
     return ZhukovskiiResult(applies=False)
 
 
-def li_zhang_criterion(
-    problem: HillProblem,
-    config: IntegratorConfig = IntegratorConfig(),
-) -> LiZhangResult:
-    """Stability from a positive coefficient mean and a small mean square."""
-    T = problem.coeff_period
+def li_zhang_criterion(problem: HillProblem, result: MonodromyResult) -> LiZhangResult:
+    """Stability from a positive coefficient mean and a small mean square,
+    read off the coefficient integrals of the problem's monodromy pass."""
+    if result.coefficient_integrals is None:
+        raise DomainError("the monodromy result carries no coefficient integrals")
+    mean, square = result.coefficient_integrals
+    lhs = problem.coeff_period**3 * square
     rhs_bound = (64.0 / 3.0) * sigma_constant() ** 4
-    orbit = problem.orbit
-    if orbit.energy.regime is EnergyRegime.BOTTOM_OF_WELL:
-        a = problem.coefficient(orbit.sq_hi)
-        mean = a * T
-        lhs = T**3 * (max(a, 0.0) ** 2 * T)
-        return LiZhangResult(applies=mean > 0.0 and lhs < rhs_bound,
-                             lhs=lhs, rhs=rhs_bound)
-
-    rhs = duffing_rhs(orbit.params)
-    linear = problem.linear_term
-    coupling = problem.coupling
-
-    def augmented(t: float, y: np.ndarray) -> np.ndarray:
-        d = rhs(t, y[:2])
-        a = linear + coupling * y[0] * y[0]
-        return np.array([d[0], d[1], a, max(a, 0.0) ** 2])
-
-    y0 = np.array([*orbit.initial_state, 0.0, 0.0])
-    run = integrate(augmented, y0, (0.0, T), config, dense=False)
-    mean = float(run.final_state[2])
-    lhs = T**3 * float(run.final_state[3])
     return LiZhangResult(applies=mean > 0.0 and lhs < rhs_bound,
                          lhs=lhs, rhs=rhs_bound)
 
@@ -319,13 +309,10 @@ class StabilityReport:
         }
 
 
-def criteria_report(
-    problem: HillProblem,
-    config: IntegratorConfig = IntegratorConfig(),
-) -> CriterionReport:
+def criteria_report(problem: HillProblem, result: MonodromyResult) -> CriterionReport:
     return CriterionReport(
         zhukovskii=zhukovskii_criterion(problem),
-        li_zhang=li_zhang_criterion(problem, config),
+        li_zhang=li_zhang_criterion(problem, result),
         negative_coefficient=negative_coefficient_criterion(problem),
     )
 
@@ -340,15 +327,15 @@ def classify_stability(
 ) -> StabilityReport:
     """Full stability classification of the (m, n) pair at energy E.
 
-    Runs the cheap analytic criteria first, then the monodromy
-    computation, and cross-checks them: a stability criterion that applies
-    alongside an Unstable monodromy verdict (or the instability criterion
-    alongside Stable) raises ConsistencyError.  Marginal monodromy agrees
-    with either side.
+    One integration gives the monodromy verdict and the coefficient
+    integrals that the analytic criteria read; the two are cross-checked:
+    a stability criterion that applies alongside an Unstable monodromy
+    verdict (or the instability criterion alongside Stable) raises
+    ConsistencyError.  Marginal monodromy agrees with either side.
     """
     problem = build_hill(m, n, P, E)
-    criteria = criteria_report(problem, config)
     result = monodromy(problem, config, tol_margin)
+    criteria = criteria_report(problem, result)
     stable_claim = criteria.zhukovskii.applies or criteria.li_zhang.applies
     unstable_claim = criteria.negative_coefficient.applies
     if stable_claim and result.verdict is Verdict.UNSTABLE:
@@ -363,9 +350,3 @@ def classify_stability(
         )
     return StabilityReport(verdict=result.verdict, criteria=criteria,
                            monodromy=result)
-
-
-def instability_threshold(m: int, n: int, P: float) -> float:
-    """Energy E1 = (P - n^2)(2 m^2 - n^2 - P)/4 up to which the negative-
-    coefficient criterion applies (meaningful when n^2 < P)."""
-    return 0.25 * (P - n * n) * (2.0 * m * m - n * n - P)

@@ -35,7 +35,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive_int
 from .hill import MonodromyResult, classify_matrix, DEFAULT_TOL_MARGIN
 from .integrate import IntegratorConfig, find_zero_crossing, integrate
 
@@ -67,11 +67,14 @@ def _classify_ratio(num: int, den: int) -> tuple[GammaMembership, int]:
     # I_S(k) = (k(2k+1), (k+1)(2k+1)), I_U(k) = ((k+1)(2k+1), (k+1)(2k+3)).
     if num <= 0 or den <= 0:
         raise DomainError("ratio must be positive")
-    k = 0
-    while num >= den * (k + 1) * (2 * k + 3):
-        if num == den * (k + 1) * (2 * k + 3):
-            return GammaMembership.BOUNDARY_UPPER, k
-        k += 1
+    # Largest k >= -1 with (k+1)(2k+3) <= gamma, i.e. 4k + 5 <= s with
+    # s = sqrt(8 gamma + 1) = sqrt(den (den + 8 num)) / den.  Flooring the
+    # square root first changes nothing: floor((floor(y) - c) / d) equals
+    # floor((y - c) / d) for integers c and d > 0, so k is exact.
+    k = (isqrt(den * (den + 8 * num)) - 5 * den) // (4 * den)
+    if k >= 0 and num == den * (k + 1) * (2 * k + 3):
+        return GammaMembership.BOUNDARY_UPPER, k
+    k += 1
     lower_u = den * (k + 1) * (2 * k + 1)
     if num == lower_u:
         return GammaMembership.BOUNDARY_LOWER, k
@@ -82,9 +85,8 @@ def _classify_ratio(num: int, den: int) -> tuple[GammaMembership, int]:
 
 def classify_gamma(m: int, n: int) -> FrequencyRatioClass:
     """Exact interval membership of gamma = n^2 / m^2 for integer m, n >= 1."""
-    for label, v in (("m", m), ("n", n)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
-            raise DomainError(f"{label} must be a positive integer, got {v!r}")
+    require_positive_int("m", m)
+    require_positive_int("n", n)
     membership, k = _classify_ratio(int(n) * int(n), int(m) * int(m))
     return FrequencyRatioClass(gamma=(n * n) / (m * m), membership=membership,
                                k_index=k)
@@ -93,24 +95,15 @@ def classify_gamma(m: int, n: int) -> FrequencyRatioClass:
 def classify_gamma_value(gamma: float) -> FrequencyRatioClass:
     """Interval membership of an arbitrary positive gamma.
 
-    Floating-point comparison against the integer endpoints; only exact
-    float equality is reported as a boundary, so values within roundoff of
-    an endpoint land in a neighbouring interval.  Use classify_gamma for
-    exact rational input.
+    A float is an exact binary rational, and it is compared exactly
+    against the integer endpoints; only exact float equality is reported
+    as a boundary, so values within roundoff of an endpoint land in a
+    neighbouring interval.  Use classify_gamma for exact rational input.
     """
     if not gamma > 0.0 or not math.isfinite(gamma):
         raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
-    k = 0
-    while gamma >= (k + 1) * (2 * k + 3):
-        if gamma == (k + 1) * (2 * k + 3):
-            return FrequencyRatioClass(gamma, GammaMembership.BOUNDARY_UPPER, k)
-        k += 1
-    lower_u = (k + 1) * (2 * k + 1)
-    if gamma == lower_u:
-        return FrequencyRatioClass(gamma, GammaMembership.BOUNDARY_LOWER, k)
-    if gamma > lower_u:
-        return FrequencyRatioClass(gamma, GammaMembership.UNSTABLE_INTERVAL, k)
-    return FrequencyRatioClass(gamma, GammaMembership.STABLE_INTERVAL, k)
+    membership, k = _classify_ratio(*float(gamma).as_integer_ratio())
+    return FrequencyRatioClass(gamma, membership, k)
 
 
 @dataclass(frozen=True)
@@ -160,9 +153,8 @@ def resonance_quartic(m: int, n: int, L: float) -> float:
 
 def resonance_diagnostics(m: int, n: int, P: float) -> ResonanceDiagnostics:
     """All resonance indicators that are defined at (m, n, P)."""
-    for label, v in (("m", m), ("n", n)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
-            raise DomainError(f"{label} must be a positive integer, got {v!r}")
+    require_positive_int("m", m)
+    require_positive_int("n", n)
     if m == n:
         raise DomainError("resonance diagnostics need distinct modes")
     ell = mu = None
@@ -286,23 +278,6 @@ class RegimeReport:
             "mechanisms": list(self.mechanisms),
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "RegimeReport":
-        gc = data["gamma_class"]
-        return RegimeReport(
-            m=data["m"], n=data["n"], P=data["P"],
-            ordering=Ordering(data["ordering"]),
-            low_energy=Prediction(data["low_energy"]),
-            high_energy=Prediction(data["high_energy"]),
-            high_energy_resolved=data["high_energy_resolved"],
-            gamma_class=FrequencyRatioClass(
-                gamma=gc["gamma"],
-                membership=GammaMembership(gc["membership"]),
-                k_index=gc["k_index"],
-            ),
-            mechanisms=tuple(data["mechanisms"]),
-        )
-
 
 def _ordering_of(m: int, n: int, P: float) -> Ordering:
     m2, n2 = m * m, n * n
@@ -326,9 +301,8 @@ def table_regime(m: int, n: int, P: float) -> RegimeReport:
     resolved through the exact interval classification."""
     if m == n:
         raise DomainError("the prediction table needs distinct modes")
-    for label, v in (("m", m), ("n", n)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
-            raise DomainError(f"{label} must be a positive integer, got {v!r}")
+    require_positive_int("m", m)
+    require_positive_int("n", n)
     ordering = _ordering_of(m, n, P)
     low, high, mechanisms = _TABLE[ordering]
     gamma_class = classify_gamma(m, n)

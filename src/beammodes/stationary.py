@@ -12,7 +12,7 @@ with static energy J0(+-u_j) = -(pi/8)(P - j^2)^2 and Morse index j - 1
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,11 +67,6 @@ def stationary_catalog(P: float) -> list[StationarySolution]:
                                               energy=energy,
                                               morse_index=j - 1))
     return catalog
-
-
-def perturbed(solution: StationarySolution, factor: float) -> StationarySolution:
-    """The same profile with its amplitude scaled; for residual tests."""
-    return replace(solution, amplitude=solution.amplitude * factor)
 
 
 def residual_check(solution: StationarySolution, P: float,

@@ -28,7 +28,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive_int
 from .integrate import IntegratorConfig, Trajectory, integrate
 
 DEFAULT_TRANSFER_THRESHOLD = 100.0
@@ -49,9 +49,8 @@ class TwoModeConfig:
     z1: float
 
     def __post_init__(self):
-        for label, v in (("m", self.m), ("n", self.n)):
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise DomainError(f"{label} must be a positive integer, got {v!r}")
+        require_positive_int("m", self.m)
+        require_positive_int("n", self.n)
         if self.m == self.n:
             raise DomainError("the two modes must be distinct")
         if not math.isfinite(self.P):

