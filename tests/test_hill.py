@@ -168,12 +168,12 @@ class TestCriteria:
         assert not negative_coefficient_criterion(build_hill(2, 1, 3.0, 3.0)).applies
 
     def test_instability_threshold_closed_form(self):
-        # E1 = (P - n^2)(2 m^2 - n^2 - P) / 4 = 2 for (m, n, P) = (2, 1, 3)
+        # E1 = (P - n^2)(2 m^2 - n^2 - P) / 4: the coefficient max changes
+        # sign exactly there
         m, n, P = 2, 1, 3.0
-        assert 0.25 * (P - n * n) * (2 * m * m - n * n - P) == pytest.approx(2.0)
-        # the coefficient max changes sign exactly there
-        prob_below = build_hill(2, 1, 3.0, 2.0 * (1 - 1e-9))
-        prob_above = build_hill(2, 1, 3.0, 2.0 * (1 + 1e-9))
+        E1 = 0.25 * (P - n * n) * (2 * m * m - n * n - P)
+        prob_below = build_hill(m, n, P, E1 * (1 - 1e-9))
+        prob_above = build_hill(m, n, P, E1 * (1 + 1e-9))
         assert prob_below.coeff_max < 0.0 < prob_above.coeff_max
 
     def test_report_collects_all_three(self):

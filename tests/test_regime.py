@@ -1,5 +1,6 @@
 """Frequency-ratio intervals, resonance diagnostics, and the regime table."""
 
+import dataclasses
 import json
 import math
 import time
@@ -19,8 +20,10 @@ from beammodes import (
     table_regime,
 )
 from beammodes.regime import (
+    FrequencyRatioClass,
     Ordering,
     Prediction,
+    RegimeReport,
     _classify_ratio,
     bottom_frequency_ratio,
     resonance_quartic,
@@ -227,9 +230,27 @@ class TestTable:
         assert report.high_energy_resolved.startswith("conjecture:")
 
     def test_json_round_trip(self):
-        report = table_regime(1, 2, 3.0)
-        d = report.to_dict()
-        assert json.loads(json.dumps(d)) == d
+        # every field survives to_dict and JSON: rebuilding the report from
+        # the parsed dict gives the report back
+        for args in ((1, 2, 3.0), (2, 1, 3.0)):
+            report = table_regime(*args)
+            d = json.loads(json.dumps(report.to_dict()))
+            assert set(d) == {f.name for f in dataclasses.fields(RegimeReport)}
+            gc = d["gamma_class"]
+            clone = RegimeReport(
+                m=d["m"], n=d["n"], P=d["P"],
+                ordering=Ordering(d["ordering"]),
+                low_energy=Prediction(d["low_energy"]),
+                high_energy=Prediction(d["high_energy"]),
+                high_energy_resolved=d["high_energy_resolved"],
+                gamma_class=FrequencyRatioClass(
+                    gamma=gc["gamma"],
+                    membership=GammaMembership(gc["membership"]),
+                    k_index=gc["k_index"],
+                ),
+                mechanisms=tuple(d["mechanisms"]),
+            )
+            assert clone == report
 
 
 class TestLimitDichotomy:
