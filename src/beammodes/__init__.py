@@ -17,7 +17,6 @@ from .duffing import (
     energy_from_initial_amplitude,
     energy_of,
     homoclinic,
-    hill_integral,
     orbit_from_energy,
     orbit_trajectory,
     period_of,
@@ -89,7 +88,7 @@ __all__ = [
     "classify_gamma_value", "classify_stability", "comparison_bounds",
     "constant_orbit", "duffing_rhs", "elliptic_k",
     "energy_from_initial_amplitude", "energy_of", "find_thresholds",
-    "find_zero_crossing", "hill_integral", "homoclinic", "integrate",
+    "find_zero_crossing", "homoclinic", "integrate",
     "li_zhang_criterion", "monodromy", "negative_coefficient_criterion",
     "orbit_from_energy", "orbit_trajectory", "period_of", "residual_check",
     "resonance_diagnostics", "resonance_quartic_scan", "sigma_constant",

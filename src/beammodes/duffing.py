@@ -90,33 +90,23 @@ class EnergyLevel:
     regime: EnergyRegime
 
 
-def _classification_tol(E: float) -> float:
-    return _CLASSIFY_TOL * (1.0 + abs(E))
-
-
 def energy_of(params: ModeParams, alpha: float, beta: float) -> EnergyLevel:
-    """Energy and regime of the orbit through theta = alpha, theta' = beta."""
+    """Energy and regime of the orbit through theta = alpha, theta' = beta.
+
+    Exact rest is TRIVIAL on every mode; any other state takes the regime
+    classify_energy gives its energy.
+    """
     k2 = params.k**2
     E = 0.5 * beta * beta + 0.5 * k2 * (k2 - params.P) * alpha * alpha \
         + 0.25 * k2 * k2 * alpha**4
-    tol = _classification_tol(E)
     if alpha == 0.0 and beta == 0.0:
         return EnergyLevel(E, EnergyRegime.TRIVIAL)
-    if not params.has_well:
-        # Single well: any nontrivial data has positive energy.
-        return EnergyLevel(E, EnergyRegime.POSITIVE)
-    bottom = params.well_bottom
-    if E - bottom <= tol:
-        return EnergyLevel(E, EnergyRegime.BOTTOM_OF_WELL)
-    if abs(E) <= tol:
-        return EnergyLevel(E, EnergyRegime.HOMOCLINIC)
-    regime = EnergyRegime.NEGATIVE_WELL if E < 0.0 else EnergyRegime.POSITIVE
-    return EnergyLevel(E, regime)
+    return EnergyLevel(E, classify_energy(params, E))
 
 
 def classify_energy(params: ModeParams, E: float) -> EnergyRegime:
-    """Regime of the orbits at energy E (exact-value variant)."""
-    tol = _classification_tol(E)
+    """Regime of the orbits at energy E."""
+    tol = _CLASSIFY_TOL * (1.0 + abs(E))
     if not params.has_well:
         if abs(E) <= tol:
             return EnergyRegime.TRIVIAL
@@ -344,42 +334,6 @@ def homoclinic(params: ModeParams, t):
     peak = math.sqrt(2.0) * math.sqrt(params.P - params.k**2) / params.k
     return peak / np.cosh(rate * np.asarray(t, dtype=float)) if np.ndim(t) else \
         peak / math.cosh(rate * t)
-
-
-def hill_integral(
-    m: int,
-    n: int,
-    P: float,
-    E: float,
-    config: IntegratorConfig = IntegratorConfig(),
-) -> float:
-    """int_0^{T/2} (n^2 (n^2 - P) + m^2 n^2 theta_m(t)^2)^2 dt.
-
-    theta_m is the canonical mode-m orbit at energy E and T its period.
-    The large-energy law (T/2)^3 I(E) -> (64 n^4 / 3 m^4) sigma^4 and the
-    small-energy limit (T/2) n^4 (n^2 - P)^2 both follow from this
-    quantity.  Computed by augmenting the orbit integration with a
-    quadrature state, so its accuracy tracks the integrator tolerance.
-    """
-    params = ModeParams(k=m, P=P)
-    regime = classify_energy(params, E)
-    coeff = float(n * n) * (float(n * n) - P)
-    coupling = float(m * m * n * n)
-    if regime is EnergyRegime.BOTTOM_OF_WELL:
-        orbit = constant_orbit(params)
-        value = coeff + coupling * orbit.sq_hi
-        return value * value * 0.5 * orbit.period
-    orbit = orbit_from_energy(params, E)
-    rhs = duffing_rhs(params)
-
-    def augmented(t: float, y: np.ndarray) -> np.ndarray:
-        d = rhs(t, y[:2])
-        a = coeff + coupling * y[0] * y[0]
-        return np.array([d[0], d[1], a * a])
-
-    y0 = np.array([*orbit.initial_state, 0.0])
-    run = integrate(augmented, y0, (0.0, 0.5 * orbit.period), config, dense=False)
-    return float(run.final_state[2])
 
 
 def energy_from_initial_amplitude(params: ModeParams, theta0: float) -> float:

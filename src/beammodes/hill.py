@@ -144,9 +144,14 @@ def classify_matrix(matrix: np.ndarray, tol_margin: float = DEFAULT_TOL_MARGIN) 
 
     |trace| < 2 - tol_margin: Stable; |trace| > 2 + tol_margin: Unstable;
     the band in between (including |trace| = 2 exactly) is Marginal.
-    Raises NumericalQualityError when |det - 1| exceeds the quality
-    tolerance scaled by max(1, max|M_ij|^2).
+    Raises DomainError unless 0 <= tol_margin < 2, and
+    NumericalQualityError when |det - 1| exceeds the quality tolerance
+    scaled by max(1, max|M_ij|^2).
     """
+    if not 0.0 <= tol_margin < 2.0:
+        raise DomainError(
+            f"tol_margin must satisfy 0 <= tol_margin < 2, got {tol_margin!r}"
+        )
     matrix = np.asarray(matrix, dtype=float)
     det = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
     trace = float(matrix[0, 0] + matrix[1, 1])

@@ -1,20 +1,23 @@
 """Adaptive integration of smooth low-dimensional ODE systems.
 
-A thin driver around scipy's 8th-order Dormand-Prince stepper (DOP853):
-trajectories are recorded at the accepted step points, dense output is
-optional (it costs three extra stages per step), and zero crossings of a
-state component are located on the dense interpolant by safeguarded
-Newton iteration inside a bisection bracket.
+A thin driver around scipy's 8th-order Dormand-Prince stepper (DOP853),
+which runs in one place: a generator that yields the solver after each
+accepted step and owns the failure and step-budget checks.  integrate
+records trajectories at the accepted step points, with optional dense
+output (it costs three extra stages per step); find_zero_crossing scans
+the same steps for a sign change of a state component and locates it on
+that step's dense interpolant with Brent's method.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
+from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -30,21 +33,22 @@ RHS = Callable[[float, np.ndarray], np.ndarray]
 class IntegratorConfig:
     """Tolerances and budgets for one integration run.
 
-    rel_tol/abs_tol are the per-step error controls of the embedded pair;
-    max_step caps the step size; max_steps caps the number of accepted
-    steps before the driver gives up.
+    rel_tol/abs_tol are the per-step error controls of the embedded pair
+    and must be finite and positive (a NaN or infinite tolerance stalls the
+    step-size control inside a single step); max_steps caps the number of
+    accepted steps before the driver gives up.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise DomainError("integrator tolerances must be strictly positive")
-        if self.max_step <= 0.0:
-            raise DomainError("max_step must be strictly positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise DomainError(
+                f"integrator tolerances must be finite and strictly positive, "
+                f"got rel_tol={self.rel_tol!r}, abs_tol={self.abs_tol!r}"
+            )
         if self.max_steps < 1:
             raise DomainError("max_steps must be at least 1")
 
@@ -83,29 +87,24 @@ class Trajectory:
         return np.atleast_2d(self.sol(ts).T) if ts.ndim else self.sol(ts)
 
 
-def integrate(
-    system: RHS,
-    initial_state: Sequence[float] | np.ndarray,
-    t_span: tuple[float, float],
-    config: IntegratorConfig = IntegratorConfig(),
-    *,
-    dense: bool = True,
-) -> Trajectory:
-    """Integrate y' = system(t, y) over t_span = (t0, t1), t0 < t1."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t0 < t1:
-        raise DomainError(f"t_span must satisfy t0 < t1, got {t_span!r}")
+def _state_vector(initial_state) -> np.ndarray:
     y0 = np.asarray(initial_state, dtype=float)
     if y0.ndim != 1 or y0.size == 0:
         raise DomainError("initial_state must be a non-empty 1-d vector")
+    return y0
 
-    solver = DOP853(
-        system, t0, y0, t1,
-        rtol=config.rel_tol, atol=config.abs_tol, max_step=config.max_step,
-    )
-    times = [t0]
-    states = [y0.copy()]
-    interpolants = [] if dense else None
+
+def _accepted_steps(
+    system: RHS,
+    y0: np.ndarray,
+    t0: float,
+    t_bound: float,
+    config: IntegratorConfig,
+) -> Iterator[DOP853]:
+    """The one DOP853 loop: yields the solver after each accepted step
+    from t0 until it reaches t_bound."""
+    solver = DOP853(system, t0, y0, t_bound,
+                    rtol=config.rel_tol, atol=config.abs_tol)
     steps = 0
     while solver.status == "running":
         message = solver.step()
@@ -118,6 +117,27 @@ def integrate(
             raise StepLimitError(
                 f"exceeded max_steps = {config.max_steps}", time=solver.t
             )
+        yield solver
+
+
+def integrate(
+    system: RHS,
+    initial_state: Sequence[float] | np.ndarray,
+    t_span: tuple[float, float],
+    config: IntegratorConfig = IntegratorConfig(),
+    *,
+    dense: bool = True,
+) -> Trajectory:
+    """Integrate y' = system(t, y) over t_span = (t0, t1), t0 < t1."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t0 < t1:
+        raise DomainError(f"t_span must satisfy t0 < t1, got {t_span!r}")
+    y0 = _state_vector(initial_state)
+
+    times = [t0]
+    states = [y0.copy()]
+    interpolants = []
+    for solver in _accepted_steps(system, y0, t0, t1, config):
         times.append(solver.t)
         states.append(solver.y.copy())
         if dense:
@@ -125,38 +145,6 @@ def integrate(
 
     sol = OdeSolution(np.asarray(times), interpolants) if dense else None
     return Trajectory(np.asarray(times), np.asarray(states), sol)
-
-
-def _refine_crossing(
-    system: RHS,
-    segment,
-    component: int,
-    t_lo: float,
-    t_hi: float,
-    g_lo: float,
-) -> float:
-    # Safeguarded Newton on the dense-output polynomial: the derivative of
-    # the tracked component is just the vector field evaluated on the
-    # interpolated state, so Newton steps are cheap; any step that leaves
-    # the bracket falls back to bisection.
-    t = 0.5 * (t_lo + t_hi)
-    for _ in range(200):
-        y = segment(t)
-        g = float(y[component])
-        if g == 0.0:
-            return t
-        if (g < 0.0) == (g_lo < 0.0):
-            t_lo = t
-        else:
-            t_hi = t
-        dg = float(system(t, y)[component])
-        t_next = t - g / dg if dg != 0.0 else 0.5 * (t_lo + t_hi)
-        if not t_lo < t_next < t_hi:
-            t_next = 0.5 * (t_lo + t_hi)
-        if abs(t_next - t) <= 1e-13 * (1.0 + abs(t)):
-            return t_next
-        t = t_next
-    return t
 
 
 def find_zero_crossing(
@@ -173,49 +161,36 @@ def find_zero_crossing(
 
     direction selects "rising" (- to +), "falling" (+ to -) or "any" strict
     sign change.  A component that starts exactly at zero does not count as
-    its own crossing.  The crossing time is refined on the dense output to
-    ~1e-13 relative, well inside the 1e-10 contract.
+    its own crossing.  The crossing time is the root of the step's dense
+    output, found by Brent's method to a few units in the last place, well
+    inside the 1e-10 contract.  Without t_max the search ends at the step budget
+    (StepLimitError).
     """
     if direction not in ("rising", "falling", "any"):
         raise DomainError(f"unknown direction {direction!r}")
-    y0 = np.asarray(initial_state, dtype=float)
+    y0 = _state_vector(initial_state)
     if not 0 <= component < y0.size:
         raise DomainError(f"component {component} out of range for state size {y0.size}")
     t_bound = math.inf if t_max is None else float(t_max)
     if t_bound <= t_start:
         raise DomainError("t_max must exceed t_start")
 
-    solver = DOP853(
-        system, float(t_start), y0, t_bound,
-        rtol=config.rel_tol, atol=config.abs_tol, max_step=config.max_step,
-    )
-    g_prev = float(y0[component])
-    t_prev = float(t_start)
-    steps = 0
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(
-                f"step failure while searching for crossing: {message}", time=solver.t
-            )
-        steps += 1
+    t_prev, g_prev = float(t_start), float(y0[component])
+    for solver in _accepted_steps(system, y0, t_prev, t_bound, config):
         g_new = float(solver.y[component])
         crossed = (
             (direction == "rising" and g_prev < 0.0 <= g_new)
             or (direction == "falling" and g_prev > 0.0 >= g_new)
             or (direction == "any" and g_prev != 0.0 and g_prev * g_new <= 0.0)
         )
-        if crossed and g_new == 0.0:
-            return solver.t
-        if crossed and g_prev * g_new < 0.0:
+        if crossed:
+            # The bracket ends on the step's own value g_new: an exact zero
+            # there is returned as is, and the interpolant's end value, which
+            # may round to the other side of a tiny g_new, is never used.
             segment = solver.dense_output()
-            return _refine_crossing(system, segment, component, t_prev, solver.t, g_prev)
-        if steps > config.max_steps:
-            raise NoCrossingError(
-                f"no {direction} crossing of component {component} within "
-                f"max_steps = {config.max_steps}",
-                time=solver.t,
-            )
+            t_new = solver.t
+            return brentq(lambda t: segment(t)[component] if t < t_new else g_new,
+                          t_prev, t_new, xtol=math.ulp(t_new))
         t_prev, g_prev = solver.t, g_new
 
     raise NoCrossingError(

@@ -194,6 +194,15 @@ class TestExitCodes:
                       "--E", "-5")
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--margin", "nan"), ("--margin", "-1"),
+    ])
+    def test_bad_tolerance_or_margin_is_one(self, capsys, flag, value):
+        code = main(["hill", "classify", "--m", "1", "--n", "2", "--P", "0",
+                     "--E", "1", flag, value])
+        assert code == EXIT_DOMAIN
+        assert flag.lstrip("-") in capsys.readouterr().err
+
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["mode", "period", "--k", "1"])

@@ -25,7 +25,6 @@ from beammodes import (
     sigma_constant,
     turning_roots,
 )
-from beammodes.duffing import hill_integral
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -46,6 +45,14 @@ class TestEnergyAndRoots:
         level = energy_of(ModeParams(k=1, P=0.0), 0.0, 0.0)
         assert level.value == 0.0
         assert level.regime is EnergyRegime.TRIVIAL
+
+    def test_energy_of_tiny_state_without_well_is_trivial(self):
+        # |E| <= 1e-13 (1 + |E|) reads TRIVIAL, as in classify_energy
+        level = energy_of(ModeParams(k=1, P=0.0), 1e-7, 0.0)
+        assert 0.0 < level.value < 1e-13
+        assert level.regime is EnergyRegime.TRIVIAL
+        with pytest.raises(DomainError):
+            orbit_from_energy(ModeParams(k=1, P=0.0), level.value)
 
     def test_energy_of_composition(self):
         level = energy_of(ModeParams(k=1, P=0.0), 1.0, 1.0)
@@ -311,49 +318,6 @@ class TestDerivedQuantities:
         roots = turning_roots(ModeParams(k=1, P=0.0), 2.0)
         assert (roots.hi - roots.lo) ** 2 / 4.0 == pytest.approx(9.0, rel=1e-14)
         assert roots.hi / (roots.hi - roots.lo) == pytest.approx(1.0 / 3.0, rel=1e-13)
-
-    def test_hill_integral_constant_orbit(self):
-        # at the well bottom the coefficient is constant: integral = a^2 T
-        m, n, P = 1, 2, 3.0
-        params = ModeParams(k=m, P=P)
-        E = params.floor_energy
-        orbit = constant_orbit(params)
-        a = n * n * (n * n - P) + m * m * n * n * orbit.sq_hi
-        val = hill_integral(m, n, P, E)
-        assert val == pytest.approx(a * a * orbit.period / 2, rel=1e-12)
-
-    def test_hill_integral_against_quadrature(self):
-        m, n, P, E = 2, 1, 0.0, 4.0
-        params = ModeParams(k=m, P=P)
-        orbit = orbit_from_energy(params, E)
-        rhs = duffing_rhs(params)
-
-        def augmented(t, y):
-            d = rhs(t, y[:2])
-            a = n * n * (n * n - P) + m * m * n * n * y[0] ** 2
-            return np.array([d[0], d[1], a * a])
-
-        traj = integrate(augmented, list(orbit.initial_state) + [0.0],
-                         (0.0, orbit.coefficient_period), TIGHT)
-        assert hill_integral(m, n, P, E) == pytest.approx(
-            traj.final_state[2], rel=1e-9)
-
-    def test_hill_integral_cauchy_schwarz(self):
-        # I(E) >= (2/T) (int_0^{T/2} a dt)^2
-        for m, n, P, E in [(2, 1, 0.0, 4.0), (1, 2, 3.0, -0.5), (1, 3, 0.0, 9.0)]:
-            params = ModeParams(k=m, P=P)
-            orbit = orbit_from_energy(params, E)
-            rhs = duffing_rhs(params)
-
-            def augmented(t, y):
-                d = rhs(t, y[:2])
-                a = n * n * (n * n - P) + m * m * n * n * y[0] ** 2
-                return np.array([d[0], d[1], a])
-
-            traj = integrate(augmented, list(orbit.initial_state) + [0.0],
-                             (0.0, orbit.period / 2), TIGHT)
-            mean_sq_bound = (2 / orbit.period) * traj.final_state[2] ** 2
-            assert hill_integral(m, n, P, E) >= mean_sq_bound * (1 - 1e-10)
 
     def test_coefficient_period_halves_for_sign_changing(self):
         positive = orbit_from_energy(ModeParams(k=1, P=0.0), 2.0)

@@ -126,6 +126,18 @@ class TestClassifyMatrix:
         assert classify_matrix(M, tol_margin=1e-6).verdict is Verdict.MARGINAL
         assert classify_matrix(M, tol_margin=1e-9).verdict is Verdict.UNSTABLE
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -1.0, 2.0])
+    def test_margin_outside_band_rejected(self, margin):
+        # a NaN or huge margin would make every verdict Marginal, a
+        # negative one would let the Stable and Unstable bands overlap
+        M = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(DomainError):
+            classify_matrix(M, tol_margin=margin)
+
+    def test_zero_margin_allowed(self):
+        M = np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert classify_matrix(M, tol_margin=0.0).verdict is Verdict.MARGINAL
+
     def test_bad_determinant_rejected(self):
         M = np.array([[1.1, 0.0], [0.0, 1.0]])
         with pytest.raises(NumericalQualityError):
@@ -311,6 +323,16 @@ class TestOnePass:
         mean, square = monodromy(prob).coefficient_integrals
         assert mean == pytest.approx(a * T, rel=1e-12)
         assert square == pytest.approx(max(a, 0.0) ** 2 * T, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m,n,P,E", [
+        (2, 1, 0.0, 4.0), (1, 2, 3.0, -0.5), (1, 3, 0.0, 9.0),
+    ])
+    def test_integrals_obey_cauchy_schwarz(self, m, n, P, E):
+        # over the coefficient period T: (int a)^2 <= (int a^+)^2 <= T int (a^+)^2
+        prob = build_hill(m, n, P, E)
+        mean, square = monodromy(prob, TIGHT).coefficient_integrals
+        assert mean > 0.0
+        assert square >= mean**2 / prob.coeff_period * (1 - 1e-10)
 
     def test_bare_matrix_has_no_integrals(self):
         result = classify_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))

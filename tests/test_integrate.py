@@ -74,12 +74,6 @@ def test_time_reversal_symmetry():
     assert_allclose(back.final_state, [0.3, -0.7], atol=1e-9)
 
 
-def test_max_step_is_honored():
-    cfg = IntegratorConfig(max_step=0.05)
-    traj = integrate(harmonic, [1.0, 0.0], (0.0, 2.0), cfg)
-    assert np.max(np.diff(traj.times)) <= 0.05 + 1e-12
-
-
 def test_step_budget_exhaustion():
     cfg = IntegratorConfig(max_steps=5)
     with pytest.raises(StepLimitError):
@@ -95,7 +89,8 @@ def test_trajectory_records_endpoints():
 
 @pytest.mark.parametrize("bad", [
     dict(rel_tol=0.0), dict(abs_tol=-1e-9), dict(max_steps=0),
-    dict(max_step=0.0),
+    dict(rel_tol=math.nan), dict(abs_tol=math.nan),
+    dict(rel_tol=math.inf), dict(abs_tol=math.inf),
 ])
 def test_config_validation(bad):
     with pytest.raises(DomainError):
@@ -145,6 +140,17 @@ class TestZeroCrossing:
         t = find_zero_crossing(harmonic, [1.0, 0.0], component=0,
                                direction="falling", config=cfg)
         assert t == pytest.approx(math.pi / 2, abs=1e-12)
+
+    def test_two_dimensional_state_rejected(self):
+        with pytest.raises(DomainError):
+            find_zero_crossing(harmonic, [[1.0, 0.0]], component=0)
+
+    def test_step_budget_exhaustion(self):
+        # the crossing at pi/2 lies beyond five steps of this tight search
+        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, max_steps=5)
+        with pytest.raises(StepLimitError):
+            find_zero_crossing(harmonic, [1.0, 0.0], component=0,
+                               direction="falling", config=cfg)
 
     def test_bad_direction(self):
         with pytest.raises(DomainError):
