@@ -18,7 +18,6 @@ from .duffing import (
     energy_of,
     homoclinic,
     orbit_from_energy,
-    orbit_trajectory,
     period_of,
     turning_roots,
 )
@@ -90,7 +89,7 @@ __all__ = [
     "energy_from_initial_amplitude", "energy_of", "find_thresholds",
     "find_zero_crossing", "homoclinic", "integrate",
     "li_zhang_criterion", "monodromy", "negative_coefficient_criterion",
-    "orbit_from_energy", "orbit_trajectory", "period_of", "residual_check",
+    "orbit_from_energy", "period_of", "residual_check",
     "resonance_diagnostics", "resonance_quartic_scan", "sigma_constant",
     "simulate", "stationary_catalog", "sweep", "table_regime",
     "transfer_report", "turning_roots", "verdict_runs", "write_cells_csv",

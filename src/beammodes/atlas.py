@@ -22,7 +22,7 @@ from typing import IO, Sequence
 
 from .duffing import ModeParams, energy_from_initial_amplitude
 from .errors import BeamModesError, DomainError
-from .hill import DEFAULT_TOL_MARGIN, Verdict, classify_stability
+from .hill import DEFAULT_TOL_MARGIN, Verdict, classify_stability, require_tol_margin
 from .integrate import IntegratorConfig
 from .regime import cazenave_limit_classify
 
@@ -59,8 +59,10 @@ class SweepSpec:
         if len(grid) == 0:
             raise DomainError("sweep grid must be non-empty")
         values = [float(v) for v in grid]
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise DomainError("sweep grid must be strictly increasing")
+        if not all(map(math.isfinite, values)) or \
+                any(b <= a for a, b in zip(values, values[1:])):
+            raise DomainError("sweep grid must be finite and strictly increasing")
+        require_tol_margin(self.tol_margin)
         if not self.modes:
             raise DomainError("sweep needs at least one mode entry")
         for entry in self.modes:
@@ -208,10 +210,11 @@ def adaptive_amplitude_sweep(
     gets a flat width-based score.  Cells come back sorted by theta0,
     and the result is deterministic and independent of jobs.
     """
+    require_tol_margin(tol_margin)
     if budget < 4:
         raise DomainError("adaptive sweep needs a budget of at least 4 cells")
-    if theta0_max <= 0.0:
-        raise DomainError("theta0_max must be positive")
+    if not 0.0 < theta0_max < math.inf:
+        raise DomainError(f"theta0_max must be positive and finite, got {theta0_max!r}")
     if backbone is None:
         backbone = budget // 2
     if not 2 <= backbone <= budget:
@@ -316,10 +319,12 @@ def find_thresholds(
     energies = [float(E) for E in energies]
     if len(energies) < 2:
         raise DomainError("threshold search needs at least two grid energies")
-    if any(b <= a for a, b in zip(energies, energies[1:])):
-        raise DomainError("energy grid must be strictly increasing")
+    if not all(map(math.isfinite, energies)) or \
+            any(b <= a for a, b in zip(energies, energies[1:])):
+        raise DomainError("energy grid must be finite and strictly increasing")
     if refinement_tol <= 0.0:
         raise DomainError("refinement_tol must be positive")
+    require_tol_margin(tol_margin)
     verdicts = [_verdict_at(m, n, P, E, integrator, tol_margin) for E in energies]
     thresholds = []
     for i in range(len(energies) - 1):

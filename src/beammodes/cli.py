@@ -62,6 +62,12 @@ def _emit_json(args, payload) -> None:
     _emit(args, json.dumps(payload, indent=2))
 
 
+def _sample_count(args) -> int:
+    if args.samples < 0:
+        raise DomainError(f"--samples must be non-negative, got {args.samples}")
+    return args.samples
+
+
 def _add_tol(parser) -> None:
     parser.add_argument("--tol", type=float, default=None,
                         help="integrator relative tolerance (absolute = tol/100)")
@@ -82,9 +88,18 @@ def _cmd_mode_period(args) -> int:
 
 
 def _cmd_mode_orbit(args) -> int:
+    if not 0.0 < args.periods < math.inf:
+        raise DomainError(f"--periods must be positive and finite, got {args.periods!r}")
     params = duffing.ModeParams(k=args.k, P=args.P)
     orbit = duffing.orbit_from_energy(params, args.E, sign=args.sign)
-    payload = {
+    if _sample_count(args):
+        ts = np.linspace(0.0, args.periods * orbit.period, args.samples)
+        lines = ["t,theta,theta_dot"]
+        lines += [f"{t!r},{th!r},{v!r}"
+                  for t, (th, v) in zip(ts.tolist(), orbit.states(ts).tolist())]
+        _emit(args, "\n".join(lines))
+        return EXIT_OK
+    _emit_json(args, {
         "k": args.k, "P": args.P, "E": args.E,
         "regime": orbit.energy.regime.value,
         "amplitude": orbit.amplitude,
@@ -93,27 +108,17 @@ def _cmd_mode_orbit(args) -> int:
         "period": orbit.period,
         "coefficient_period": orbit.coefficient_period,
         "initial_state": list(orbit.initial_state),
-    }
-    if args.samples:
-        run = duffing.orbit_trajectory(orbit, n_periods=args.periods,
-                                       config=_integrator(args))
-        ts = np.linspace(0.0, args.periods * orbit.period, args.samples)
-        states = run.sample(ts)
-        lines = ["t,theta,theta_dot"]
-        lines += [f"{t!r},{s[0]!r},{s[1]!r}" for t, s in zip(ts, states)]
-        _emit(args, "\n".join(lines))
-        return EXIT_OK
-    _emit_json(args, payload)
+    })
     return EXIT_OK
 
 
 def _cmd_mode_homoclinic(args) -> int:
     params = duffing.ModeParams(k=args.k, P=args.P)
-    if args.samples:
+    if _sample_count(args):
         ts = np.linspace(args.t_min, args.t_max, args.samples)
         values = duffing.homoclinic(params, ts)
         lines = ["t,theta"]
-        lines += [f"{t!r},{v!r}" for t, v in zip(ts, values)]
+        lines += [f"{t!r},{v!r}" for t, v in zip(ts.tolist(), values.tolist())]
         _emit(args, "\n".join(lines))
     else:
         _emit_json(args, {"k": args.k, "P": args.P, "t": args.t,
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_mode_period)
 
-    p = mode_sub.add_parser("orbit", help="orbit summary or sampled trajectory")
+    p = mode_sub.add_parser("orbit", help="orbit summary or closed-form samples")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--P", type=float, required=True)
     p.add_argument("--E", type=float, required=True)
@@ -329,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=0,
                    help="emit a CSV trajectory with this many samples")
-    _add_tol(p)
     _add_out(p)
     p.set_defaults(func=_cmd_mode_orbit)
 

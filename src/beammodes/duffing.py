@@ -33,8 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, require_positive_int
-from .integrate import IntegratorConfig, Trajectory, integrate
-from .special import elliptic_k, elliptic_k_from_complement
+from .special import elliptic_k, elliptic_k_from_complement, jacobi_sn_cn_dn
 
 # Regime classification tolerance; scales with the energy magnitude.
 _CLASSIFY_TOL = 1e-13
@@ -106,6 +105,8 @@ def energy_of(params: ModeParams, alpha: float, beta: float) -> EnergyLevel:
 
 def classify_energy(params: ModeParams, E: float) -> EnergyRegime:
     """Regime of the orbits at energy E."""
+    if not math.isfinite(E):
+        raise DomainError(f"energy must be finite, got E={E!r}")
     tol = _CLASSIFY_TOL * (1.0 + abs(E))
     if not params.has_well:
         if abs(E) <= tol:
@@ -194,6 +195,28 @@ class DuffingOrbit:
     def coefficient_period(self) -> float:
         """Period of theta^2: half the orbit period iff the orbit changes sign."""
         return 0.5 * self.period if self.sign_changing else self.period
+
+    def states(self, ts) -> np.ndarray:
+        """(theta, theta') at the times ts in closed form, shape (len(ts), 2):
+        A cn(w t) if the orbit changes sign, else A kp / dn(w t), with kp and
+        w from the expressions of period_of; A kp is sqrt(sq_lo) without the
+        cancellation of sq_lo near E = 0."""
+        k, E, A = float(self.params.k), self.energy.value, self.amplitude
+        gap = k * k - self.params.P
+        root = math.sqrt(4.0 * E + gap * gap)
+        if self.sign_changing:
+            omega = k * math.sqrt(root)
+            kp = math.sqrt(2.0 * E / (root * (root - gap)) if gap < 0.0
+                           else 0.5 + gap / (2.0 * root))
+        else:
+            omega = k * math.sqrt(0.5 * (root - gap))
+            kp = 2.0 * math.sqrt(-E) / (root - gap)
+        sn, cn, dn = jacobi_sn_cn_dn(omega * np.asarray(ts, dtype=float), kp)
+        if self.sign_changing:
+            return self.sign * np.column_stack((A * cn, -A * omega * sn * dn))
+        theta = A * kp / dn
+        return self.sign * np.column_stack(
+            (theta, theta * omega * (1.0 - kp) * (1.0 + kp) * sn * cn / dn))
 
 
 def duffing_rhs(params: ModeParams) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -304,21 +327,6 @@ def constant_orbit(params: ModeParams, sign: int = 1) -> DuffingOrbit:
         period=period_of(params, bottom),
         sign=sign,
     )
-
-
-def orbit_trajectory(
-    orbit: DuffingOrbit,
-    n_periods: float = 1.0,
-    config: IntegratorConfig = IntegratorConfig(),
-    *,
-    dense: bool = True,
-) -> Trajectory:
-    """Integrate the orbit from its canonical initial state over n periods."""
-    if n_periods <= 0.0:
-        raise DomainError("n_periods must be positive")
-    rhs = duffing_rhs(orbit.params)
-    t_end = n_periods * orbit.period
-    return integrate(rhs, orbit.initial_state, (0.0, t_end), config, dense=dense)
 
 
 def homoclinic(params: ModeParams, t):

@@ -139,6 +139,15 @@ class MonodromyResult:
         }
 
 
+def require_tol_margin(tol_margin: float) -> None:
+    """Raise DomainError unless 0 <= tol_margin < 2: outside that range the
+    marginal band is undefined or lets the Stable and Unstable bands meet."""
+    if not 0.0 <= tol_margin < 2.0:
+        raise DomainError(
+            f"tol_margin must satisfy 0 <= tol_margin < 2, got {tol_margin!r}"
+        )
+
+
 def classify_matrix(matrix: np.ndarray, tol_margin: float = DEFAULT_TOL_MARGIN) -> MonodromyResult:
     """Verdict and multipliers of a 2x2 unit-determinant map.
 
@@ -148,10 +157,7 @@ def classify_matrix(matrix: np.ndarray, tol_margin: float = DEFAULT_TOL_MARGIN) 
     NumericalQualityError when |det - 1| exceeds the quality tolerance
     scaled by max(1, max|M_ij|^2).
     """
-    if not 0.0 <= tol_margin < 2.0:
-        raise DomainError(
-            f"tol_margin must satisfy 0 <= tol_margin < 2, got {tol_margin!r}"
-        )
+    require_tol_margin(tol_margin)
     matrix = np.asarray(matrix, dtype=float)
     det = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
     trace = float(matrix[0, 0] + matrix[1, 1])
@@ -205,8 +211,7 @@ def monodromy(
     with the coefficient integrals of the same pass attached."""
     theta0, dtheta0 = problem.orbit.initial_state
     y0 = np.array([theta0, dtheta0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    run = integrate(_coupled_rhs(problem), y0, (0.0, problem.coeff_period),
-                    config, dense=False)
+    run = integrate(_coupled_rhs(problem), y0, (0.0, problem.coeff_period), config)
     yT = run.final_state
     matrix = np.array([[yT[2], yT[4]], [yT[3], yT[5]]])
     result = classify_matrix(matrix, tol_margin)

@@ -3,10 +3,10 @@
 A thin driver around scipy's 8th-order Dormand-Prince stepper (DOP853),
 which runs in one place: a generator that yields the solver after each
 accepted step and owns the failure and step-budget checks.  integrate
-records trajectories at the accepted step points, with optional dense
-output (it costs three extra stages per step); find_zero_crossing scans
+records trajectories at the accepted step points; find_zero_crossing scans
 the same steps for a sign change of a state component and locates it on
-that step's dense interpolant with Brent's method.
+that step's dense interpolant with Brent's method.  scipy is imported on
+first use, so commands that never integrate do not pay for it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -59,32 +57,18 @@ class Trajectory:
 
     times are the accepted step points (strictly increasing, first entry
     the initial time, last entry the end of the span); states[i] is the
-    state at times[i].  sol is the dense interpolant over the whole span
-    when the run was made with dense output, else None.
+    state at times[i].  sol is always None: runs record no dense output,
+    and the field stays only because the benchmark's trace hooks read it,
+    until a change to the benchmark drops it.
     """
 
     times: np.ndarray
     states: np.ndarray
-    sol: OdeSolution | None = None
-
-    @property
-    def dense(self) -> bool:
-        return self.sol is not None
-
-    @property
-    def initial_state(self) -> np.ndarray:
-        return self.states[0]
+    sol: None = None
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def sample(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
-        """States at arbitrary times inside the span, shape (len(ts), dim)."""
-        if self.sol is None:
-            raise DomainError("trajectory was recorded without dense output")
-        ts = np.asarray(ts, dtype=float)
-        return np.atleast_2d(self.sol(ts).T) if ts.ndim else self.sol(ts)
 
 
 def _state_vector(initial_state) -> np.ndarray:
@@ -100,9 +84,11 @@ def _accepted_steps(
     t0: float,
     t_bound: float,
     config: IntegratorConfig,
-) -> Iterator[DOP853]:
+) -> Iterator:
     """The one DOP853 loop: yields the solver after each accepted step
     from t0 until it reaches t_bound."""
+    from scipy.integrate import DOP853
+
     solver = DOP853(system, t0, y0, t_bound,
                     rtol=config.rel_tol, atol=config.abs_tol)
     steps = 0
@@ -125,8 +111,6 @@ def integrate(
     initial_state: Sequence[float] | np.ndarray,
     t_span: tuple[float, float],
     config: IntegratorConfig = IntegratorConfig(),
-    *,
-    dense: bool = True,
 ) -> Trajectory:
     """Integrate y' = system(t, y) over t_span = (t0, t1), t0 < t1."""
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -136,15 +120,10 @@ def integrate(
 
     times = [t0]
     states = [y0.copy()]
-    interpolants = []
     for solver in _accepted_steps(system, y0, t0, t1, config):
         times.append(solver.t)
         states.append(solver.y.copy())
-        if dense:
-            interpolants.append(solver.dense_output())
-
-    sol = OdeSolution(np.asarray(times), interpolants) if dense else None
-    return Trajectory(np.asarray(times), np.asarray(states), sol)
+    return Trajectory(np.asarray(times), np.asarray(states))
 
 
 def find_zero_crossing(
@@ -166,6 +145,8 @@ def find_zero_crossing(
     inside the 1e-10 contract.  Without t_max the search ends at the step budget
     (StepLimitError).
     """
+    from scipy.optimize import brentq
+
     if direction not in ("rising", "falling", "any"):
         raise DomainError(f"unknown direction {direction!r}")
     y0 = _state_vector(initial_state)

@@ -358,7 +358,7 @@ def cazenave_limit_classify(
         return np.array([y[1], -u**3, y[3], -a * y[2], y[5], -a * y[4]])
 
     y0 = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
-    run = integrate(coupled, y0, (0.0, theta), config, dense=False)
+    run = integrate(coupled, y0, (0.0, theta), config)
     yT = run.final_state
     matrix = -np.array([[yT[2], yT[4]], [yT[3], yT[5]]])
     return classify_matrix(matrix, tol_margin)

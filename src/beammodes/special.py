@@ -1,11 +1,14 @@
-"""Complete elliptic integral of the first kind and derived constants.
+"""Complete elliptic integral K, Jacobi elliptic functions, and constants.
 
 Everything downstream (mode periods, large-energy laws, the all-energy
 stability bound) reduces to K and to the quartic-well quarter-period
-constant sigma = K(1/sqrt(2))/sqrt(2) ~ 1.311.
+constant sigma = K(1/sqrt(2))/sqrt(2) ~ 1.311; the mode orbits themselves
+are Jacobi functions on the same arithmetic-geometric mean.
 """
 
 import math
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -28,6 +31,32 @@ def elliptic_k_from_complement(kp: float) -> float:
     while abs(a - b) > _AGM_REL_TOL * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)
+
+
+def jacobi_sn_cn_dn(u, kp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sn, cn, dn of u (scalar or array) at complementary modulus 0 < kp <= 1.
+
+    The AGM on (1, kp) gives the descending Landen moduli; at the top, sn
+    and cn are sin and cos of u agm(1, kp) (DLMF 22.20(ii)).  The way down
+    (DLMF 22.7.1-3) multiplies positive factors, so cn keeps its relative
+    digits near its zeros, and each level forms dn = sqrt(kp^2 + k^2 cn^2),
+    which never cancels; kp keeps every digit as k -> 1 (Bulirsch 1965).
+    """
+    if not 0.0 < kp <= 1.0:
+        raise DomainError(f"jacobi_sn_cn_dn requires 0 < kp <= 1, got {kp!r}")
+    a, b, k = 1.0, kp, math.sqrt((1.0 - kp) * (1.0 + kp))
+    moduli = [(k, kp)]
+    while k > 1e-9:  # below, sin and cos are sn and cn to within k^2 u / 4
+        k = (a - b) / (a + b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        moduli.append((k, b / a))
+    phi = np.asarray(u, dtype=float) * a
+    sn, cn, dn, k_up = np.sin(phi), np.cos(phi), 1.0, 0.0
+    for k, kp_j in reversed(moduli):
+        den = 1.0 + k_up * sn * sn
+        sn, cn = (1.0 + k_up) * sn / den, cn * dn / den
+        dn, k_up = np.sqrt(kp_j * kp_j + k * k * cn * cn), k
+    return sn, cn, dn
 
 
 def elliptic_k(x: float) -> float:

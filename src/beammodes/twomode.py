@@ -140,8 +140,6 @@ def simulate(
     config: TwoModeConfig,
     t_end: float,
     integrator: IntegratorConfig = IntegratorConfig(),
-    *,
-    dense: bool = False,
 ) -> SimulationResult:
     """Integrate the two-mode system over [0, t_end] and sample channels.
 
@@ -151,8 +149,7 @@ def simulate(
     if t_end <= 0.0:
         raise DomainError("t_end must be positive")
     rhs = two_mode_rhs(config)
-    trajectory = integrate(rhs, config.initial_state(), (0.0, t_end),
-                           integrator, dense=dense)
+    trajectory = integrate(rhs, config.initial_state(), (0.0, t_end), integrator)
     e_w, e_z, e_wz = channel_energies(config, trajectory.states)
     channels = EnergyChannels(times=trajectory.times, e_w=e_w, e_z=e_z,
                               e_wz=e_wz, total=total_energy(config))

@@ -47,6 +47,19 @@ class TestSweepSpec:
             SweepSpec(P=0.0, modes=[(1, 2)], theta0_grid=[1.0, 1.0])
         with pytest.raises(DomainError):
             SweepSpec(P=0.0, modes=[(1, 2)], energy_grid=[2.0, 1.0])
+        # NaN compares false both ways, so it used to pass the order check
+        for grid in ([math.nan, 1.0, 2.0], [0.5, math.nan], [1.0, math.inf]):
+            with pytest.raises(DomainError, match="finite"):
+                SweepSpec(P=0.0, modes=[(1, 2)], theta0_grid=grid)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -1.0, 2.0])
+    def test_margin_checked_up_front(self, margin):
+        with pytest.raises(DomainError, match="tol_margin"):
+            SweepSpec(P=0.0, modes=[(1, 2)], theta0_grid=[1.0], tol_margin=margin)
+        with pytest.raises(DomainError, match="tol_margin"):
+            adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 40, tol_margin=margin)
+        with pytest.raises(DomainError, match="tol_margin"):
+            find_thresholds(2, 1, 3.0, [4.0, 8.0], tol_margin=margin)
 
     def test_modes_required(self):
         with pytest.raises(DomainError):
@@ -206,6 +219,9 @@ class TestFindThresholds:
             find_thresholds(2, 1, 3.0, [8.0, 4.0])
         with pytest.raises(DomainError):
             find_thresholds(2, 1, 3.0, [4.0, 8.0], refinement_tol=0.0)
+        for grid in ([math.nan, 8.0], [4.0, math.inf], [4.0, math.nan, 8.0]):
+            with pytest.raises(DomainError, match="finite"):
+                find_thresholds(2, 1, 3.0, grid)
 
 
 class TestAdaptiveSweep:
@@ -220,6 +236,9 @@ class TestAdaptiveSweep:
             adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 40, backbone=41)
         with pytest.raises(DomainError):
             adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 40, theta0_min=5.0)
+        for theta0_max in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                adaptive_amplitude_sweep(1, 2, 0.0, theta0_max, 40, theta0_min=1.0)
 
     def test_budget_spent_and_sorted(self):
         cells = adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 40)

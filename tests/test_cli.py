@@ -1,12 +1,14 @@
 """End-to-end command-line tests: one happy path per subcommand plus the
 exit-code contract and config-file splicing."""
 
+import importlib
 import json
 import math
 
 import pytest
 
-from beammodes import ModeParams, period_of
+import beammodes.hill
+from beammodes import ModeParams, orbit_from_energy, period_of
 from beammodes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_QUALITY, main
 from beammodes.twomode import CSV_COLUMNS
 
@@ -38,13 +40,24 @@ class TestModeCommands:
         assert payload["turning_sq"]["hi"] > 0.0
         assert len(payload["initial_state"]) == 2
 
-    def test_orbit_trajectory_csv(self, capsys):
+    def test_orbit_trajectory_csv(self, capsys, monkeypatch):
+        """The samples come from the closed-form orbit: nothing integrates."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("mode orbit --samples integrated")
+
+        integrate_module = importlib.import_module("beammodes.integrate")
+        monkeypatch.setattr(integrate_module, "integrate", refuse)
+        monkeypatch.setattr(integrate_module, "_accepted_steps", refuse)
         code, out = run(capsys, "mode", "orbit", "--k", "1", "--P", "0",
-                        "--E", "0.5", "--samples", "17")
+                        "--E", "0.5", "--samples", "17", "--periods", "2")
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert lines[0] == "t,theta,theta_dot"
         assert len(lines) == 18
+        orbit = orbit_from_energy(ModeParams(k=1, P=0.0), 0.5)
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert rows[-1][0] == 2.0 * orbit.period
+        assert [r[1:] for r in rows] == orbit.states([r[0] for r in rows]).tolist()
 
     def test_homoclinic_value(self, capsys):
         payload = run_json(capsys, "mode", "homoclinic",
@@ -58,6 +71,7 @@ class TestModeCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "t,theta"
         assert len(lines) == 6
+        assert [float(v) for v in lines[3].split(",")] == [0.0, math.sqrt(2.0)]
 
 
 class TestHillCommands:
@@ -202,6 +216,37 @@ class TestExitCodes:
                      "--E", "1", flag, value])
         assert code == EXIT_DOMAIN
         assert flag.lstrip("-") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["mode", "period", "--k", "1", "--P", "0", "--E", "nan"], "finite"),
+        (["mode", "period", "--k", "1", "--P", "0", "--E", "inf"], "finite"),
+        (["mode", "orbit", "--k", "1", "--P", "0", "--E", "0.5",
+          "--samples", "-3"], "--samples"),
+        (["mode", "homoclinic", "--k", "1", "--P", "2", "--samples", "-3"],
+         "--samples"),
+        *[(["mode", "orbit", "--k", "1", "--P", "0", "--E", "0.5",
+            "--samples", "5", "--periods", periods], "--periods")
+          for periods in ("nan", "inf", "0", "-1")],
+        (["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0",
+          "--grid-min", "nan", "--grid-max", "1", "--points", "3"], "finite"),
+        (["atlas", "thresholds", "--m", "2", "--n", "1", "--P", "3",
+          "--e-min", "4", "--e-max", "inf", "--points", "2"], "finite"),
+    ])
+    def test_unservable_input_is_one(self, capsys, argv, message):
+        assert main(argv) == EXIT_DOMAIN
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--adaptive"]])
+    def test_sweep_checks_margin_before_any_cell(self, capsys, monkeypatch, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell was integrated")
+
+        monkeypatch.setattr(beammodes.hill, "integrate", refuse)
+        code = main(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0",
+                     "--grid-min", "0.5", "--grid-max", "1", "--points", "3",
+                     "--margin", "nan", *extra])
+        assert code == EXIT_DOMAIN
+        assert "tol_margin" in capsys.readouterr().err
 
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -12,6 +12,7 @@ from beammodes import (
     EnergyRegime,
     IntegratorConfig,
     ModeParams,
+    classify_energy,
     constant_orbit,
     duffing_rhs,
     energy_from_initial_amplitude,
@@ -20,13 +21,19 @@ from beammodes import (
     homoclinic,
     integrate,
     orbit_from_energy,
-    orbit_trajectory,
     period_of,
     sigma_constant,
     turning_roots,
 )
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+# (k, P, E): no well, a well orbit, E > 0 over a hump, and a large energy
+DOP853_CASES = [(1, 0.0, 2.0), (1, 2.0, -0.2), (2, 3.0, 5.0), (3, 0.0, 1e6)]
+
+
+def phase_scale(orbit) -> np.ndarray:
+    """(A, A w): the amplitude of theta and of theta', with w = 2 pi / T."""
+    return orbit.amplitude * np.array([1.0, 2.0 * math.pi / orbit.period])
 
 
 def ode_period(params: ModeParams, E: float) -> float:
@@ -86,6 +93,14 @@ class TestEnergyAndRoots:
         with pytest.raises(DomainError):
             period_of(ModeParams(k=1, P=0.0), -0.1)
 
+    @pytest.mark.parametrize("P", [0.0, 2.0])
+    @pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_rejected(self, P, E):
+        params = ModeParams(k=1, P=P)
+        for query in (classify_energy, period_of, turning_roots, orbit_from_energy):
+            with pytest.raises(DomainError, match="energy must be finite"):
+                query(params, E)
+
     @pytest.mark.parametrize("P,E,regime", [
         (0.0, 1.0, EnergyRegime.POSITIVE),
         (0.0, 0.0, EnergyRegime.TRIVIAL),
@@ -95,7 +110,6 @@ class TestEnergyAndRoots:
         (2.0, 3.0, EnergyRegime.POSITIVE),
     ])
     def test_classification(self, P, E, regime):
-        from beammodes import classify_energy
         assert classify_energy(ModeParams(k=1, P=P), E) is regime
 
     def test_amplitude_energy_roundtrip(self):
@@ -206,17 +220,62 @@ class TestOrbits:
         assert vel0 == 0.0
 
     def test_orbit_closes_after_one_period(self):
-        for k, P, E in [(1, 0.0, 2.0), (1, 2.0, -0.2)]:
+        for k, P, E in DOP853_CASES + [(1, 2.0, -1e-10), (1, 2.0, 1e-10)]:
             orbit = orbit_from_energy(ModeParams(k=k, P=P), E)
-            traj = orbit_trajectory(orbit, n_periods=1.0, config=TIGHT)
-            assert_allclose(traj.final_state, traj.initial_state, atol=1e-8)
+            ends = orbit.states([0.0, orbit.period]) / phase_scale(orbit)
+            assert_allclose(ends[1], ends[0], rtol=0, atol=1e-12)
 
     def test_energy_is_conserved_along_orbit(self):
         params = ModeParams(k=2, P=3.0)
         orbit = orbit_from_energy(params, 5.0)
-        traj = orbit_trajectory(orbit, n_periods=3.0, config=TIGHT)
-        Es = [energy_of(params, th, v).value for th, v in traj.states]
+        ts = np.linspace(0.0, 3.0 * orbit.period, 97)
+        Es = [energy_of(params, th, v).value for th, v in orbit.states(ts)]
         assert np.max(np.abs(np.asarray(Es) - 5.0)) < 1e-10
+
+    @pytest.mark.parametrize("k,P,E", DOP853_CASES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_states_match_dop853(self, k, P, E, sign):
+        """The closed form against the integrated orbit at every accepted
+        step over three periods."""
+        orbit = orbit_from_energy(ModeParams(k=k, P=P), E, sign=sign)
+        run = integrate(duffing_rhs(orbit.params), orbit.initial_state,
+                        (0.0, 3.0 * orbit.period),
+                        IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15))
+        error = np.abs(orbit.states(run.times) - run.states) / phase_scale(orbit)
+        assert error.max() < 1e-10
+
+    @pytest.mark.parametrize("E", [-1e-10, 1e-10])
+    def test_states_match_mpmath_at_the_separatrix(self, E):
+        """40-digit cn and dn orbits from the exact energy, either side of
+        the separatrix of (k, P) = (1, 2), where kp is about 1e-5."""
+        mpmath = pytest.importorskip("mpmath")
+        orbit = orbit_from_energy(ModeParams(k=1, P=2.0), E)
+        ts = np.linspace(0.0, 3.0 * orbit.period, 61)
+        with mpmath.workdps(40):
+            root = mpmath.sqrt(1 + 4 * mpmath.mpf(E))    # gap = k^2 - P = -1
+            amp = mpmath.sqrt(root + 1)                  # sqrt(sq_hi)
+            if E > 0.0:
+                w, m = mpmath.sqrt(root), (root + 1) / (2 * root)
+            else:
+                w, m = mpmath.sqrt((root + 1) / 2), 2 * root / (root + 1)
+                inner = amp * mpmath.sqrt(1 - m)         # sqrt(sq_lo)
+            want = []
+            for t in ts:
+                u = w * mpmath.mpf(t)
+                sn, cn, dn = (mpmath.ellipfun(f, u, m=m) for f in ("sn", "cn", "dn"))
+                want.append((amp * cn, -amp * w * sn * dn) if E > 0.0 else
+                            (inner / dn, inner * w * m * sn * cn / dn**2))
+            want = np.array(want, dtype=float)
+        assert orbit.amplitude == pytest.approx(float(amp), rel=1e-15)
+        error = np.abs(orbit.states(ts) - want) / phase_scale(orbit)
+        assert error.max() < 1e-11
+
+    def test_states_start_at_the_initial_state(self):
+        for k, P, E in DOP853_CASES:
+            for sign in (1, -1):
+                orbit = orbit_from_energy(ModeParams(k=k, P=P), E, sign=sign)
+                assert_allclose(orbit.states(0.0)[0], orbit.initial_state,
+                                rtol=1e-15, atol=0)
 
     def test_negative_branch_orbit(self):
         orbit = orbit_from_energy(ModeParams(k=1, P=2.0), -0.2, sign=-1)

@@ -1,6 +1,10 @@
-"""Integrator contract: accuracy, dense output, events, budgets."""
+"""Integrator contract: accuracy, events, budgets, lazy scipy import."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,20 +43,6 @@ def test_linear_system_against_expm():
                         rtol=1e-7, atol=1e-9)
 
 
-def test_dense_output_between_steps():
-    traj = integrate(harmonic, [1.0, 0.0], (0.0, 20.0))
-    ts = np.linspace(0.3, 19.7, 137)
-    states = traj.sample(ts)
-    assert_allclose(states[:, 0], np.cos(ts), atol=2e-8)
-    assert_allclose(states[:, 1], -np.sin(ts), atol=2e-8)
-
-
-def test_sample_requires_dense():
-    traj = integrate(harmonic, [1.0, 0.0], (0.0, 1.0), dense=False)
-    with pytest.raises(DomainError):
-        traj.sample([0.5])
-
-
 def test_tolerance_controls_error():
     """Final-state error decreases (weakly) as rel_tol tightens."""
     errs = []
@@ -84,7 +74,8 @@ def test_trajectory_records_endpoints():
     traj = integrate(harmonic, [1.0, 0.0], (0.0, 3.0))
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(3.0, abs=0)
-    assert_allclose(traj.initial_state, [1.0, 0.0], rtol=0, atol=0)
+    assert_allclose(traj.states[0], [1.0, 0.0], rtol=0, atol=0)
+    assert traj.sol is None
 
 
 @pytest.mark.parametrize("bad", [
@@ -95,6 +86,28 @@ def test_trajectory_records_endpoints():
 def test_config_validation(bad):
     with pytest.raises(DomainError):
         IntegratorConfig(**bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["regime", "gamma", "--gamma", "2.25"],
+    ["scan", "quartic", "--n-max", "50"],
+    ["stationary", "--P", "5"],
+    ["mode", "period", "--k", "1", "--P", "0", "--E", "0.5"],
+])
+def test_commands_without_integration_do_not_import_scipy_integrate(argv):
+    """scipy.integrate is imported on first use, so commands that never
+    integrate start without paying for it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys\n"
+              "from beammodes.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print('scipy.integrate' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 class TestZeroCrossing:

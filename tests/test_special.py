@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from numpy.testing import assert_allclose
 
 from beammodes import DomainError, comparison_bounds, elliptic_k, sigma_constant
-from beammodes.special import elliptic_k_from_complement
+from beammodes.special import elliptic_k_from_complement, jacobi_sn_cn_dn
 
 
 def test_elliptic_k_zero_modulus():
@@ -55,6 +56,45 @@ def test_elliptic_k_from_complement_against_scipy(kp):
 def test_elliptic_k_from_complement_domain(kp):
     with pytest.raises(DomainError):
         elliptic_k_from_complement(kp)
+
+
+@pytest.mark.parametrize("kp", [1e-8, 1e-6, 1e-4, 1e-2, 0.3, 0.7, 0.99, 1.0])
+def test_jacobi_against_mpmath(kp):
+    """40-digit sn, cn, dn over four quarter periods, on a grid that also
+    holds every multiple of K/8 (the turning points and zeros among them)."""
+    mpmath = pytest.importorskip("mpmath")
+    K = elliptic_k_from_complement(kp)
+    us = np.concatenate([np.linspace(0.0, 4.0 * K, 201), K * np.arange(33) / 8.0])
+    sn, cn, dn = jacobi_sn_cn_dn(us, kp)
+    with mpmath.workdps(40):
+        m = 1 - mpmath.mpf(kp) ** 2
+        want = np.array([[float(mpmath.ellipfun(f, mpmath.mpf(u), m=m))
+                          for f in ("sn", "cn", "dn")] for u in us])
+    assert np.max(np.abs(sn - want[:, 0])) < 2e-14
+    assert np.max(np.abs(cn - want[:, 1])) < 1e-14
+    assert np.max(np.abs(dn / want[:, 2] - 1.0)) < 1e-13
+
+
+def test_jacobi_limits_and_shapes():
+    u = np.linspace(-3.0, 3.0, 7)
+    sn, cn, dn = jacobi_sn_cn_dn(u, 1.0)        # k = 0: sin, cos, 1
+    assert_allclose(sn, np.sin(u), rtol=0, atol=1e-16)
+    assert_allclose(cn, np.cos(u), rtol=0, atol=1e-16)
+    assert np.all(dn == 1.0)
+    sn, cn, dn = jacobi_sn_cn_dn(0.0, 1e-3)
+    assert sn.shape == cn.shape == dn.shape == () and float(sn) == 0.0
+    assert float(cn) == pytest.approx(1.0, abs=1e-15)
+    assert float(dn) == pytest.approx(1.0, abs=1e-15)
+    # cn(K) = 0 and dn(K) = kp, the latter to its relative digits
+    kp = 1e-7
+    sn, cn, dn = jacobi_sn_cn_dn(elliptic_k_from_complement(kp), kp)
+    assert abs(float(cn)) < 1e-15 and float(dn) == pytest.approx(kp, rel=1e-13)
+
+
+@pytest.mark.parametrize("kp", [0.0, -0.1, 1.5, math.inf, math.nan])
+def test_jacobi_domain(kp):
+    with pytest.raises(DomainError):
+        jacobi_sn_cn_dn(1.0, kp)
 
 
 def test_sigma_against_quadrature():
