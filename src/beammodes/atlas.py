@@ -1,17 +1,19 @@
 """Stability atlases: grids of Floquet verdicts over amplitude or energy.
 
-A sweep evaluates the (m, n) Hill classification over a grid of initial
-amplitudes theta0 (or energies) at fixed load, one cell per grid point.
-Cells are computed independently, in deterministic row-major order
-(mode pairs outer, grid inner), optionally across worker processes; a
-failing cell records the failure in its quality flag instead of aborting
-the sweep.  Threshold finding bisects energy between cells whose verdicts
-differ.
-"""
+Every verdict comes from one cell evaluator: the (m, n) Hill monodromy at
+one energy, or the large-energy limit of one gamma.  A sweep runs it over
+a grid of initial amplitudes theta0 (or energies) at fixed load, one cell
+per grid point.  Cells are computed independently, in deterministic
+row-major order (mode pairs outer, grid inner), optionally across worker
+processes; a failing cell records the failure in its quality flag instead
+of aborting the sweep.  The adaptive amplitude sweep adds cells to a
+uniform backbone sweep where a verdict change may hide, and threshold
+finding bisects energy between cells whose verdicts differ."""
 
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import math
 import os
@@ -22,7 +24,8 @@ from typing import IO, Sequence
 
 from .duffing import ModeParams, energy_from_initial_amplitude
 from .errors import BeamModesError, DomainError
-from .hill import DEFAULT_TOL_MARGIN, Verdict, classify_stability, require_tol_margin
+from .hill import (DEFAULT_TOL_MARGIN, MonodromyResult, Verdict,
+                   classify_stability, require_tol_margin)
 from .integrate import IntegratorConfig
 from .regime import cazenave_limit_classify
 
@@ -91,74 +94,76 @@ class AtlasCell:
         return self.quality == "ok"
 
 
-def _compute_cell(task: tuple) -> AtlasCell:
-    (entry, P, theta0, E, source, integrator, tol_margin) = task
+def _mode_fields(entry) -> tuple[int, int, float]:
+    """(m, n, gamma) of a mode entry; a bare gamma has m = n = 0."""
     if isinstance(entry, tuple):
         m, n = entry
-        gamma = (n * n) / (m * m)
-    else:
-        m = n = 0
-        gamma = float(entry)
+        return m, n, (n * n) / (m * m)
+    return 0, 0, float(entry)
+
+
+def _verdict(spec: SweepSpec, entry, E: float) -> MonodromyResult:
+    """The classified matrix of one cell: the (m, n) monodromy at energy E,
+    or the large-energy limit of the entry's gamma.  Raises BeamModesError
+    when the cell cannot be classified.  Every atlas verdict comes from
+    here; the classifiers are looked up as module globals at call time."""
+    m, n, gamma = _mode_fields(entry)
+    if spec.verdict_source is VerdictSource.CAZENAVE_LIMIT:
+        return cazenave_limit_classify(gamma, tol_margin=spec.tol_margin)
+    return classify_stability(m, n, spec.P, E, config=spec.integrator,
+                              tol_margin=spec.tol_margin).monodromy
+
+
+def _cell(spec: SweepSpec, point: tuple) -> AtlasCell:
+    """The cell at point = (entry, theta0, E); a failure is recorded in its
+    quality flag instead of raised."""
+    entry, theta0, E = point
+    m, n, gamma = _mode_fields(entry)
     try:
-        if source is VerdictSource.CAZENAVE_LIMIT:
-            result = cazenave_limit_classify(gamma, tol_margin=tol_margin)
-            trace, verdict = result.trace, result.verdict
-        else:
-            report = classify_stability(m, n, P, E, config=integrator,
-                                        tol_margin=tol_margin)
-            trace, verdict = report.monodromy.trace, report.verdict
-        return AtlasCell(gamma=gamma, m=m, n=n, P=P, theta0=theta0, E=E,
-                         trace=trace, verdict=verdict.value, quality="ok")
+        result = _verdict(spec, entry, E)
+        trace, verdict, quality = result.trace, result.verdict.value, "ok"
     except BeamModesError as exc:
-        return AtlasCell(gamma=gamma, m=m, n=n, P=P, theta0=theta0, E=E,
-                         trace=math.nan, verdict="none",
-                         quality=f"error:{type(exc).__name__}: {exc}")
+        trace, verdict = math.nan, "none"
+        quality = f"error:{type(exc).__name__}: {exc}"
+    return AtlasCell(gamma=gamma, m=m, n=n, P=spec.P, theta0=theta0, E=E,
+                     trace=trace, verdict=verdict, quality=quality)
 
 
-def _tasks(spec: SweepSpec) -> list[tuple]:
-    tasks = []
+def _points(spec: SweepSpec) -> list[tuple]:
+    """The (entry, theta0, E) of every cell, mode entries outer; the axis
+    not swept is NaN, except that an (m, n) pair on the theta0 axis gets
+    the energy of its mode m."""
     by_theta = spec.theta0_grid is not None
-    grid = spec.theta0_grid if by_theta else spec.energy_grid
+    points = []
     for entry in spec.modes:
-        pair = tuple(entry) if isinstance(entry, (tuple, list)) else float(entry)
-        for value in grid:
-            value = float(value)
-            if isinstance(pair, tuple):
-                m = int(pair[0])
-                if by_theta:
-                    theta0 = value
-                    E = energy_from_initial_amplitude(ModeParams(k=m, P=spec.P), value)
-                else:
-                    theta0 = math.nan
-                    E = value
+        entry = tuple(entry) if isinstance(entry, (tuple, list)) else float(entry)
+        for value in map(float, spec.theta0_grid if by_theta else spec.energy_grid):
+            if not by_theta:
+                points.append((entry, math.nan, value))
+            elif isinstance(entry, tuple):
+                params = ModeParams(k=int(entry[0]), P=spec.P)
+                points.append((entry, value, energy_from_initial_amplitude(params, value)))
             else:
-                theta0 = value if by_theta else math.nan
-                E = value if not by_theta else math.nan
-            tasks.append((pair, spec.P, theta0, E, spec.verdict_source,
-                          spec.integrator, spec.tol_margin))
-    return tasks
+                points.append((entry, value, math.nan))
+    return points
 
 
-def _compute_cells(tasks: list[tuple], jobs: int) -> list[AtlasCell]:
-    """Cells of `tasks` in order, on at most `jobs` worker processes.
+def sweep(spec: SweepSpec, jobs: int = 1) -> list[AtlasCell]:
+    """Evaluate the sweep; the cell order (and every cell value) is
+    independent of the worker count.
 
     The pool starts every worker up front, so the worker count is clamped
     to the cores and the cells; one worker means no pool at all.
     """
     if jobs < 1:
         raise DomainError("jobs must be at least 1")
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    points = _points(spec)
+    workers = min(jobs, os.cpu_count() or 1, len(points))
     if workers <= 1:
-        return [_compute_cell(t) for t in tasks]
+        return [_cell(spec, p) for p in points]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_compute_cell, tasks,
-                             chunksize=max(1, len(tasks) // (4 * workers))))
-
-
-def sweep(spec: SweepSpec, jobs: int = 1) -> list[AtlasCell]:
-    """Evaluate the sweep; the cell order (and every cell value) is
-    independent of the worker count."""
-    return _compute_cells(_tasks(spec), jobs)
+        return list(pool.map(functools.partial(_cell, spec), points,
+                             chunksize=max(1, len(points) // (4 * workers))))
 
 
 def _interval_score(left: AtlasCell, right: AtlasCell, margin_floor: float) -> float | None:
@@ -224,18 +229,13 @@ def adaptive_amplitude_sweep(
     if not 0.0 < theta0_min < theta0_max:
         raise DomainError("need 0 < theta0_min < theta0_max")
 
-    pair = (int(m), int(n))
-    params = ModeParams(k=int(m), P=P)
-
-    def task(theta0: float) -> tuple:
-        E = energy_from_initial_amplitude(params, theta0)
-        return (pair, P, theta0, E, VerdictSource.MONODROMY, integrator,
-                tol_margin)
-
     grid = [theta0_min + i * (theta0_max - theta0_min) / (backbone - 1)
             for i in range(backbone)]
     grid[-1] = theta0_max
-    cells = _compute_cells([task(t) for t in grid], jobs)
+    spec = SweepSpec(P=P, modes=[(int(m), int(n))], theta0_grid=grid,
+                     integrator=integrator, tol_margin=tol_margin)
+    params = ModeParams(k=int(m), P=P)
+    cells = sweep(spec, jobs)
 
     heap: list[tuple[float, float, int, int]] = []
 
@@ -253,7 +253,8 @@ def adaptive_amplitude_sweep(
         mid = 0.5 * (cells[i].theta0 + cells[j].theta0)
         if not cells[i].theta0 < mid < cells[j].theta0:
             continue  # interval exhausted at float resolution
-        cells.append(_compute_cell(task(mid)))
+        cells.append(_cell(spec, (spec.modes[0], mid,
+                                  energy_from_initial_amplitude(params, mid))))
         k = len(cells) - 1
         remaining -= 1
         push(i, k)
@@ -293,13 +294,6 @@ def verdict_runs(cells: Sequence[AtlasCell], verdict: Verdict | str) -> list[tup
     return runs
 
 
-def _verdict_at(m: int, n: int, P: float, E: float,
-                integrator: IntegratorConfig, tol_margin: float) -> Verdict:
-    report = classify_stability(m, n, P, E, config=integrator,
-                                tol_margin=tol_margin)
-    return report.verdict
-
-
 def find_thresholds(
     m: int,
     n: int,
@@ -319,13 +313,15 @@ def find_thresholds(
     energies = [float(E) for E in energies]
     if len(energies) < 2:
         raise DomainError("threshold search needs at least two grid energies")
-    if not all(map(math.isfinite, energies)) or \
-            any(b <= a for a, b in zip(energies, energies[1:])):
-        raise DomainError("energy grid must be finite and strictly increasing")
     if refinement_tol <= 0.0:
         raise DomainError("refinement_tol must be positive")
-    require_tol_margin(tol_margin)
-    verdicts = [_verdict_at(m, n, P, E, integrator, tol_margin) for E in energies]
+    spec = SweepSpec(P=P, modes=[(m, n)], energy_grid=energies,
+                     integrator=integrator, tol_margin=tol_margin)
+
+    def verdict(E: float) -> Verdict:
+        return _verdict(spec, (m, n), E).verdict
+
+    verdicts = [verdict(E) for E in energies]
     thresholds = []
     for i in range(len(energies) - 1):
         lo_v, hi_v = verdicts[i], verdicts[i + 1]
@@ -337,7 +333,7 @@ def find_thresholds(
         lo, hi = energies[i], energies[i + 1]
         while hi - lo > refinement_tol * max(abs(lo), abs(hi), refinement_tol):
             mid = 0.5 * (lo + hi)
-            v = _verdict_at(m, n, P, mid, integrator, tol_margin)
+            v = verdict(mid)
             if v is Verdict.MARGINAL:
                 lo = hi = mid
                 break
