@@ -26,20 +26,21 @@ from .errors import (
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 
+# Accepted steps one run may take before the driver gives up.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and budgets for one integration run.
+    """Tolerances for one integration run.
 
     rel_tol/abs_tol are the per-step error controls of the embedded pair
     and must be finite and positive (a NaN or infinite tolerance stalls the
-    step-size control inside a single step); max_steps caps the number of
-    accepted steps before the driver gives up.
+    step-size control inside a single step).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
@@ -47,8 +48,6 @@ class IntegratorConfig:
                 f"integrator tolerances must be finite and strictly positive, "
                 f"got rel_tol={self.rel_tol!r}, abs_tol={self.abs_tol!r}"
             )
-        if self.max_steps < 1:
-            raise DomainError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,8 @@ def _accepted_steps(
                 f"step failure: {message or 'step size underflow'}", time=solver.t
             )
         steps += 1
-        if steps > config.max_steps:
-            raise StepLimitError(
-                f"exceeded max_steps = {config.max_steps}", time=solver.t
-            )
+        if steps > MAX_STEPS:
+            raise StepLimitError(f"exceeded {MAX_STEPS} steps", time=solver.t)
         yield solver
 
 

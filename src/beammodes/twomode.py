@@ -60,21 +60,6 @@ class TwoModeConfig:
         return np.array([self.w0, self.w1, self.z0, self.z1])
 
 
-def potential(m: int, n: int, P: float, w, z):
-    """Potential U(w, z); accepts scalars or arrays."""
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
-    m2, n2 = float(m * m), float(n * n)
-    value = (
-        0.5 * m2 * (m2 - P) * w * w
-        + 0.5 * n2 * (n2 - P) * z * z
-        + 0.25 * m2 * m2 * w**4
-        + 0.25 * n2 * n2 * z**4
-        + 0.5 * m2 * n2 * w * w * z * z
-    )
-    return float(value) if value.ndim == 0 else value
-
-
 def two_mode_rhs(config: TwoModeConfig):
     m2 = float(config.m**2)
     n2 = float(config.n**2)

@@ -12,6 +12,7 @@ from beammodes import (
     DomainError,
     IntegratorConfig,
     ModeParams,
+    NumericalQualityError,
     SweepSpec,
     Verdict,
     VerdictSource,
@@ -25,6 +26,9 @@ from beammodes import (
 )
 
 SMALL = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)], theta0_grid=[0.3, 0.6, 0.9])
+# 64 cells: enough for two pool workers at MIN_CELLS_PER_WORKER = 32
+WIDE = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)],
+                 theta0_grid=[0.3 + 0.02 * i for i in range(32)])
 
 
 def synthetic(theta0, verdict, quality="ok", trace=0.0):
@@ -94,7 +98,7 @@ class TestSweep:
         assert [c.E for c in cells] == [0.5, 1.0]
 
     def test_worker_count_does_not_change_output(self):
-        assert sweep(SMALL, jobs=1) == sweep(SMALL, jobs=2)
+        assert sweep(WIDE, jobs=1) == sweep(WIDE, jobs=2)
 
     def test_jobs_validated(self):
         with pytest.raises(DomainError):
@@ -102,7 +106,8 @@ class TestSweep:
 
     def test_workers_clamped_to_cells_and_cores(self, monkeypatch):
         """The pool starts every worker up front; it gets no more than
-        there are cores and cells, and no pool runs for one worker."""
+        there are cores, at least MIN_CELLS_PER_WORKER cells each, and no
+        pool runs for fewer than two workers."""
         pools = []
 
         class Recorder:
@@ -122,11 +127,11 @@ class TestSweep:
         monkeypatch.setattr(atlas.os, "cpu_count", lambda: 2)
         one = SweepSpec(P=0.0, modes=[(2, 1)], theta0_grid=[0.3])
         assert sweep(one, jobs=64) == sweep(one)
-        assert pools == []
         assert sweep(SMALL, jobs=64) == sweep(SMALL)
-        assert pools == [2]
         adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 8, jobs=64)
-        assert pools == [2, 2]
+        assert pools == []
+        assert len(sweep(WIDE, jobs=64)) == 64
+        assert pools == [2]
 
     def test_failed_cell_is_flagged_not_fatal(self):
         spec = SweepSpec(P=0.0, modes=[(2, 2), (2, 1)], energy_grid=[1.0])
@@ -146,6 +151,48 @@ class TestSweep:
                                               Verdict.STABLE.value]
         assert all(c.m == 0 and c.n == 0 for c in cells)
         assert [c.gamma for c in cells] == [2.25, 4.0]
+
+
+class TestOneEvaluator:
+    """Every atlas verdict, in sweeps, refinement and threshold bisection,
+    comes from atlas._verdict."""
+
+    QUALITY = "error:NumericalQualityError: sentinel"
+
+    @pytest.fixture
+    def sentinel(self, monkeypatch):
+        def refuse(spec, entry, E):
+            raise NumericalQualityError("sentinel")
+
+        monkeypatch.setattr(atlas, "_verdict", refuse)
+
+    def test_sweeps_record_it(self, sentinel):
+        limit = SweepSpec(P=0.0, modes=[2.25, (1, 2)], energy_grid=[1.0],
+                          verdict_source=VerdictSource.CAZENAVE_LIMIT)
+        for spec in (SMALL, limit):
+            cells = sweep(spec)
+            assert cells and all(c.quality == self.QUALITY for c in cells)
+
+    def test_adaptive_sweep_records_it(self, sentinel):
+        cells = adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 8)
+        assert cells and all(c.quality == self.QUALITY for c in cells)
+
+    def test_find_thresholds_raises_it(self, sentinel):
+        with pytest.raises(NumericalQualityError, match="sentinel"):
+            find_thresholds(2, 1, 3.0, [4.0, 8.0])
+
+    def test_refinement_cells_use_it(self, monkeypatch):
+        calls = []
+        verdict = atlas._verdict
+
+        def counted(spec, entry, E):
+            calls.append(E)
+            return verdict(spec, entry, E)
+
+        monkeypatch.setattr(atlas, "_verdict", counted)
+        cells = adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 8)
+        assert len(cells) == 8
+        assert sorted(calls) == sorted(c.E for c in cells)
 
 
 class TestCsv:

@@ -14,6 +14,7 @@ from beammodes import (
     Verdict,
     cazenave_limit_classify,
     classify_gamma,
+    classify_stability,
     classify_gamma_value,
     resonance_diagnostics,
     resonance_quartic_scan,
@@ -277,3 +278,13 @@ class TestLimitDichotomy:
             cazenave_limit_classify(0.0)
         with pytest.raises(DomainError):
             cazenave_limit_classify(math.inf)
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (1, 3), (3, 7), (2, 1)])
+    def test_hill_trace_tends_to_limit_trace(self, m, n):
+        # The limit matrix is minus the fundamental matrix over one arch, so
+        # the Hill trace at large energy approaches minus the limit trace.
+        # The measured gaps at E = 1e12 are 3e-5 or less, 9e-5 for (1, 3)
+        # and 3.2e-4 for (3, 7); they grow 10x at E = 1e10.
+        hill = classify_stability(m, n, 0.0, 1e12).monodromy.trace
+        limit = cazenave_limit_classify(n * n / (m * m)).trace
+        assert hill == pytest.approx(-limit, abs=1e-3)

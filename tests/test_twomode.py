@@ -23,7 +23,6 @@ from beammodes.twomode import (
     CSV_COLUMNS,
     TransferVerdict,
     channel_energies,
-    potential,
     total_energy,
     two_mode_rhs,
     write_channels_csv,
@@ -42,8 +41,10 @@ def seeded(m, n, P, E_w, E_z):
 
 class TestSetup:
     def test_potential_value(self):
-        # V = m^2(m^2-P) w^2/2 + n^2(n^2-P) z^2/2 + (m^2 w^2 + n^2 z^2)^2 / 4
-        v = potential(1, 2, 0.0, 1.0, 1.0)
+        # V = m^2(m^2-P) w^2/2 + n^2(n^2-P) z^2/2 + (m^2 w^2 + n^2 z^2)^2 / 4;
+        # at rest the total energy is the potential alone
+        v = total_energy(TwoModeConfig(m=1, n=2, P=0.0, w0=1.0, w1=0.0,
+                                       z0=1.0, z1=0.0))
         assert v == pytest.approx(0.5 + 8.0 + 25.0 / 4.0, rel=1e-14)
 
     def test_total_energy_matches_channels(self):
