@@ -143,7 +143,16 @@ def turning_roots(params: ModeParams, E: float) -> TurningRoots:
     k2 = params.k**2
     gap = params.P - k2                      # positive inside a double well
     s = math.sqrt(max(gap * gap + 4.0 * E, 0.0))
-    return TurningRoots(lo=(gap - s) / k2, hi=(gap + s) / k2)
+    # The root of larger magnitude adds gap and s without cancellation; the
+    # other is the product of the roots, -4E/k^4, over it.  At E = 0 that
+    # root is an exact zero, also at P = k^2, where both roots vanish.
+    if gap >= 0.0:
+        hi = (gap + s) / k2
+        lo = -4.0 * E / (k2 * (gap + s)) if E else 0.0
+    else:
+        lo = (gap - s) / k2
+        hi = -4.0 * E / (k2 * (gap - s))
+    return TurningRoots(lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,22 @@ class TestEnergyAndRoots:
         assert roots.hi == pytest.approx(1.5, rel=1e-14)
         assert roots.lo == pytest.approx(0.5, rel=1e-14)
 
+    @pytest.mark.parametrize("k,P,E", [
+        (1, 0.0, 1e-10), (2, 3.0, 1e-12), (1, 2.0, -1e-10),   # tiny roots
+        (1, 2.0, -0.25), (2, 6.0, -1.0),                       # well bottom
+        (1, 0.0, 0.0), (1, 2.0, 0.0), (1, 1.0, 0.0),           # E = 0
+    ])
+    def test_turning_roots_match_mpmath(self, k, P, E):
+        """The small root is the product of the roots over the large one,
+        so it keeps every digit as E -> 0 on either side of the well."""
+        mpmath = pytest.importorskip("mpmath")
+        roots = turning_roots(ModeParams(k=k, P=P), E)
+        with mpmath.workdps(40):
+            gap = mpmath.mpf(P) - k * k
+            s = mpmath.sqrt(gap * gap + 4 * mpmath.mpf(E))
+            want = (float((gap - s) / (k * k)), float((gap + s) / (k * k)))
+        assert tuple(roots) == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_well_orbit_modulus(self):
         orbit = orbit_from_energy(ModeParams(k=1, P=2.0), -3.0 / 16.0)
         assert orbit.modulus == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
