@@ -8,7 +8,8 @@ row-major order (mode pairs outer, grid inner), optionally across worker
 processes; a failing cell records the failure in its quality flag instead
 of aborting the sweep.  The adaptive amplitude sweep adds cells to a
 uniform backbone sweep where a verdict change may hide, and threshold
-finding bisects energy between cells whose verdicts differ."""
+finding bisects energy between cells whose verdicts differ.
+"""
 
 from __future__ import annotations
 
