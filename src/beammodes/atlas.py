@@ -8,7 +8,7 @@ row-major order (mode pairs outer, grid inner), optionally across worker
 processes; a failing cell records the failure in its quality flag instead
 of aborting the sweep.  The adaptive amplitude sweep adds cells to a
 uniform backbone sweep where a verdict change may hide, and threshold
-finding bisects energy between cells whose verdicts differ.
+finding solves |trace| = 2 between cells whose verdicts differ.
 """
 
 from __future__ import annotations
@@ -314,23 +314,29 @@ def find_thresholds(
 ) -> list[float]:
     """Transition energies between Stable and Unstable runs on the grid.
 
-    Each adjacent Stable/Unstable pair is bisected until the bracket
-    shrinks below refinement_tol relative to the energy scale.  A Marginal
-    verdict, on the grid or during bisection, is already the transition
+    trace M(E) is continuous in E, so each adjacent Stable/Unstable pair
+    brackets a root of |trace| - 2; Brent's method finds it within
+    refinement_tol / 2 relative to the energy scale, starting from the grid
+    cells' own values.  A Marginal grid verdict is already the transition
     locus and is returned as such.
     """
+    from scipy.optimize import brentq
+
     energies = [float(E) for E in energies]
     if len(energies) < 2:
         raise DomainError("threshold search needs at least two grid energies")
-    if refinement_tol <= 0.0:
-        raise DomainError("refinement_tol must be positive")
+    if not 0.0 < refinement_tol < math.inf:
+        raise DomainError(
+            f"refinement_tol must be positive and finite, got {refinement_tol!r}")
     spec = SweepSpec(P=P, modes=[(m, n)], energy_grid=energies,
                      integrator=integrator, tol_margin=tol_margin)
+    cells = {E: _verdict(spec, (m, n), E) for E in energies}
 
-    def verdict(E: float) -> Verdict:
-        return _verdict(spec, (m, n), E).verdict
+    def excess(E: float) -> float:
+        result = cells[E] if E in cells else _verdict(spec, (m, n), E)
+        return abs(result.trace) - 2.0
 
-    verdicts = [verdict(E) for E in energies]
+    verdicts = [cells[E].verdict for E in energies]
     thresholds = []
     for i in range(len(energies) - 1):
         lo_v, hi_v = verdicts[i], verdicts[i + 1]
@@ -340,17 +346,8 @@ def find_thresholds(
         if hi_v is Verdict.MARGINAL or lo_v is hi_v:
             continue
         lo, hi = energies[i], energies[i + 1]
-        while hi - lo > refinement_tol * max(abs(lo), abs(hi), refinement_tol):
-            mid = 0.5 * (lo + hi)
-            v = verdict(mid)
-            if v is Verdict.MARGINAL:
-                lo = hi = mid
-                break
-            if v is lo_v:
-                lo = mid
-            else:
-                hi = mid
-        thresholds.append(0.5 * (lo + hi))
+        xtol = 0.5 * refinement_tol * max(abs(lo), abs(hi), refinement_tol)
+        thresholds.append(brentq(excess, lo, hi, xtol=xtol))
     if verdicts[-1] is Verdict.MARGINAL:
         thresholds.append(energies[-1])
     return thresholds

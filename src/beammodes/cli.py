@@ -247,6 +247,8 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
     if points < 1:
         raise DomainError("points must be at least 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid endpoints must be finite, got {lo!r}, {hi!r}")
     if spacing == "log":
         if lo <= 0.0:
             raise DomainError("log spacing needs positive endpoints")
@@ -463,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_atlas_sweep)
 
-    p = at_sub.add_parser("thresholds", help="bisected stability transitions")
+    p = at_sub.add_parser("thresholds", help="stability transitions, where |trace| = 2")
     for flag in ("--m", "--n"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--P", type=float, required=True)

@@ -42,19 +42,16 @@ class StationarySolution:
 
 
 def _mode_count(P: float) -> int:
-    # Largest j with j^2 < P; loop guards against float sqrt rounding at
-    # the square boundaries, where j = sqrt(P) must be excluded.
-    j = int(math.isqrt(max(int(P), 0))) + 2
-    while j > 0 and j * j >= P:
-        j -= 1
-    return j
+    # Largest j with j^2 < P, in integer arithmetic: j^2 < P iff
+    # j^2 <= ceil(P) - 1 for integer j and P > 0.
+    return math.isqrt(math.ceil(P) - 1)
 
 
 def stationary_catalog(P: float) -> list[StationarySolution]:
-    """All stationary profiles at load P > 0, flat state first, then the
-    +-pairs ordered by increasing j."""
-    if not P > 0.0:
-        raise DomainError(f"stationary catalog requires P > 0, got {P!r}")
+    """All stationary profiles at finite load P > 0, flat state first, then
+    the +-pairs ordered by increasing j."""
+    if not 0.0 < P < math.inf:
+        raise DomainError(f"stationary catalog requires finite P > 0, got {P!r}")
     k = _mode_count(P)
     catalog = [StationarySolution(j=0, sign=0, amplitude=0.0, energy=0.0,
                                   morse_index=k)]

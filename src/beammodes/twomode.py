@@ -131,8 +131,8 @@ def simulate(
     Channel histories are taken at the accepted step points.  The pure
     subspaces are exactly invariant: a zero z seed stays identically zero.
     """
-    if t_end <= 0.0:
-        raise DomainError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
     rhs = two_mode_rhs(config)
     trajectory = integrate(rhs, config.initial_state(), (0.0, t_end), integrator)
     e_w, e_z, e_wz = channel_energies(config, trajectory.states)
@@ -179,8 +179,8 @@ def transfer_report(
     departure instead also sees transfer into a mode n with a well of its
     own (n^2 < P): once z falls into that well, E_z turns negative.
     """
-    if threshold <= 0.0:
-        raise DomainError("threshold must be positive")
+    if not 0.0 < threshold < math.inf:
+        raise DomainError(f"threshold must be positive and finite, got {threshold!r}")
     seed = float(channels.e_z[0])
     if seed <= 0.0:
         raise DomainError("transfer ratio needs a positive z seed energy")

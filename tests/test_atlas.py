@@ -154,7 +154,7 @@ class TestSweep:
 
 
 class TestOneEvaluator:
-    """Every atlas verdict, in sweeps, refinement and threshold bisection,
+    """Every atlas verdict, in sweeps, refinement and threshold search,
     comes from atlas._verdict."""
 
     QUALITY = "error:NumericalQualityError: sentinel"
@@ -264,11 +264,45 @@ class TestFindThresholds:
             find_thresholds(2, 1, 3.0, [4.0])
         with pytest.raises(DomainError):
             find_thresholds(2, 1, 3.0, [8.0, 4.0])
-        with pytest.raises(DomainError):
-            find_thresholds(2, 1, 3.0, [4.0, 8.0], refinement_tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="refinement_tol"):
+                find_thresholds(2, 1, 3.0, [4.0, 8.0], refinement_tol=tol)
         for grid in ([math.nan, 8.0], [4.0, math.inf], [4.0, math.nan, 8.0]):
             with pytest.raises(DomainError, match="finite"):
                 find_thresholds(2, 1, 3.0, grid)
+
+    def test_cells_per_threshold(self, monkeypatch):
+        """Brent's method on |trace| - 2 takes at most 10 cells here, the
+        two grid cells included; bisecting the verdict took 15."""
+        calls = []
+        verdict = atlas._verdict
+
+        def counted(spec, entry, E):
+            calls.append(E)
+            return verdict(spec, entry, E)
+
+        monkeypatch.setattr(atlas, "_verdict", counted)
+        assert len(find_thresholds(2, 1, 3.0, [4.0, 8.0])) == 1
+        assert len(calls) <= 10
+        assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("m,n,P,lo,hi", [
+        (2, 1, 3.0, 4.0, 8.0),
+        (1, 2, 6.0, 2.0, 16.0),
+        (1, 2, 6.0, -6.0, -4.0),
+        (2, 1, 6.0, 4.0, 64.0),
+    ])
+    def test_threshold_within_tolerance_of_trace_root(self, m, n, P, lo, hi):
+        from scipy.optimize import brentq
+
+        def excess(E):
+            return abs(classify_stability(m, n, P, E).monodromy.trace) - 2.0
+
+        root = brentq(excess, lo, hi, xtol=1e-15)
+        scale = max(abs(lo), abs(hi))
+        for tol in (1e-4, 1e-6, 1e-8):
+            (found,) = find_thresholds(m, n, P, [lo, hi], refinement_tol=tol)
+            assert abs(found - root) <= 0.5 * tol * scale, tol
 
 
 class TestAdaptiveSweep:

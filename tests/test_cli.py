@@ -231,6 +231,15 @@ class TestExitCodes:
           "--grid-min", "nan", "--grid-max", "1", "--points", "3"], "finite"),
         (["atlas", "thresholds", "--m", "2", "--n", "1", "--P", "3",
           "--e-min", "4", "--e-max", "inf", "--points", "2"], "finite"),
+        (["atlas", "thresholds", "--m", "2", "--n", "1", "--P", "3",
+          "--e-min", "4", "--e-max", "8", "--points", "2", "--refine-tol", "nan"],
+         "refinement_tol"),
+        (["twomode", "simulate", "--m", "2", "--n", "1", "--P", "3",
+          "--w0", "1", "--z1", "1e-4", "--t-end", "inf"], "t_end"),
+        (["twomode", "simulate", "--m", "2", "--n", "1", "--P", "3",
+          "--w0", "1", "--z1", "1e-4", "--t-end", "1", "--threshold", "nan"],
+         "threshold"),
+        (["stationary", "--P", "inf"], "finite"),
     ])
     def test_unservable_input_is_one(self, capsys, argv, message):
         assert main(argv) == EXIT_DOMAIN

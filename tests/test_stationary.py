@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from beammodes import stationary
 from beammodes import (
     DomainError,
     StationarySolution,
@@ -88,10 +89,19 @@ class TestCatalogAcrossLoads:
             assert len(stationary_catalog(P)) == count, P
 
     def test_rejects_nonpositive_load(self):
-        with pytest.raises(DomainError):
-            stationary_catalog(0.0)
-        with pytest.raises(DomainError):
-            stationary_catalog(-3.0)
+        for P in (0.0, -3.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                stationary_catalog(P)
+
+    def test_count_at_and_next_to_squares(self):
+        """k is the largest j with j^2 < P, also one ulp either side of a
+        square and for loads far above the float sqrt's exact range."""
+        for j in [*range(1, 60), 94906265, 2**40]:
+            square = float(j * j)
+            for P, want in [(math.nextafter(square, 0.0), j - 1), (square, j - 1),
+                            (math.nextafter(square, math.inf), j)]:
+                assert stationary._mode_count(P) == want, (j, P)
+        assert stationary._mode_count(5e-324) == 0
 
 
 class TestProfileEvaluation:

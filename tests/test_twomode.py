@@ -91,8 +91,9 @@ class TestInvariants:
         assert_allclose(ta.states[:, 2:], tb.states[:, :2], atol=1e-9)
 
     def test_time_horizon_validated(self):
-        with pytest.raises(DomainError):
-            simulate(seeded(2, 1, 0.0, 1.0, 1e-8), -1.0)
+        for t_end in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="t_end"):
+                simulate(seeded(2, 1, 0.0, 1.0, 1e-8), t_end)
 
 
 class TestTransfer:
@@ -146,8 +147,9 @@ class TestTransfer:
     def test_threshold_must_be_positive(self):
         cfg = seeded(2, 1, 0.0, 1.0, 1e-8)
         res = simulate(cfg, 1.0)
-        with pytest.raises(DomainError):
-            transfer_report(res.channels, threshold=0.0)
+        for threshold in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="threshold"):
+                transfer_report(res.channels, threshold=threshold)
 
     def test_zero_seed_rejected(self):
         cfg = TwoModeConfig(m=2, n=1, P=0.0, w0=1.0, w1=0.0, z0=0.0, z1=0.0)
