@@ -203,7 +203,6 @@ def adaptive_amplitude_sweep(
     budget: int,
     *,
     theta0_min: float | None = None,
-    backbone: int | None = None,
     integrator: IntegratorConfig = IntegratorConfig(),
     tol_margin: float = DEFAULT_TOL_MARGIN,
     jobs: int = 1,
@@ -229,10 +228,7 @@ def adaptive_amplitude_sweep(
         raise DomainError("adaptive sweep needs a budget of at least 4 cells")
     if not 0.0 < theta0_max < math.inf:
         raise DomainError(f"theta0_max must be positive and finite, got {theta0_max!r}")
-    if backbone is None:
-        backbone = budget // 2
-    if not 2 <= backbone <= budget:
-        raise DomainError("backbone must be between 2 and budget")
+    backbone = budget // 2
     if theta0_min is None:
         theta0_min = theta0_max / backbone
     if not 0.0 < theta0_min < theta0_max:

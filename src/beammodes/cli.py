@@ -10,8 +10,10 @@ One subcommand family per module:
     beammodes stationary ...
     beammodes atlas sweep|thresholds ...
 
-Results go to stdout as JSON (or CSV where tabular); --out redirects to a
-file.  A --config file holds key=value lines mirroring the long flags of
+Each command handler returns its result, a dict (written as indented
+JSON) or CSV text, and main writes it to stdout or to the --out file.
+Flags shared between subcommands are declared once, as argparse parent
+groups.  A --config file holds key=value lines mirroring the long flags of
 the chosen subcommand, with explicit flags taking precedence.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 numerical-quality failure.
 """
@@ -19,6 +21,7 @@ the chosen subcommand, with explicit flags taking precedence.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -44,22 +47,19 @@ EXIT_QUALITY = 3
 
 
 def _integrator(args) -> IntegratorConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
+    if args.tol is None:
         return IntegratorConfig()
-    return IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2)
+    return IntegratorConfig(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
 
 
-def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    with (open(out, "w") if out else nullcontext(sys.stdout)) as stream:
+def _emit(args, result: dict | str) -> None:
+    """Write a command's result, a JSON-ready dict or CSV text, to --out or
+    stdout."""
+    text = result if isinstance(result, str) else json.dumps(result, indent=2)
+    with (open(args.out, "w") if args.out else nullcontext(sys.stdout)) as stream:
         stream.write(text)
         if not text.endswith("\n"):
             stream.write("\n")
-
-
-def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2))
 
 
 def _sample_count(args) -> int:
@@ -68,26 +68,15 @@ def _sample_count(args) -> int:
     return args.samples
 
 
-def _add_tol(parser) -> None:
-    parser.add_argument("--tol", type=float, default=None,
-                        help="integrator relative tolerance (absolute = tol/100)")
-
-
-def _add_out(parser) -> None:
-    parser.add_argument("--out", type=str, default=None,
-                        help="write output to this file instead of stdout")
-
-
 # ---------------------------------------------------------------- mode ----
 
-def _cmd_mode_period(args) -> int:
+def _cmd_mode_period(args) -> dict:
     params = duffing.ModeParams(k=args.k, P=args.P)
     T = duffing.period_of(params, args.E)
-    _emit_json(args, {"k": args.k, "P": args.P, "E": args.E, "period": T})
-    return EXIT_OK
+    return {"k": args.k, "P": args.P, "E": args.E, "period": T}
 
 
-def _cmd_mode_orbit(args) -> int:
+def _cmd_mode_orbit(args) -> dict | str:
     if not 0.0 < args.periods < math.inf:
         raise DomainError(f"--periods must be positive and finite, got {args.periods!r}")
     params = duffing.ModeParams(k=args.k, P=args.P)
@@ -97,9 +86,8 @@ def _cmd_mode_orbit(args) -> int:
         lines = ["t,theta,theta_dot"]
         lines += [f"{t!r},{th!r},{v!r}"
                   for t, (th, v) in zip(ts.tolist(), orbit.states(ts).tolist())]
-        _emit(args, "\n".join(lines))
-        return EXIT_OK
-    _emit_json(args, {
+        return "\n".join(lines)
+    return {
         "k": args.k, "P": args.P, "E": args.E,
         "regime": orbit.energy.regime.value,
         "amplitude": orbit.amplitude,
@@ -108,59 +96,50 @@ def _cmd_mode_orbit(args) -> int:
         "period": orbit.period,
         "coefficient_period": orbit.coefficient_period,
         "initial_state": list(orbit.initial_state),
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_mode_homoclinic(args) -> int:
+def _cmd_mode_homoclinic(args) -> dict | str:
     params = duffing.ModeParams(k=args.k, P=args.P)
     if _sample_count(args):
         ts = np.linspace(args.t_min, args.t_max, args.samples)
         values = duffing.homoclinic(params, ts)
         lines = ["t,theta"]
         lines += [f"{t!r},{v!r}" for t, v in zip(ts.tolist(), values.tolist())]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit_json(args, {"k": args.k, "P": args.P, "t": args.t,
-                          "theta": duffing.homoclinic(params, args.t)})
-    return EXIT_OK
+        return "\n".join(lines)
+    return {"k": args.k, "P": args.P, "t": args.t,
+            "theta": duffing.homoclinic(params, args.t)}
 
 
 # ---------------------------------------------------------------- hill ----
 
-def _cmd_hill_classify(args) -> int:
+def _cmd_hill_classify(args) -> dict:
     report = hill.classify_stability(args.m, args.n, args.P, args.E,
                                      config=_integrator(args),
                                      tol_margin=args.margin)
-    _emit_json(args, {"m": args.m, "n": args.n, "P": args.P, "E": args.E,
-                      **report.to_dict()})
-    return EXIT_OK
+    return {"m": args.m, "n": args.n, "P": args.P, "E": args.E,
+            **report.to_dict()}
 
 
-def _cmd_hill_criteria(args) -> int:
+def _cmd_hill_criteria(args) -> dict:
     problem = hill.build_hill(args.m, args.n, args.P, args.E)
     result = hill.monodromy(problem, config=_integrator(args))
     report = hill.criteria_report(problem, result)
-    _emit_json(args, {"m": args.m, "n": args.n, "P": args.P, "E": args.E,
-                      "coeff_period": problem.coeff_period,
-                      **report.to_dict()})
-    return EXIT_OK
+    return {"m": args.m, "n": args.n, "P": args.P, "E": args.E,
+            "coeff_period": problem.coeff_period, **report.to_dict()}
 
 
 # ------------------------------------------------------------- twomode ----
 
-def _cmd_twomode_simulate(args) -> int:
+def _cmd_twomode_simulate(args) -> dict | str:
     config = twomode.TwoModeConfig(m=args.m, n=args.n, P=args.P,
                                    w0=args.w0, w1=args.w1,
                                    z0=args.z0, z1=args.z1)
     result = twomode.simulate(config, args.t_end, integrator=_integrator(args))
     if args.format == "csv":
-        import io
-
         buffer = io.StringIO()
         twomode.write_channels_csv(buffer, result)
-        _emit(args, buffer.getvalue())
-        return EXIT_OK
+        return buffer.getvalue()
     payload = {
         "m": args.m, "n": args.n, "P": args.P, "t_end": args.t_end,
         "total_energy": result.channels.total,
@@ -170,65 +149,55 @@ def _cmd_twomode_simulate(args) -> int:
     if result.channels.e_z[0] > 0.0:
         payload["transfer"] = twomode.transfer_report(
             result.channels, threshold=args.threshold).to_dict()
-    _emit_json(args, payload)
-    return EXIT_OK
+    return payload
 
 
 # -------------------------------------------------------------- regime ----
 
-def _cmd_regime_table(args) -> int:
-    _emit_json(args, regime.table_regime(args.m, args.n, args.P).to_dict())
-    return EXIT_OK
+def _cmd_regime_table(args) -> dict:
+    return regime.table_regime(args.m, args.n, args.P).to_dict()
 
 
-def _cmd_regime_gamma(args) -> int:
+def _cmd_regime_gamma(args) -> dict:
     if args.m is not None and args.n is not None:
         result = regime.classify_gamma(args.m, args.n)
     elif args.gamma is not None:
         result = regime.classify_gamma_value(args.gamma)
     else:
         raise DomainError("give either --m and --n, or --gamma")
-    _emit_json(args, result.to_dict())
-    return EXIT_OK
+    return result.to_dict()
 
 
-def _cmd_regime_resonance(args) -> int:
-    _emit_json(args, regime.resonance_diagnostics(args.m, args.n, args.P).to_dict())
-    return EXIT_OK
+def _cmd_regime_resonance(args) -> dict:
+    return regime.resonance_diagnostics(args.m, args.n, args.P).to_dict()
 
 
-def _cmd_regime_cazenave(args) -> int:
+def _cmd_regime_cazenave(args) -> dict:
     result = regime.cazenave_limit_classify(args.gamma, tol_margin=args.margin)
-    _emit_json(args, {"gamma": args.gamma, **result.to_dict()})
-    return EXIT_OK
+    return {"gamma": args.gamma, **result.to_dict()}
 
 
 # ---------------------------------------------------------------- scan ----
 
-def _cmd_scan_quartic(args) -> int:
+def _cmd_scan_quartic(args) -> dict | str:
     hits = regime.resonance_quartic_scan(args.n_max)
     if args.format == "csv":
-        lines = ["m,n,L"] + [f"{m},{n},{L}" for (m, n, L) in hits]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit_json(args, {"n_max": args.n_max, "hits":
-                          [{"m": m, "n": n, "L": L} for (m, n, L) in hits]})
-    return EXIT_OK
+        return "\n".join(["m,n,L"] + [f"{m},{n},{L}" for (m, n, L) in hits])
+    return {"n_max": args.n_max,
+            "hits": [{"m": m, "n": n, "L": L} for (m, n, L) in hits]}
 
 
 # ---------------------------------------------------------- stationary ----
 
-def _cmd_stationary(args) -> int:
+def _cmd_stationary(args) -> dict | str:
     catalog = stationary.stationary_catalog(args.P)
     if args.format == "csv":
         lines = ["j,sign,amplitude,energy,morse_index"]
         lines += [f"{s.j},{s.sign},{s.amplitude!r},{s.energy!r},{s.morse_index}"
                   for s in catalog]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit_json(args, {"P": args.P, "count": len(catalog),
-                          "solutions": [s.to_dict() for s in catalog]})
-    return EXIT_OK
+        return "\n".join(lines)
+    return {"P": args.P, "count": len(catalog),
+            "solutions": [s.to_dict() for s in catalog]}
 
 
 # --------------------------------------------------------------- atlas ----
@@ -256,7 +225,7 @@ def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
     return list(np.linspace(lo, hi, points))
 
 
-def _cmd_atlas_sweep(args) -> int:
+def _cmd_atlas_sweep(args) -> str:
     pairs = _parse_pairs(args.pairs) if args.pairs else [(args.m, args.n)]
     if any(v is None for pair in pairs for v in pair):
         raise DomainError("give --m and --n, or --pairs m:n,...")
@@ -282,30 +251,41 @@ def _cmd_atlas_sweep(args) -> int:
             integrator=_integrator(args), tol_margin=args.margin, **kwargs,
         )
         cells = atlas_mod.sweep(spec, jobs=args.jobs)
-    import io
-
     buffer = io.StringIO()
     atlas_mod.write_cells_csv(buffer, cells)
-    _emit(args, buffer.getvalue())
-    bad = sum(not c.ok for c in cells)
-    if bad == len(cells):
+    if not any(c.ok for c in cells):
+        # the CSV still records why each cell failed
+        _emit(args, buffer.getvalue())
         raise NumericalQualityError("every sweep cell failed")
-    return EXIT_OK
+    return buffer.getvalue()
 
 
-def _cmd_atlas_thresholds(args) -> int:
+def _cmd_atlas_thresholds(args) -> dict:
     grid = _grid(args.e_min, args.e_max, args.points, args.spacing)
     found = atlas_mod.find_thresholds(args.m, args.n, args.P, grid,
                                       refinement_tol=args.refine_tol,
                                       integrator=_integrator(args),
                                       tol_margin=args.margin)
-    _emit_json(args, {"m": args.m, "n": args.n, "P": args.P,
-                      "grid": [grid[0], grid[-1], args.points],
-                      "thresholds": found})
-    return EXIT_OK
+    return {"m": args.m, "n": args.n, "P": args.P,
+            "grid": [grid[0], grid[-1], args.points], "thresholds": found}
 
 
 # ------------------------------------------------------------- parsing ----
+
+def _flags(*names: str, **options) -> argparse.ArgumentParser:
+    """A flag group to pass as parents=, holding the flags names, each
+    declared with options; add_argument adds more."""
+    group = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        group.add_argument(name, **options)
+    return group
+
+
+def _leaf(sub, name: str, help: str, func, *groups) -> None:
+    """Subcommand name whose flags are the given groups, in order; its own
+    flags form a group too, so that shared groups can follow them."""
+    sub.add_parser(name, help=help, parents=groups).set_defaults(func=func)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -317,167 +297,127 @@ def build_parser() -> argparse.ArgumentParser:
                              "explicit flags override it")
     top = parser.add_subparsers(dest="command", required=True)
 
+    # flag groups shared between subcommands, each declared once
+    out = _flags("--out", type=str, default=None,
+                 help="write output to this file instead of stdout")
+    tol = _flags("--tol", type=float, default=None,
+                 help="integrator relative tolerance (absolute = tol/100)")
+    margin = _flags("--margin", type=float, default=hill.DEFAULT_TOL_MARGIN)
+    fmt = _flags("--format", choices=("json", "csv"), default="json")
+    energy = _flags("--E", type=float, required=True)
+    mode_load = _flags("--k", type=int, required=True)
+    mode_load.add_argument("--P", type=float, required=True)
+    pair_load = _flags("--m", "--n", type=int, required=True)
+    pair_load.add_argument("--P", type=float, required=True)
+
     # mode
     mode = top.add_parser("mode", help="single-mode orbits and periods")
     mode_sub = mode.add_subparsers(dest="subcommand", required=True)
 
-    p = mode_sub.add_parser("period", help="orbit period at energy E")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--P", type=float, required=True)
-    p.add_argument("--E", type=float, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_mode_period)
+    _leaf(mode_sub, "period", "orbit period at energy E", _cmd_mode_period,
+          mode_load, energy, out)
 
-    p = mode_sub.add_parser("orbit", help="orbit summary or closed-form samples")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--P", type=float, required=True)
-    p.add_argument("--E", type=float, required=True)
-    p.add_argument("--sign", type=int, default=1, choices=(1, -1))
-    p.add_argument("--periods", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=0,
-                   help="emit a CSV trajectory with this many samples")
-    _add_out(p)
-    p.set_defaults(func=_cmd_mode_orbit)
+    own = _flags()
+    own.add_argument("--sign", type=int, default=1, choices=(1, -1))
+    own.add_argument("--periods", type=float, default=1.0)
+    own.add_argument("--samples", type=int, default=0,
+                     help="emit a CSV trajectory with this many samples")
+    _leaf(mode_sub, "orbit", "orbit summary or closed-form samples",
+          _cmd_mode_orbit, mode_load, energy, own, out)
 
-    p = mode_sub.add_parser("homoclinic", help="separatrix orbit values")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--P", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--t-min", dest="t_min", type=float, default=-5.0)
-    p.add_argument("--t-max", dest="t_max", type=float, default=5.0)
-    p.add_argument("--samples", type=int, default=0)
-    _add_out(p)
-    p.set_defaults(func=_cmd_mode_homoclinic)
+    own = _flags()
+    own.add_argument("--t", type=float, default=0.0)
+    own.add_argument("--t-min", dest="t_min", type=float, default=-5.0)
+    own.add_argument("--t-max", dest="t_max", type=float, default=5.0)
+    own.add_argument("--samples", type=int, default=0)
+    _leaf(mode_sub, "homoclinic", "separatrix orbit values",
+          _cmd_mode_homoclinic, mode_load, own, out)
 
     # hill
     hill_p = top.add_parser("hill", help="Floquet stability of a mode pair")
     hill_sub = hill_p.add_subparsers(dest="subcommand", required=True)
 
-    p = hill_sub.add_parser("classify", help="criteria + monodromy verdict")
-    for flag in ("--m", "--n"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--P", type=float, required=True)
-    p.add_argument("--E", type=float, required=True)
-    p.add_argument("--margin", type=float, default=hill.DEFAULT_TOL_MARGIN)
-    _add_tol(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_hill_classify)
-
-    p = hill_sub.add_parser("criteria", help="analytic criteria, read off the "
-                            "monodromy pass (its determinant gate applies)")
-    for flag in ("--m", "--n"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--P", type=float, required=True)
-    p.add_argument("--E", type=float, required=True)
-    _add_tol(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_hill_criteria)
+    _leaf(hill_sub, "classify", "criteria + monodromy verdict",
+          _cmd_hill_classify, pair_load, energy, margin, tol, out)
+    _leaf(hill_sub, "criteria", "analytic criteria, read off the monodromy "
+          "pass (its determinant gate applies)",
+          _cmd_hill_criteria, pair_load, energy, tol, out)
 
     # twomode
     tm = top.add_parser("twomode", help="coupled two-mode simulation")
     tm_sub = tm.add_subparsers(dest="subcommand", required=True)
-    p = tm_sub.add_parser("simulate", help="integrate and report energy channels")
-    for flag in ("--m", "--n"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--P", type=float, required=True)
-    p.add_argument("--w0", type=float, default=0.0)
-    p.add_argument("--w1", type=float, default=0.0)
-    p.add_argument("--z0", type=float, default=0.0)
-    p.add_argument("--z1", type=float, default=0.0)
-    p.add_argument("--t-end", dest="t_end", type=float, required=True)
-    p.add_argument("--threshold", type=float,
-                   default=twomode.DEFAULT_TRANSFER_THRESHOLD)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_tol(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_twomode_simulate)
+    own = _flags()
+    own.add_argument("--w0", type=float, default=0.0)
+    own.add_argument("--w1", type=float, default=0.0)
+    own.add_argument("--z0", type=float, default=0.0)
+    own.add_argument("--z1", type=float, default=0.0)
+    own.add_argument("--t-end", dest="t_end", type=float, required=True)
+    own.add_argument("--threshold", type=float,
+                     default=twomode.DEFAULT_TRANSFER_THRESHOLD)
+    _leaf(tm_sub, "simulate", "integrate and report energy channels",
+          _cmd_twomode_simulate, pair_load, own, fmt, tol, out)
 
     # regime
     rg = top.add_parser("regime", help="parameter-regime classification")
     rg_sub = rg.add_subparsers(dest="subcommand", required=True)
 
-    p = rg_sub.add_parser("table", help="prediction-table row for (m, n, P)")
-    for flag in ("--m", "--n"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--P", type=float, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_regime_table)
+    _leaf(rg_sub, "table", "prediction-table row for (m, n, P)",
+          _cmd_regime_table, pair_load, out)
 
-    p = rg_sub.add_parser("gamma", help="interval membership of n^2/m^2")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    _add_out(p)
-    p.set_defaults(func=_cmd_regime_gamma)
+    own = _flags("--m", "--n", type=int, default=None)
+    own.add_argument("--gamma", type=float, default=None)
+    _leaf(rg_sub, "gamma", "interval membership of n^2/m^2",
+          _cmd_regime_gamma, own, out)
 
-    p = rg_sub.add_parser("resonance", help="resonance diagnostics at (m, n, P)")
-    for flag in ("--m", "--n"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--P", type=float, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_regime_resonance)
+    _leaf(rg_sub, "resonance", "resonance diagnostics at (m, n, P)",
+          _cmd_regime_resonance, pair_load, out)
 
-    p = rg_sub.add_parser("cazenave", help="large-energy limit verdict for gamma")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--margin", type=float, default=hill.DEFAULT_TOL_MARGIN)
-    _add_out(p)
-    p.set_defaults(func=_cmd_regime_cazenave)
+    own = _flags("--gamma", type=float, required=True)
+    _leaf(rg_sub, "cazenave", "large-energy limit verdict for gamma",
+          _cmd_regime_cazenave, own, margin, out)
 
     # scan
     sc = top.add_parser("scan", help="exact integer scans")
     sc_sub = sc.add_subparsers(dest="subcommand", required=True)
-    p = sc_sub.add_parser("quartic", help="integer roots of the resonance quartic")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_out(p)
-    p.set_defaults(func=_cmd_scan_quartic)
+    own = _flags("--n-max", dest="n_max", type=int, required=True)
+    _leaf(sc_sub, "quartic", "integer roots of the resonance quartic",
+          _cmd_scan_quartic, own, fmt, out)
 
     # stationary
-    p = top.add_parser("stationary", help="stationary profiles at load P")
-    p.add_argument("--P", type=float, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_out(p)
-    p.set_defaults(func=_cmd_stationary)
+    own = _flags("--P", type=float, required=True)
+    _leaf(top, "stationary", "stationary profiles at load P",
+          _cmd_stationary, own, fmt, out)
 
     # atlas
     at = top.add_parser("atlas", help="stability sweeps and thresholds")
     at_sub = at.add_subparsers(dest="subcommand", required=True)
 
-    p = at_sub.add_parser("sweep", help="verdict grid as CSV")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--pairs", type=str, default=None,
-                   help="comma-separated mode pairs m:n overriding --m/--n")
-    p.add_argument("--P", type=float, required=True)
-    p.add_argument("--axis", choices=("theta0", "energy"), default="theta0")
-    p.add_argument("--grid-min", dest="grid_min", type=float, required=True)
-    p.add_argument("--grid-max", dest="grid_max", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    p.add_argument("--source", choices=("monodromy", "cazenave"),
-                   default="monodromy")
-    p.add_argument("--adaptive", action="store_true",
-                   help="spend --points as an adaptive budget concentrated "
-                        "near the stability boundary (theta0 axis, one pair)")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--margin", type=float, default=hill.DEFAULT_TOL_MARGIN)
-    _add_tol(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_atlas_sweep)
+    own = _flags("--m", "--n", type=int, default=None)
+    own.add_argument("--pairs", type=str, default=None,
+                     help="comma-separated mode pairs m:n overriding --m/--n")
+    own.add_argument("--P", type=float, required=True)
+    own.add_argument("--axis", choices=("theta0", "energy"), default="theta0")
+    own.add_argument("--grid-min", dest="grid_min", type=float, required=True)
+    own.add_argument("--grid-max", dest="grid_max", type=float, required=True)
+    own.add_argument("--points", type=int, required=True)
+    own.add_argument("--spacing", choices=("linear", "log"), default="linear")
+    own.add_argument("--source", choices=("monodromy", "cazenave"),
+                     default="monodromy")
+    own.add_argument("--adaptive", action="store_true",
+                     help="spend --points as an adaptive budget concentrated "
+                          "near the stability boundary (theta0 axis, one pair)")
+    own.add_argument("--jobs", type=int, default=1)
+    _leaf(at_sub, "sweep", "verdict grid as CSV", _cmd_atlas_sweep,
+          own, margin, tol, out)
 
-    p = at_sub.add_parser("thresholds", help="stability transitions, where |trace| = 2")
-    for flag in ("--m", "--n"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--P", type=float, required=True)
-    p.add_argument("--e-min", dest="e_min", type=float, required=True)
-    p.add_argument("--e-max", dest="e_max", type=float, required=True)
-    p.add_argument("--points", type=int, default=32)
-    p.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    p.add_argument("--refine-tol", dest="refine_tol", type=float, default=1e-4)
-    p.add_argument("--margin", type=float, default=hill.DEFAULT_TOL_MARGIN)
-    _add_tol(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_atlas_thresholds)
+    own = _flags()
+    own.add_argument("--e-min", dest="e_min", type=float, required=True)
+    own.add_argument("--e-max", dest="e_max", type=float, required=True)
+    own.add_argument("--points", type=int, default=32)
+    own.add_argument("--spacing", choices=("linear", "log"), default="linear")
+    own.add_argument("--refine-tol", dest="refine_tol", type=float, default=1e-4)
+    _leaf(at_sub, "thresholds", "stability transitions, where |trace| = 2",
+          _cmd_atlas_thresholds, pair_load, own, margin, tol, out)
 
     return parser
 
@@ -518,7 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        _emit(args, args.func(args))
+        return EXIT_OK
     except (NumericalQualityError, ConsistencyError) as exc:
         print(f"numerical-quality failure: {exc}", file=sys.stderr)
         return EXIT_QUALITY

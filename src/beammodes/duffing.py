@@ -315,15 +315,13 @@ def orbit_from_energy(params: ModeParams, E: float, sign: int = 1) -> DuffingOrb
     )
 
 
-def constant_orbit(params: ModeParams, sign: int = 1) -> DuffingOrbit:
-    """The constant solution +-sqrt(P - k^2)/k at the bottom of the well.
+def constant_orbit(params: ModeParams) -> DuffingOrbit:
+    """The constant solution +sqrt(P - k^2)/k at the bottom of the well.
 
     Its period field carries the limiting period of the surrounding
     oscillations, which is the natural coefficient period for linearized
     problems built on top of it.
     """
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     if not params.has_well:
         raise DomainError(f"mode k={params.k} has no well at P={params.P}")
     c_sq = (params.P - params.k**2) / params.k**2
@@ -334,7 +332,6 @@ def constant_orbit(params: ModeParams, sign: int = 1) -> DuffingOrbit:
         sq_lo=c_sq,
         sq_hi=c_sq,
         period=period_of(params, bottom),
-        sign=sign,
     )
 
 

@@ -1,12 +1,15 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy and result serialisation shared by all modules.
 
 DomainError marks inputs outside an operation's mathematical domain,
 IntegrationError marks ODE driver failures, and NumericalQualityError marks
 results whose internal checks (determinant drift, residuals) failed even
 though the computation ran to completion.  require_positive_int is the one
-check on mode numbers.
+check on mode numbers.  Serializable is the one rule by which result
+dataclasses become JSON-ready dicts.
 """
 
+from dataclasses import fields
+from enum import Enum
 from numbers import Integral
 
 
@@ -48,3 +51,31 @@ def require_positive_int(label: str, value) -> None:
     """Raise DomainError unless value is an integer (Python or numpy) >= 1."""
     if not isinstance(value, Integral) or value < 1:
         raise DomainError(f"{label} must be a positive integer, got {value!r}")
+
+
+class Serializable:
+    """Base of the result dataclasses: to_dict() gives the fields in
+    declaration order, ready for json.dumps.
+
+    Nested results become dicts, enums their .value, complex numbers
+    [re, im], and arrays, numpy scalars and tuples lists or plain numbers.
+    A field declared with metadata={"to_dict": False} is left out.
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)
+                if f.metadata.get("to_dict", True)}
+
+
+def _plain(value):
+    if isinstance(value, Serializable):
+        return value.to_dict()
+    if isinstance(value, Enum):
+        return value.value
+    if hasattr(value, "tolist"):    # numpy arrays and scalars
+        value = value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
@@ -37,7 +37,7 @@ from .duffing import (
     orbit_from_energy,
 )
 from .errors import (ConsistencyError, DomainError, NumericalQualityError,
-                     require_positive_int)
+                     Serializable, require_positive_int)
 from .integrate import IntegratorConfig, integrate
 from .special import sigma_constant
 
@@ -66,7 +66,10 @@ class HillProblem:
     n: int
     P: float
     orbit: DuffingOrbit
-    coeff_period: float
+
+    @property
+    def coeff_period(self) -> float:
+        return self.orbit.coefficient_period
 
     @property
     def linear_term(self) -> float:
@@ -106,19 +109,19 @@ def build_hill(m: int, n: int, P: float, E: float) -> HillProblem:
         orbit = constant_orbit(params)
     else:
         orbit = orbit_from_energy(params, E)
-    return HillProblem(m=m, n=n, P=P, orbit=orbit,
-                       coeff_period=orbit.coefficient_period)
+    return HillProblem(m=m, n=n, P=P, orbit=orbit)
 
 
 @dataclass(frozen=True)
-class MonodromyResult:
+class MonodromyResult(Serializable):
     """Monodromy matrix of the Hill equation over one coefficient period.
 
     multipliers are the two Floquet multipliers, the roots of
     lambda^2 - trace lambda + det; their product is det, which equals 1 up
     to integration error.  coefficient_integrals holds (int_0^T a,
     int_0^T (a^+)^2) from the same integration when the matrix comes from
-    monodromy, and None when a bare matrix was classified.
+    monodromy, and None when a bare matrix was classified; it stays out of
+    to_dict.
     """
 
     matrix: np.ndarray
@@ -126,17 +129,8 @@ class MonodromyResult:
     trace: float
     multipliers: tuple[complex, complex]
     verdict: Verdict
-    coefficient_integrals: tuple[float, float] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix": [[self.matrix[0, 0], self.matrix[0, 1]],
-                       [self.matrix[1, 0], self.matrix[1, 1]]],
-            "det": self.det,
-            "trace": self.trace,
-            "multipliers": [[z.real, z.imag] for z in self.multipliers],
-            "verdict": self.verdict.value,
-        }
+    coefficient_integrals: tuple[float, float] | None = field(
+        default=None, metadata={"to_dict": False})
 
 
 def require_tol_margin(tol_margin: float) -> None:
@@ -219,7 +213,7 @@ def monodromy(
 
 
 @dataclass(frozen=True)
-class ZhukovskiiResult:
+class ZhukovskiiResult(Serializable):
     """Sandwich test: a(t) >= 0 and [a_min, a_max] inside one Floquet gap.
 
     Applies when some integer ell satisfies
@@ -232,7 +226,7 @@ class ZhukovskiiResult:
 
 
 @dataclass(frozen=True)
-class LiZhangResult:
+class LiZhangResult(Serializable):
     """Mean-square test: positive mean and small positive part.
 
     Applies when int_0^T a > 0 and T^3 int_0^T (a^+)^2 < (64/3) sigma^4,
@@ -246,26 +240,17 @@ class LiZhangResult:
 
 
 @dataclass(frozen=True)
-class NegativeCoefficientResult:
+class NegativeCoefficientResult(Serializable):
     """a(t) <= 0 throughout forces instability of a nontrivial coefficient."""
 
     applies: bool
 
 
 @dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Serializable):
     zhukovskii: ZhukovskiiResult
     li_zhang: LiZhangResult
     negative_coefficient: NegativeCoefficientResult
-
-    def to_dict(self) -> dict:
-        return {
-            "zhukovskii": {"applies": self.zhukovskii.applies,
-                           "ell": self.zhukovskii.ell},
-            "li_zhang": {"applies": self.li_zhang.applies,
-                         "lhs": self.li_zhang.lhs, "rhs": self.li_zhang.rhs},
-            "negative_coefficient": {"applies": self.negative_coefficient.applies},
-        }
 
 
 def zhukovskii_criterion(problem: HillProblem) -> ZhukovskiiResult:
@@ -306,17 +291,10 @@ def negative_coefficient_criterion(problem: HillProblem) -> NegativeCoefficientR
 
 
 @dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Serializable):
     verdict: Verdict
     criteria: CriterionReport
     monodromy: MonodromyResult
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "criteria": self.criteria.to_dict(),
-            "monodromy": self.monodromy.to_dict(),
-        }
 
 
 def criteria_report(problem: HillProblem, result: MonodromyResult) -> CriterionReport:

@@ -35,7 +35,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DomainError, require_positive_int
+from .errors import DomainError, Serializable, require_positive_int
 from .hill import MonodromyResult, classify_matrix, DEFAULT_TOL_MARGIN
 from .integrate import IntegratorConfig, find_zero_crossing, integrate
 
@@ -52,14 +52,10 @@ class GammaMembership(Enum):
 
 
 @dataclass(frozen=True)
-class FrequencyRatioClass:
+class FrequencyRatioClass(Serializable):
     gamma: float
     membership: GammaMembership
     k_index: int
-
-    def to_dict(self) -> dict:
-        return {"gamma": self.gamma, "membership": self.membership.value,
-                "k_index": self.k_index}
 
 
 def _classify_ratio(num: int, den: int) -> tuple[GammaMembership, int]:
@@ -107,7 +103,7 @@ def classify_gamma_value(gamma: float) -> FrequencyRatioClass:
 
 
 @dataclass(frozen=True)
-class ResonanceDiagnostics:
+class ResonanceDiagnostics(Serializable):
     """Resonance indicators for the pair (m, n) at load P.
 
     Fields are None when outside their domain: ell and mu need both linear
@@ -123,14 +119,6 @@ class ResonanceDiagnostics:
     L: float | None
     L_is_integer: bool | None
     quartic_value: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m, "n": self.n, "P": self.P,
-            "ell": self.ell, "mu": self.mu,
-            "L": self.L, "L_is_integer": self.L_is_integer,
-            "quartic_value": self.quartic_value,
-        }
 
 
 def bottom_frequency_ratio(m: int, n: int, P: float) -> float:
@@ -249,7 +237,7 @@ _TABLE: dict[Ordering, tuple[Prediction, Prediction, tuple[str, ...]]] = {
 
 
 @dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(Serializable):
     """Low- and high-energy stability predictions for the pair (m, n).
 
     high_energy_resolved replaces a gamma-dependent entry by the interval
@@ -266,17 +254,6 @@ class RegimeReport:
     high_energy_resolved: str
     gamma_class: FrequencyRatioClass
     mechanisms: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m, "n": self.n, "P": self.P,
-            "ordering": self.ordering.value,
-            "low_energy": self.low_energy.value,
-            "high_energy": self.high_energy.value,
-            "high_energy_resolved": self.high_energy_resolved,
-            "gamma_class": self.gamma_class.to_dict(),
-            "mechanisms": list(self.mechanisms),
-        }
 
 
 def _ordering_of(m: int, n: int, P: float) -> Ordering:

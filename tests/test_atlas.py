@@ -312,10 +312,6 @@ class TestAdaptiveSweep:
         with pytest.raises(DomainError):
             adaptive_amplitude_sweep(1, 2, 0.0, 0.0, 40)
         with pytest.raises(DomainError):
-            adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 40, backbone=1)
-        with pytest.raises(DomainError):
-            adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 40, backbone=41)
-        with pytest.raises(DomainError):
             adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 40, theta0_min=5.0)
         for theta0_max in (math.nan, math.inf):
             with pytest.raises(DomainError):
@@ -347,11 +343,15 @@ class TestAdaptiveSweep:
         c = adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 30, jobs=2)
         assert a == b == c
 
-    def test_budget_equal_to_backbone_is_uniform(self):
-        cells = adaptive_amplitude_sweep(2, 1, 0.0, 2.0, 6, backbone=6)
-        assert len(cells) == 6
-        gaps = [b.theta0 - a.theta0 for a, b in zip(cells, cells[1:])]
-        assert gaps == pytest.approx([gaps[0]] * 5, rel=1e-12)
+    def test_default_backbone_is_half_the_budget(self):
+        # budget 12: a uniform backbone of 6 cells from 2.0 / 6 to 2.0
+        cells = adaptive_amplitude_sweep(2, 1, 0.0, 2.0, 12)
+        assert len(cells) == 12
+        thetas = [c.theta0 for c in cells]
+        lo = 2.0 / 6
+        for i in range(6):
+            want = lo + i * (2.0 - lo) / 5
+            assert any(t == pytest.approx(want, rel=1e-12) for t in thetas), want
 
     def test_energy_consistent_with_amplitude(self):
         params = ModeParams(k=1, P=0.0)

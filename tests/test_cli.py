@@ -1,6 +1,8 @@
-"""End-to-end command-line tests: one happy path per subcommand plus the
-exit-code contract and config-file splicing."""
+"""End-to-end command-line tests: one happy path per subcommand, the exact
+output format, the flags of every subcommand, the exit-code contract and
+config-file splicing."""
 
+import argparse
 import importlib
 import json
 import math
@@ -8,8 +10,14 @@ import math
 import pytest
 
 import beammodes.hill
-from beammodes import ModeParams, orbit_from_energy, period_of
-from beammodes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_QUALITY, main
+from beammodes import (ModeParams, TwoModeConfig, build_hill,
+                       cazenave_limit_classify, classify_gamma_value,
+                       classify_stability, find_thresholds, homoclinic,
+                       monodromy, orbit_from_energy, period_of,
+                       resonance_diagnostics, resonance_quartic_scan, simulate,
+                       stationary_catalog, table_regime, transfer_report)
+from beammodes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_QUALITY, build_parser, main
+from beammodes.hill import criteria_report
 from beammodes.twomode import CSV_COLUMNS
 
 
@@ -240,6 +248,7 @@ class TestExitCodes:
           "--w0", "1", "--z1", "1e-4", "--t-end", "1", "--threshold", "nan"],
          "threshold"),
         (["stationary", "--P", "inf"], "finite"),
+        (["stationary", "--P", "1e18"], "at most"),
     ])
     def test_unservable_input_is_one(self, capsys, argv, message):
         assert main(argv) == EXIT_DOMAIN
@@ -298,3 +307,295 @@ class TestConfigFile:
         cfg.write_text("k 1\n")
         code, _ = run(capsys, "--config", str(cfg), "mode", "period")
         assert code == EXIT_DOMAIN
+
+
+# The JSON each command printed before the result classes shared one
+# to_dict rule, spelled out field by field from the library results.
+
+def _monodromy(result):
+    return {"matrix": result.matrix.tolist(), "det": result.det,
+            "trace": result.trace,
+            "multipliers": [[z.real, z.imag] for z in result.multipliers],
+            "verdict": result.verdict.value}
+
+
+def _criteria(report):
+    return {"zhukovskii": {"applies": report.zhukovskii.applies,
+                           "ell": report.zhukovskii.ell},
+            "li_zhang": {"applies": report.li_zhang.applies,
+                         "lhs": report.li_zhang.lhs, "rhs": report.li_zhang.rhs},
+            "negative_coefficient": {"applies": report.negative_coefficient.applies}}
+
+
+def _gamma_class(g):
+    return {"gamma": g.gamma, "membership": g.membership.value, "k_index": g.k_index}
+
+
+def _mode_period():
+    return {"k": 1, "P": 2.0, "E": -0.1,
+            "period": period_of(ModeParams(k=1, P=2.0), -0.1)}
+
+
+def _mode_orbit():
+    orbit = orbit_from_energy(ModeParams(k=1, P=2.0), -0.1, sign=-1)
+    return {"k": 1, "P": 2.0, "E": -0.1, "regime": "negative-well",
+            "amplitude": orbit.amplitude,
+            "turning_sq": {"lo": orbit.sq_lo, "hi": orbit.sq_hi},
+            "modulus": orbit.modulus, "period": orbit.period,
+            "coefficient_period": orbit.coefficient_period,
+            "initial_state": list(orbit.initial_state)}
+
+
+def _mode_homoclinic():
+    return {"k": 1, "P": 2.0, "t": 0.3,
+            "theta": homoclinic(ModeParams(k=1, P=2.0), 0.3)}
+
+
+def _hill_classify():
+    report = classify_stability(2, 1, 3.0, 1.0)
+    return {"m": 2, "n": 1, "P": 3.0, "E": 1.0, "verdict": report.verdict.value,
+            "criteria": _criteria(report.criteria),
+            "monodromy": _monodromy(report.monodromy)}
+
+
+def _hill_criteria():
+    problem = build_hill(1, 2, 0.0, 1.0)
+    report = criteria_report(problem, monodromy(problem))
+    return {"m": 1, "n": 2, "P": 0.0, "E": 1.0,
+            "coeff_period": problem.coeff_period, **_criteria(report)}
+
+
+def _twomode_simulate():
+    result = simulate(TwoModeConfig(m=2, n=1, P=3.0, w0=1.06, w1=0.0, z0=0.0,
+                                    z1=1.4e-4), 5.0)
+    transfer = transfer_report(result.channels)
+    return {"m": 2, "n": 1, "P": 3.0, "t_end": 5.0,
+            "total_energy": result.channels.total,
+            "energy_drift": result.channels.drift,
+            "samples": len(result.trajectory.times),
+            "transfer": {"max_ratio": transfer.max_ratio,
+                         "time_of_max": transfer.time_of_max,
+                         "threshold": transfer.threshold,
+                         "verdict": transfer.verdict.value}}
+
+
+def _regime_table():
+    r = table_regime(2, 1, 3.0)
+    return {"m": 2, "n": 1, "P": 3.0, "ordering": r.ordering.value,
+            "low_energy": r.low_energy.value, "high_energy": r.high_energy.value,
+            "high_energy_resolved": r.high_energy_resolved,
+            "gamma_class": _gamma_class(r.gamma_class),
+            "mechanisms": list(r.mechanisms)}
+
+
+def _regime_resonance():
+    d = resonance_diagnostics(1, 3, 4.0)
+    return {"m": 1, "n": 3, "P": 4.0, "ell": d.ell, "mu": d.mu, "L": d.L,
+            "L_is_integer": d.L_is_integer, "quartic_value": d.quartic_value}
+
+
+def _scan_quartic():
+    return {"n_max": 30, "hits": [{"m": m, "n": n, "L": L}
+                                  for m, n, L in resonance_quartic_scan(30)]}
+
+
+def _stationary():
+    catalog = stationary_catalog(5.0)
+    return {"P": 5.0, "count": len(catalog), "solutions": [
+        {"j": s.j, "sign": s.sign, "amplitude": s.amplitude,
+         "energy": s.energy, "morse_index": s.morse_index} for s in catalog]}
+
+
+def _atlas_thresholds():
+    return {"m": 2, "n": 1, "P": 3.0, "grid": [4.0, 8.0, 2],
+            "thresholds": find_thresholds(2, 1, 3.0, [4.0, 8.0])}
+
+
+JSON_COMMANDS = {
+    "mode period": (["--k", "1", "--P", "2", "--E", "-0.1"], _mode_period),
+    "mode orbit": (["--k", "1", "--P", "2", "--E", "-0.1", "--sign", "-1"],
+                   _mode_orbit),
+    "mode homoclinic": (["--k", "1", "--P", "2", "--t", "0.3"], _mode_homoclinic),
+    "hill classify": (["--m", "2", "--n", "1", "--P", "3", "--E", "1"],
+                      _hill_classify),
+    "hill criteria": (["--m", "1", "--n", "2", "--P", "0", "--E", "1"],
+                      _hill_criteria),
+    "twomode simulate": (["--m", "2", "--n", "1", "--P", "3", "--w0", "1.06",
+                          "--z1", "1.4e-4", "--t-end", "5"], _twomode_simulate),
+    "regime table": (["--m", "2", "--n", "1", "--P", "3"], _regime_table),
+    "regime gamma": (["--gamma", "2.25"],
+                     lambda: _gamma_class(classify_gamma_value(2.25))),
+    "regime resonance": (["--m", "1", "--n", "3", "--P", "4"], _regime_resonance),
+    "regime cazenave": (["--gamma", "2.25"], lambda: {
+        "gamma": 2.25, **_monodromy(cazenave_limit_classify(2.25))}),
+    "scan quartic": (["--n-max", "30"], _scan_quartic),
+    "stationary": (["--P", "5"], _stationary),
+    "atlas thresholds": (["--m", "2", "--n", "1", "--P", "3", "--e-min", "4",
+                          "--e-max", "8", "--points", "2"], _atlas_thresholds),
+}
+
+
+class TestOutputFormat:
+    @pytest.mark.parametrize("command", JSON_COMMANDS)
+    def test_json_is_indented_dump_of_the_result(self, capsys, command):
+        flags, expected = JSON_COMMANDS[command]
+        code, out = run(capsys, *command.split(), *flags)
+        assert code == EXIT_OK
+        assert out == json.dumps(expected(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["regime", "table", "--m", "2", "--n", "1", "--P", "3"],
+        ["stationary", "--P", "5", "--format", "csv"],
+    ])
+    def test_out_file_gets_the_stdout_bytes(self, capsys, tmp_path, argv):
+        target = tmp_path / "result"
+        _, out = run(capsys, *argv)
+        code, rest = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_OK and rest == ""
+        assert target.read_bytes() == out.encode()
+
+
+def _leaves(parser, words=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, words + (name,))
+            return
+    yield " ".join(words), parser
+
+
+# Every leaf subcommand's flags in declaration order: option string, dest,
+# type, required, default, choices.
+PARSER_INVENTORY = {
+    "mode period": [
+        ("--k", "k", int, True, None, None),
+        ("--P", "P", float, True, None, None),
+        ("--E", "E", float, True, None, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "mode orbit": [
+        ("--k", "k", int, True, None, None),
+        ("--P", "P", float, True, None, None),
+        ("--E", "E", float, True, None, None),
+        ("--sign", "sign", int, False, 1, (1, -1)),
+        ("--periods", "periods", float, False, 1.0, None),
+        ("--samples", "samples", int, False, 0, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "mode homoclinic": [
+        ("--k", "k", int, True, None, None),
+        ("--P", "P", float, True, None, None),
+        ("--t", "t", float, False, 0.0, None),
+        ("--t-min", "t_min", float, False, -5.0, None),
+        ("--t-max", "t_max", float, False, 5.0, None),
+        ("--samples", "samples", int, False, 0, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "hill classify": [
+        ("--m", "m", int, True, None, None),
+        ("--n", "n", int, True, None, None),
+        ("--P", "P", float, True, None, None),
+        ("--E", "E", float, True, None, None),
+        ("--margin", "margin", float, False, 1e-06, None),
+        ("--tol", "tol", float, False, None, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "hill criteria": [
+        ("--m", "m", int, True, None, None),
+        ("--n", "n", int, True, None, None),
+        ("--P", "P", float, True, None, None),
+        ("--E", "E", float, True, None, None),
+        ("--tol", "tol", float, False, None, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "twomode simulate": [
+        ("--m", "m", int, True, None, None),
+        ("--n", "n", int, True, None, None),
+        ("--P", "P", float, True, None, None),
+        ("--w0", "w0", float, False, 0.0, None),
+        ("--w1", "w1", float, False, 0.0, None),
+        ("--z0", "z0", float, False, 0.0, None),
+        ("--z1", "z1", float, False, 0.0, None),
+        ("--t-end", "t_end", float, True, None, None),
+        ("--threshold", "threshold", float, False, 100.0, None),
+        ("--format", "format", None, False, "json", ("json", "csv")),
+        ("--tol", "tol", float, False, None, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "regime table": [
+        ("--m", "m", int, True, None, None),
+        ("--n", "n", int, True, None, None),
+        ("--P", "P", float, True, None, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "regime gamma": [
+        ("--m", "m", int, False, None, None),
+        ("--n", "n", int, False, None, None),
+        ("--gamma", "gamma", float, False, None, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "regime resonance": [
+        ("--m", "m", int, True, None, None),
+        ("--n", "n", int, True, None, None),
+        ("--P", "P", float, True, None, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "regime cazenave": [
+        ("--gamma", "gamma", float, True, None, None),
+        ("--margin", "margin", float, False, 1e-06, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "scan quartic": [
+        ("--n-max", "n_max", int, True, None, None),
+        ("--format", "format", None, False, "json", ("json", "csv")),
+        ("--out", "out", str, False, None, None),
+    ],
+    "stationary": [
+        ("--P", "P", float, True, None, None),
+        ("--format", "format", None, False, "json", ("json", "csv")),
+        ("--out", "out", str, False, None, None),
+    ],
+    "atlas sweep": [
+        ("--m", "m", int, False, None, None),
+        ("--n", "n", int, False, None, None),
+        ("--pairs", "pairs", str, False, None, None),
+        ("--P", "P", float, True, None, None),
+        ("--axis", "axis", None, False, "theta0", ("theta0", "energy")),
+        ("--grid-min", "grid_min", float, True, None, None),
+        ("--grid-max", "grid_max", float, True, None, None),
+        ("--points", "points", int, True, None, None),
+        ("--spacing", "spacing", None, False, "linear", ("linear", "log")),
+        ("--source", "source", None, False, "monodromy", ("monodromy", "cazenave")),
+        ("--adaptive", "adaptive", None, False, False, None),
+        ("--jobs", "jobs", int, False, 1, None),
+        ("--margin", "margin", float, False, 1e-06, None),
+        ("--tol", "tol", float, False, None, None),
+        ("--out", "out", str, False, None, None),
+    ],
+    "atlas thresholds": [
+        ("--m", "m", int, True, None, None),
+        ("--n", "n", int, True, None, None),
+        ("--P", "P", float, True, None, None),
+        ("--e-min", "e_min", float, True, None, None),
+        ("--e-max", "e_max", float, True, None, None),
+        ("--points", "points", int, False, 32, None),
+        ("--spacing", "spacing", None, False, "linear", ("linear", "log")),
+        ("--refine-tol", "refine_tol", float, False, 0.0001, None),
+        ("--margin", "margin", float, False, 1e-06, None),
+        ("--tol", "tol", float, False, None, None),
+        ("--out", "out", str, False, None, None),
+    ],
+}
+
+
+def test_parser_inventory():
+    """No flag of any leaf subcommand is dropped, added, reordered or
+    changed in type, requiredness, default or choices."""
+    found = {}
+    for name, parser in _leaves(build_parser()):
+        found[name] = [(*action.option_strings, action.dest, action.type,
+                        action.required, action.default, action.choices)
+                       for action in parser._actions
+                       if not isinstance(action, argparse._HelpAction)]
+    assert found == PARSER_INVENTORY
+    assert set(JSON_COMMANDS) == set(PARSER_INVENTORY) - {"atlas sweep"}

@@ -104,6 +104,12 @@ class TestMonodromy:
         json.dumps(d)
         assert d["verdict"] == "stable"
 
+    def test_to_dict_leaves_out_coefficient_integrals(self):
+        result = monodromy(build_hill(2, 1, 0.0, 1.0))
+        assert result.coefficient_integrals is not None
+        assert list(result.to_dict()) == ["matrix", "det", "trace",
+                                          "multipliers", "verdict"]
+
 
 class TestClassifyMatrix:
     def test_rotation_is_stable(self):

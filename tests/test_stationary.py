@@ -103,6 +103,17 @@ class TestCatalogAcrossLoads:
                 assert stationary._mode_count(P) == want, (j, P)
         assert stationary._mode_count(5e-324) == 0
 
+    def test_huge_load_fails_fast(self):
+        # P = 1e18 has about 1e9 mode pairs; the cap refuses before building
+        with pytest.raises(DomainError, match="at most"):
+            stationary_catalog(1e18)
+
+    def test_mode_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(stationary, "MAX_STATIONARY_MODES", 3)
+        assert len(stationary_catalog(16.0)) == 7           # k = 3, at the cap
+        with pytest.raises(DomainError, match="at most 3"):
+            stationary_catalog(math.nextafter(16.0, math.inf))   # k = 4
+
 
 class TestProfileEvaluation:
     def test_profile_values(self):
