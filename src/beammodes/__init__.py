@@ -68,7 +68,7 @@ from .twomode import (
 )
 from .atlas import (CSV_HEADER, AtlasCell, SweepSpec, VerdictSource,
                     adaptive_amplitude_sweep, find_thresholds, sweep,
-                    verdict_runs, write_cells_csv)
+                    verdict_runs)
 
 __version__ = "0.1.0"
 
@@ -92,6 +92,6 @@ __all__ = [
     "orbit_from_energy", "period_of", "residual_check",
     "resonance_diagnostics", "resonance_quartic_scan", "sigma_constant",
     "simulate", "stationary_catalog", "sweep", "table_regime",
-    "transfer_report", "turning_roots", "verdict_runs", "write_cells_csv",
+    "transfer_report", "turning_roots", "verdict_runs",
     "zhukovskii_criterion",
 ]

@@ -13,7 +13,6 @@ finding solves |trace| = 2 between cells whose verdicts differ.
 
 from __future__ import annotations
 
-import csv
 import functools
 import heapq
 import math
@@ -21,10 +20,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Sequence
+from operator import attrgetter
+from typing import Sequence
 
 from .duffing import ModeParams, energy_from_initial_amplitude
-from .errors import BeamModesError, DomainError
+from .errors import BeamModesError, DomainError, csv_text
 from .hill import (DEFAULT_TOL_MARGIN, MonodromyResult, Verdict,
                    classify_stability, require_tol_margin)
 from .integrate import IntegratorConfig
@@ -126,7 +126,7 @@ def _cell(spec: SweepSpec, point: tuple) -> AtlasCell:
     except BeamModesError as exc:
         trace, verdict = math.nan, "none"
         quality = f"error:{type(exc).__name__}: {exc}"
-    return AtlasCell(gamma=gamma, m=m, n=n, P=spec.P, theta0=theta0, E=E,
+    return AtlasCell(gamma=gamma, m=m, n=n, P=float(spec.P), theta0=theta0, E=E,
                      trace=trace, verdict=verdict, quality=quality)
 
 
@@ -267,18 +267,11 @@ def adaptive_amplitude_sweep(
     return sorted(cells, key=lambda c: c.theta0)
 
 
-def write_cells_csv(stream: IO[str], cells: Sequence[AtlasCell]) -> None:
-    """Fixed schema gamma,m,n,P,theta0,E,trace,verdict,quality; floats are
-    written in shortest round-trip form, so identical sweeps give
-    byte-identical files."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for c in cells:
-        writer.writerow([
-            repr(float(c.gamma)), c.m, c.n, repr(float(c.P)),
-            repr(float(c.theta0)), repr(float(c.E)), repr(float(c.trace)),
-            c.verdict, c.quality,
-        ])
+def cells_csv(cells: Sequence[AtlasCell]) -> str:
+    """CSV text with header CSV_HEADER, whose columns are AtlasCell fields,
+    and one row per cell; identical sweeps give byte-identical text."""
+    header = CSV_HEADER.split(",")
+    return csv_text(header, map(attrgetter(*header), cells))
 
 
 def verdict_runs(cells: Sequence[AtlasCell], verdict: Verdict | str) -> list[tuple[int, int]]:

@@ -21,11 +21,11 @@ the chosen subcommand, with explicit flags taking precedence.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
 from contextlib import nullcontext
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .errors import (
     DomainError,
     IntegrationError,
     NumericalQualityError,
+    csv_text,
 )
 from .integrate import IntegratorConfig
 
@@ -83,10 +84,8 @@ def _cmd_mode_orbit(args) -> dict | str:
     orbit = duffing.orbit_from_energy(params, args.E, sign=args.sign)
     if _sample_count(args):
         ts = np.linspace(0.0, args.periods * orbit.period, args.samples)
-        lines = ["t,theta,theta_dot"]
-        lines += [f"{t!r},{th!r},{v!r}"
-                  for t, (th, v) in zip(ts.tolist(), orbit.states(ts).tolist())]
-        return "\n".join(lines)
+        return csv_text(("t", "theta", "theta_dot"),
+                        np.column_stack((ts, orbit.states(ts))).tolist())
     return {
         "k": args.k, "P": args.P, "E": args.E,
         "regime": orbit.energy.regime.value,
@@ -103,10 +102,8 @@ def _cmd_mode_homoclinic(args) -> dict | str:
     params = duffing.ModeParams(k=args.k, P=args.P)
     if _sample_count(args):
         ts = np.linspace(args.t_min, args.t_max, args.samples)
-        values = duffing.homoclinic(params, ts)
-        lines = ["t,theta"]
-        lines += [f"{t!r},{v!r}" for t, v in zip(ts.tolist(), values.tolist())]
-        return "\n".join(lines)
+        return csv_text(("t", "theta"),
+                        np.column_stack((ts, duffing.homoclinic(params, ts))).tolist())
     return {"k": args.k, "P": args.P, "t": args.t,
             "theta": duffing.homoclinic(params, args.t)}
 
@@ -137,9 +134,7 @@ def _cmd_twomode_simulate(args) -> dict | str:
                                    z0=args.z0, z1=args.z1)
     result = twomode.simulate(config, args.t_end, integrator=_integrator(args))
     if args.format == "csv":
-        buffer = io.StringIO()
-        twomode.write_channels_csv(buffer, result)
-        return buffer.getvalue()
+        return twomode.channels_csv(result)
     payload = {
         "m": args.m, "n": args.n, "P": args.P, "t_end": args.t_end,
         "total_energy": result.channels.total,
@@ -182,7 +177,7 @@ def _cmd_regime_cazenave(args) -> dict:
 def _cmd_scan_quartic(args) -> dict | str:
     hits = regime.resonance_quartic_scan(args.n_max)
     if args.format == "csv":
-        return "\n".join(["m,n,L"] + [f"{m},{n},{L}" for (m, n, L) in hits])
+        return csv_text(("m", "n", "L"), hits)
     return {"n_max": args.n_max,
             "hits": [{"m": m, "n": n, "L": L} for (m, n, L) in hits]}
 
@@ -192,10 +187,8 @@ def _cmd_scan_quartic(args) -> dict | str:
 def _cmd_stationary(args) -> dict | str:
     catalog = stationary.stationary_catalog(args.P)
     if args.format == "csv":
-        lines = ["j,sign,amplitude,energy,morse_index"]
-        lines += [f"{s.j},{s.sign},{s.amplitude!r},{s.energy!r},{s.morse_index}"
-                  for s in catalog]
-        return "\n".join(lines)
+        header = ("j", "sign", "amplitude", "energy", "morse_index")
+        return csv_text(header, map(attrgetter(*header), catalog))
     return {"P": args.P, "count": len(catalog),
             "solutions": [s.to_dict() for s in catalog]}
 
@@ -251,13 +244,12 @@ def _cmd_atlas_sweep(args) -> str:
             integrator=_integrator(args), tol_margin=args.margin, **kwargs,
         )
         cells = atlas_mod.sweep(spec, jobs=args.jobs)
-    buffer = io.StringIO()
-    atlas_mod.write_cells_csv(buffer, cells)
+    text = atlas_mod.cells_csv(cells)
     if not any(c.ok for c in cells):
         # the CSV still records why each cell failed
-        _emit(args, buffer.getvalue())
+        _emit(args, text)
         raise NumericalQualityError("every sweep cell failed")
-    return buffer.getvalue()
+    return text
 
 
 def _cmd_atlas_thresholds(args) -> dict:

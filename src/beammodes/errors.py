@@ -5,12 +5,15 @@ IntegrationError marks ODE driver failures, and NumericalQualityError marks
 results whose internal checks (determinant drift, residuals) failed even
 though the computation ran to completion.  require_positive_int is the one
 check on mode numbers.  Serializable is the one rule by which result
-dataclasses become JSON-ready dicts.
+dataclasses become JSON-ready dicts, and csv_text the one rule by which
+tables of results become CSV.
 """
 
+import csv
 from dataclasses import fields
 from enum import Enum
 from numbers import Integral
+from types import SimpleNamespace
 
 
 class BeamModesError(Exception):
@@ -79,3 +82,18 @@ def _plain(value):
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return value
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header row and one row per record, each line ended by
+    "\n".  Floats, numpy float64 included, are written as repr(float(v)),
+    the shortest form that reads back to the same value, so identical
+    inputs give byte-identical text; a field is quoted only where csv
+    needs it (a comma, a quote or a line break inside it)."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow(header)
+    # float() first: a numpy float64's own repr names its type
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return "".join(lines)

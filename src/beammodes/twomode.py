@@ -20,15 +20,13 @@ counterpart of the Hill-equation instability of the pure-w orbit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO
 
 import numpy as np
 
-from .errors import DomainError, Serializable, require_positive_int
+from .errors import DomainError, Serializable, csv_text, require_positive_int
 from .integrate import IntegratorConfig, Trajectory, integrate
 
 DEFAULT_TRANSFER_THRESHOLD = 100.0
@@ -185,17 +183,8 @@ def transfer_report(
                           threshold=threshold, verdict=verdict)
 
 
-def write_channels_csv(stream: IO[str], result: SimulationResult) -> None:
-    """Write t, w, w_dot, z, z_dot, E_w, E_z, E_wz rows; floats round-trip."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    t = result.trajectory.times
-    s = result.trajectory.states
+def channels_csv(result: SimulationResult) -> str:
+    """CSV text with header CSV_COLUMNS and one row per accepted step."""
     ch = result.channels
-    for i in range(len(t)):
-        writer.writerow([
-            repr(float(t[i])),
-            repr(float(s[i, 0])), repr(float(s[i, 1])),
-            repr(float(s[i, 2])), repr(float(s[i, 3])),
-            repr(float(ch.e_w[i])), repr(float(ch.e_z[i])), repr(float(ch.e_wz[i])),
-        ])
+    return csv_text(CSV_COLUMNS, np.column_stack((
+        ch.times, result.trajectory.states, ch.e_w, ch.e_z, ch.e_wz)).tolist())

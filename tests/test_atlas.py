@@ -1,6 +1,5 @@
 """Atlas sweeps: grids of verdicts, CSV output, thresholds, adaptive budget."""
 
-import io
 import math
 
 import pytest
@@ -22,8 +21,8 @@ from beammodes import (
     find_thresholds,
     sweep,
     verdict_runs,
-    write_cells_csv,
 )
+from beammodes.atlas import cells_csv
 
 SMALL = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)], theta0_grid=[0.3, 0.6, 0.9])
 # 64 cells: enough for two pool workers at MIN_CELLS_PER_WORKER = 32
@@ -198,17 +197,13 @@ class TestOneEvaluator:
 class TestCsv:
     def test_header_and_line_count(self):
         cells = sweep(SMALL)
-        buf = io.StringIO()
-        write_cells_csv(buf, cells)
-        lines = buf.getvalue().splitlines()
+        lines = cells_csv(cells).splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == len(cells) + 1
 
     def test_floats_round_trip(self):
         cells = sweep(SMALL)
-        buf = io.StringIO()
-        write_cells_csv(buf, cells)
-        for cell, line in zip(cells, buf.getvalue().splitlines()[1:]):
+        for cell, line in zip(cells, cells_csv(cells).splitlines()[1:]):
             fields = line.split(",")
             assert float(fields[0]) == cell.gamma
             assert float(fields[4]) == cell.theta0
@@ -217,10 +212,7 @@ class TestCsv:
             assert fields[7] == cell.verdict
 
     def test_output_is_deterministic(self):
-        a, b = io.StringIO(), io.StringIO()
-        write_cells_csv(a, sweep(SMALL))
-        write_cells_csv(b, sweep(SMALL, jobs=2))
-        assert a.getvalue() == b.getvalue()
+        assert cells_csv(sweep(SMALL)) == cells_csv(sweep(SMALL, jobs=2))
 
 
 class TestVerdictRuns:
