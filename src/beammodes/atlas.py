@@ -57,6 +57,8 @@ class SweepSpec:
     tol_margin: float = DEFAULT_TOL_MARGIN
 
     def __post_init__(self):
+        if not math.isfinite(self.P):
+            raise DomainError("load P must be finite")
         if (self.theta0_grid is None) == (self.energy_grid is None):
             raise DomainError("give exactly one of theta0_grid or energy_grid")
         grid = self.theta0_grid if self.theta0_grid is not None else self.energy_grid

@@ -101,7 +101,7 @@ def _cmd_mode_orbit(args) -> dict | str:
 def _cmd_mode_homoclinic(args) -> dict | str:
     params = duffing.ModeParams(k=args.k, P=args.P)
     if _sample_count(args):
-        ts = np.linspace(args.t_min, args.t_max, args.samples)
+        ts = _grid(args.t_min, args.t_max, args.samples, "linear")
         return csv_text(("t", "theta"),
                         np.column_stack((ts, duffing.homoclinic(params, ts))).tolist())
     return {"k": args.k, "P": args.P, "t": args.t,

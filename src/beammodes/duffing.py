@@ -207,9 +207,9 @@ class DuffingOrbit:
 
     def states(self, ts) -> np.ndarray:
         """(theta, theta') at the times ts in closed form, shape (len(ts), 2):
-        A cn(w t) if the orbit changes sign, else A kp / dn(w t), with kp and
-        w from the expressions of period_of; A kp is sqrt(sq_lo) without the
-        cancellation of sq_lo near E = 0."""
+        A cn(w t) if the orbit changes sign, else A kp / dn(w t) = A dn(w t + K),
+        the dn orbit started at its inner turning point as initial_state is;
+        kp and w are those of period_of."""
         k, E, A = float(self.params.k), self.energy.value, self.amplitude
         gap = k * k - self.params.P
         root = math.sqrt(4.0 * E + gap * gap)
@@ -338,12 +338,14 @@ def constant_orbit(params: ModeParams) -> DuffingOrbit:
 def homoclinic(params: ModeParams, t):
     """The separatrix orbit sqrt(2) sqrt(P - k^2) / (k cosh(k sqrt(P - k^2) t)).
 
-    Defined only for k^2 < P; accepts scalar or array times.
+    Defined only for k^2 < P; accepts finite scalar or array times.
     """
     if not params.has_well:
         raise DomainError(
             f"homoclinic orbit requires k^2 < P, got k={params.k}, P={params.P}"
         )
+    if not np.all(np.isfinite(t)):
+        raise DomainError("homoclinic times must be finite")
     rate = params.k * math.sqrt(params.P - params.k**2)
     peak = math.sqrt(2.0) * math.sqrt(params.P - params.k**2) / params.k
     return peak / np.cosh(rate * np.asarray(t, dtype=float)) if np.ndim(t) else \

@@ -149,14 +149,15 @@ def classify_matrix(matrix: np.ndarray, tol_margin: float = DEFAULT_TOL_MARGIN) 
     the band in between (including |trace| = 2 exactly) is Marginal.
     Raises DomainError unless 0 <= tol_margin < 2, and
     NumericalQualityError when |det - 1| exceeds the quality tolerance
-    scaled by max(1, max|M_ij|^2).
+    scaled by max(1, max|M_ij|^2), or when an entry is NaN or infinite.
     """
     require_tol_margin(tol_margin)
     matrix = np.asarray(matrix, dtype=float)
-    det = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
-    trace = float(matrix[0, 0] + matrix[1, 1])
-    scale = max(1.0, float(np.max(np.abs(matrix))) ** 2)
-    if abs(det - 1.0) > _DET_QUALITY_TOL * scale:
+    (a, b), (c, d) = matrix.tolist()   # Python floats: inf - inf is NaN, no warning
+    det = a * d - b * c
+    trace = a + d
+    bound = _DET_QUALITY_TOL * max(1.0, float(np.max(np.abs(matrix))) ** 2)
+    if not abs(det - 1.0) <= bound < math.inf:
         raise NumericalQualityError(
             f"monodromy determinant drifted to {det}; result not trustworthy"
         )

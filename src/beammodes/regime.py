@@ -145,6 +145,8 @@ def resonance_diagnostics(m: int, n: int, P: float) -> ResonanceDiagnostics:
     require_positive_int("n", n)
     if m == n:
         raise DomainError("resonance diagnostics need distinct modes")
+    if not math.isfinite(P):
+        raise DomainError("load P must be finite")
     ell = mu = None
     if m * m > P and n * n > P:
         ratio = (n * math.sqrt(n * n - P)) / (m * math.sqrt(m * m - P))
@@ -280,6 +282,8 @@ def table_regime(m: int, n: int, P: float) -> RegimeReport:
         raise DomainError("the prediction table needs distinct modes")
     require_positive_int("m", m)
     require_positive_int("n", n)
+    if not math.isfinite(P):
+        raise DomainError("load P must be finite")
     ordering = _ordering_of(m, n, P)
     low, high, mechanisms = _TABLE[ordering]
     gamma_class = classify_gamma(m, n)
@@ -311,11 +315,8 @@ def _limit_rhs_u(t: float, y: np.ndarray) -> np.ndarray:
     return np.array([y[1], -y[0] ** 3])
 
 
-def cazenave_limit_classify(
-    gamma: float,
-    config: IntegratorConfig = _LIMIT_CONFIG,
-    tol_margin: float = DEFAULT_TOL_MARGIN,
-) -> MonodromyResult:
+def cazenave_limit_classify(gamma: float,
+                            tol_margin: float = DEFAULT_TOL_MARGIN) -> MonodromyResult:
     """Large-energy stability of the perturbation with frequency-ratio
     square gamma: the verdict of the limit matrix described above.
 
@@ -326,7 +327,7 @@ def cazenave_limit_classify(
         raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
     theta = find_zero_crossing(
         _limit_rhs_u, np.array([0.0, 1.0]), component=0,
-        direction="falling", t_max=10.0, config=config,
+        direction="falling", t_max=10.0, config=_LIMIT_CONFIG,
     )
 
     def coupled(t: float, y: np.ndarray) -> np.ndarray:
@@ -335,7 +336,7 @@ def cazenave_limit_classify(
         return np.array([y[1], -u**3, y[3], -a * y[2], y[5], -a * y[4]])
 
     y0 = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
-    run = integrate(coupled, y0, (0.0, theta), config)
+    run = integrate(coupled, y0, (0.0, theta), _LIMIT_CONFIG)
     yT = run.final_state
     matrix = -np.array([[yT[2], yT[4]], [yT[3], yT[5]]])
     return classify_matrix(matrix, tol_margin)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from beammodes import atlas
@@ -23,6 +24,7 @@ from beammodes import (
     verdict_runs,
 )
 from beammodes.atlas import cells_csv
+from beammodes.errors import csv_text
 
 SMALL = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)], theta0_grid=[0.3, 0.6, 0.9])
 # 64 cells: enough for two pool workers at MIN_CELLS_PER_WORKER = 32
@@ -213,6 +215,23 @@ class TestCsv:
 
     def test_output_is_deterministic(self):
         assert cells_csv(sweep(SMALL)) == cells_csv(sweep(SMALL, jobs=2))
+
+    def test_integer_load_prints_as_float(self):
+        spec = SweepSpec(P=0, modes=[(1, 2)], theta0_grid=[0.5])
+        assert cells_csv(sweep(spec)).splitlines()[1].split(",")[3] == "0.0"
+
+    def test_free_text_field_is_quoted(self):
+        # the text csv.writer gave this cell when it wrote the sweep directly
+        cell = synthetic(0.5, "none", trace=math.nan,
+                         quality='error:DomainError: mode k=1, P=1.0: say "no"')
+        assert cells_csv([cell]) == CSV_HEADER + "\n" + (
+            '4.0,1,2,0.0,0.5,0.5,nan,none,'
+            '"error:DomainError: mode k=1, P=1.0: say ""no"""\n')
+
+    def test_csv_text_quotes_only_where_needed(self):
+        rows = [(np.float64(0.1), np.int64(3), "a, b"), (1e-300, 0, "plain")]
+        assert csv_text(("x", "k", "note"), rows) == \
+            'x,k,note\n0.1,3,"a, b"\n1e-300,0,plain\n'
 
 
 class TestVerdictRuns:

@@ -3,19 +3,22 @@ output format, the flags of every subcommand, the exit-code contract and
 config-file splicing."""
 
 import argparse
+import csv
 import importlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 import beammodes.hill
-from beammodes import (ModeParams, TwoModeConfig, build_hill,
+from beammodes import (ModeParams, SweepSpec, TwoModeConfig, build_hill,
                        cazenave_limit_classify, classify_gamma_value,
                        classify_stability, find_thresholds, homoclinic,
                        monodromy, orbit_from_energy, period_of,
                        resonance_diagnostics, resonance_quartic_scan, simulate,
-                       stationary_catalog, table_regime, transfer_report)
+                       stationary_catalog, sweep, table_regime,
+                       transfer_report)
 from beammodes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_QUALITY, build_parser, main
 from beammodes.hill import criteria_report
 from beammodes.twomode import CSV_COLUMNS
@@ -249,6 +252,16 @@ class TestExitCodes:
          "threshold"),
         (["stationary", "--P", "inf"], "finite"),
         (["stationary", "--P", "1e18"], "at most"),
+        (["regime", "table", "--m", "2", "--n", "1", "--P", "nan"], "finite"),
+        (["regime", "table", "--m", "2", "--n", "1", "--P", "inf"], "finite"),
+        (["regime", "resonance", "--m", "1", "--n", "2", "--P", "nan"], "finite"),
+        (["mode", "homoclinic", "--k", "1", "--P", "2", "--t", "nan"], "finite"),
+        (["mode", "homoclinic", "--k", "1", "--P", "2", "--t-max", "inf",
+          "--samples", "3"], "finite"),
+        *[(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "nan",
+            "--grid-min", "1", "--grid-max", "2", "--points", "2", *extra], "finite")
+          for extra in ([], ["--axis", "energy"],
+                        ["--axis", "energy", "--source", "cazenave"])],
     ])
     def test_unservable_input_is_one(self, capsys, argv, message):
         assert main(argv) == EXIT_DOMAIN
@@ -453,6 +466,69 @@ class TestOutputFormat:
         code, rest = run(capsys, *argv, "--out", str(target))
         assert code == EXIT_OK and rest == ""
         assert target.read_bytes() == out.encode()
+
+
+# CSV text as each command printed it when it built its own lines.
+CSV_COMMANDS = {
+    "mode orbit": (["--k", "1", "--P", "0", "--E", "0.5", "--samples", "5"], (
+        "t,theta,theta_dot\n"
+        "0.0,0.8555996771673524,-0.0\n"
+        "1.2654142526979342,2.2820443198153747e-16,-0.9999999999999999\n"
+        "2.5308285053958683,-0.8555996771673524,-6.76371515702658e-16\n"
+        "3.7962427580938023,-8.634897059627932e-16,0.9999999999999999\n"
+        "5.061657010791737,0.8555996771673524,1.352743031405316e-15\n")),
+    "mode homoclinic": (["--k", "1", "--P", "2", "--samples", "5"], (
+        "t,theta\n"
+        "-5.0,0.01905692687417395\n"
+        "-2.5,0.2306175478282632\n"
+        "0.0,1.4142135623730951\n"
+        "2.5,0.2306175478282632\n"
+        "5.0,0.01905692687417395\n")),
+    "scan quartic": (["--n-max", "30", "--format", "csv"], "m,n,L\n"),
+    "stationary": (["--P", "5", "--format", "csv"], (
+        "j,sign,amplitude,energy,morse_index\n"
+        "0,0,0.0,0.0,2\n"
+        "1,1,2.0,-6.283185307179586,0\n"
+        "1,-1,2.0,-6.283185307179586,0\n"
+        "2,1,0.5,-0.39269908169872414,1\n"
+        "2,-1,0.5,-0.39269908169872414,1\n")),
+}
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("command", CSV_COMMANDS)
+    def test_csv_text_is_unchanged(self, capsys, command):
+        flags, expected = CSV_COMMANDS[command]
+        assert run(capsys, *command.split(), *flags) == (EXIT_OK, expected)
+
+    def test_simulation_floats_are_the_library_values(self, capsys):
+        code, out = run(capsys, "twomode", "simulate", "--m", "2", "--n", "1",
+                        "--P", "3", "--w0", "1.06", "--z1", "1.4e-4",
+                        "--t-end", "5", "--format", "csv")
+        assert code == EXIT_OK
+        header, *rows = csv.reader(out.splitlines())
+        assert header == list(CSV_COLUMNS)
+        result = simulate(TwoModeConfig(m=2, n=1, P=3.0, w0=1.06, w1=0.0,
+                                        z0=0.0, z1=1.4e-4), 5.0)
+        ch, states = result.channels, result.trajectory.states
+        assert len(rows) == len(ch.times)
+        for i, row in enumerate(rows):
+            assert [float(v) for v in row] == [
+                ch.times[i], *states[i], ch.e_w[i], ch.e_z[i], ch.e_wz[i]]
+
+    def test_sweep_fields_are_the_library_values(self, capsys):
+        code, out = run(capsys, "atlas", "sweep", "--m", "2", "--n", "1",
+                        "--P", "0", "--grid-min", "0.2", "--grid-max", "0.8",
+                        "--points", "3")
+        assert code == EXIT_OK
+        _, *rows = csv.reader(out.splitlines())
+        cells = sweep(SweepSpec(P=0.0, modes=[(2, 1)],
+                                theta0_grid=np.linspace(0.2, 0.8, 3).tolist()))
+        assert len(rows) == len(cells) == 3
+        for row, c in zip(rows, cells):
+            assert [float(row[0]), int(row[1]), int(row[2]), *map(float, row[3:7]),
+                    *row[7:]] == [c.gamma, c.m, c.n, c.P, c.theta0, c.E, c.trace,
+                                  c.verdict, c.quality]
 
 
 def _leaves(parser, words=()):

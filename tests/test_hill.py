@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
-from scipy import special
 
 import beammodes.hill
 from beammodes import (
@@ -149,6 +148,15 @@ class TestClassifyMatrix:
         with pytest.raises(NumericalQualityError):
             classify_matrix(M)
 
+    @pytest.mark.parametrize("M", [
+        np.full((2, 2), math.nan),
+        np.full((2, 2), math.inf),                  # det is NaN
+        np.array([[math.inf, 0.0], [0.0, 1.0]]),    # det is inf
+    ])
+    def test_non_finite_matrix_rejected(self, M):
+        with pytest.raises(NumericalQualityError):
+            classify_matrix(M)
+
     def test_determinant_gate_scales_with_entries(self):
         # the tolerance scales with max|M_ij|^2 = 1e8, so a 1e-3 drift passes
         M = np.array([[1e4, 0.0], [0.0, 1.001e-4]])
@@ -267,25 +275,14 @@ class TestClassifyStability:
 
 
 def reference_li_zhang_lhs(problem) -> float:
-    """T^3 int_0^T (a^+)^2 by scipy quad along the closed-form orbit:
-    A cn(w t | mu) for sign-changing orbits, A dn(w t | mu) in the well,
-    with T = 2 K(mu) / w the period of theta^2."""
+    """T^3 int_0^T (a^+)^2 by scipy quad along the closed-form orbit of
+    DuffingOrbit.states, with T the period of theta^2."""
     orbit = problem.orbit
-    k = orbit.params.k
-    alpha, beta = orbit.params.stiffness, float(k) ** 4
-    amp_sq = orbit.sq_hi
-    if orbit.sign_changing:
-        w_sq = alpha + beta * amp_sq
-        mu, column = beta * amp_sq / (2.0 * w_sq), 1
-    else:
-        w_sq = 0.5 * beta * amp_sq
-        mu, column = 2.0 + alpha / w_sq, 2
-    w = math.sqrt(w_sq)
-    T = 2.0 * special.ellipk(mu) / w
+    T = orbit.coefficient_period
 
     def integrand(t):
-        theta_sq = amp_sq * special.ellipj(w * t, mu)[column] ** 2
-        return max(problem.coefficient(theta_sq), 0.0) ** 2
+        theta = orbit.states([t])[0, 0]
+        return max(problem.coefficient(theta * theta), 0.0) ** 2
 
     value, _ = scipy_integrate.quad(integrand, 0.0, T, epsabs=0.0,
                                     epsrel=1e-13, limit=500)
