@@ -10,6 +10,7 @@ tables of results become CSV.
 """
 
 import csv
+from collections.abc import Iterable, Sequence
 from dataclasses import fields
 from enum import Enum
 from numbers import Integral
@@ -84,9 +85,9 @@ def _plain(value):
     return value
 
 
-def csv_text(header, rows) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """CSV text of a header row and one row per record, each line ended by
-    "\n".  Floats, numpy float64 included, are written as repr(float(v)),
+    a bare newline.  Floats, numpy float64 included, are repr(float(v)),
     the shortest form that reads back to the same value, so identical
     inputs give byte-identical text; a field is quoted only where csv
     needs it (a comma, a quote or a line break inside it)."""
