@@ -15,6 +15,14 @@ criterion cross-check that verdict; whenever one of them applies, the
 monodromy verdict must agree.  The one integration that yields the
 monodromy also carries the coefficient integrals the Li-Zhang criterion
 needs, so a classified cell integrates its orbit once.
+
+Every orbit starts at a turning point, so a(t) is even, and the monodromy
+needs only half a coefficient period (Magnus & Winkler, Hill's Equation,
+1966): with Phi = Phi(T/2) = [[a, b], [c, d]] the fundamental matrix at
+T/2, M = S Phi^-1 S Phi with S = diag(1, -1).  The unfolding keeps the
+factor det Phi, det Phi M = [[ad + bc, 2bd], [2ac, ad + bc]], so the
+determinant the quality gate reads is (det Phi)^2 and nothing is divided
+by it; the coefficient integrals are twice their half-period values.
 """
 
 from __future__ import annotations
@@ -118,7 +126,8 @@ class MonodromyResult(Serializable):
 
     multipliers are the two Floquet multipliers, the roots of
     lambda^2 - trace lambda + det; their product is det, which equals 1 up
-    to integration error.  coefficient_integrals holds (int_0^T a,
+    to integration error (from monodromy the matrix is det Phi(T/2) M and
+    det is (det Phi(T/2))^2).  coefficient_integrals holds (int_0^T a,
     int_0^T (a^+)^2) from the same integration when the matrix comes from
     monodromy, and None when a bare matrix was classified; it stays out of
     to_dict.
@@ -197,20 +206,33 @@ def _coupled_rhs(problem: HillProblem) -> Callable[[float, np.ndarray], np.ndarr
     return coupled
 
 
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """det Phi M from the fundamental matrix Phi at half the period of a
+    coefficient even about the start, as in the module docstring."""
+    (a, b), (c, d) = np.asarray(half, dtype=float).tolist()
+    diagonal = a * d + b * c
+    return np.array([[diagonal, 2.0 * b * d], [2.0 * a * c, diagonal]])
+
+
 def monodromy(
     problem: HillProblem,
     config: IntegratorConfig = IntegratorConfig(),
     tol_margin: float = DEFAULT_TOL_MARGIN,
 ) -> MonodromyResult:
     """Monodromy matrix over one coefficient period of the Hill problem,
-    with the coefficient integrals of the same pass attached."""
+    with the coefficient integrals of the same pass attached.
+
+    The pass runs over half the coefficient period and unfolds the matrix
+    det Phi(T/2) M from there, whose determinant is (det Phi(T/2))^2.  That
+    needs a(t) even, which holds because the orbit starts at a turning
+    point: initial_state[1] == 0.
+    """
     theta0, dtheta0 = problem.orbit.initial_state
     y0 = np.array([theta0, dtheta0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    run = integrate(_coupled_rhs(problem), y0, (0.0, problem.coeff_period), config)
-    yT = run.final_state
-    matrix = np.array([[yT[2], yT[4]], [yT[3], yT[5]]])
-    result = classify_matrix(matrix, tol_margin)
-    return replace(result, coefficient_integrals=(float(yT[6]), float(yT[7])))
+    half_period = 0.5 * problem.coeff_period
+    y = integrate(_coupled_rhs(problem), y0, (0.0, half_period), config).final_state
+    result = classify_matrix(_unfold([[y[2], y[4]], [y[3], y[5]]]), tol_margin)
+    return replace(result, coefficient_integrals=(2.0 * float(y[6]), 2.0 * float(y[7])))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ Three ingredients:
 
 * the seven-row prediction table over the orderings of P, m^2, n^2, and
   the large-energy limit classifier: the monodromy of the normalized
-  cubic oscillator's first arch, whose verdict decides the
-  gamma-dependent rows.
+  cubic oscillator's first arch, integrated up to the arch's peak and
+  unfolded by time reversal, whose verdict decides the gamma-dependent
+  rows.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import DomainError, Serializable, require_positive_int
-from .hill import MonodromyResult, classify_matrix, DEFAULT_TOL_MARGIN
+from .hill import MonodromyResult, classify_matrix, DEFAULT_TOL_MARGIN, _unfold
 from .integrate import IntegratorConfig, find_zero_crossing, integrate
 
 # Relative tolerance for recognizing an exactly-integer frequency ratio
@@ -303,11 +304,14 @@ def table_regime(m: int, n: int, P: float) -> RegimeReport:
                         gamma_class=gamma_class, mechanisms=mechanisms)
 
 
-# The large-energy limit classifier integrates the normalized cubic
-# oscillator u'' + u^3 = 0, u(0) = 0, u'(0) = 1, to its first positive
-# zero theta = 2^(5/4) sigma, while carrying the fundamental system of
+# The large-energy limit classifier follows the normalized cubic oscillator
+# u'' + u^3 = 0, u(0) = 0, u'(0) = 1, over its first arch (0, theta),
+# theta = 2^(5/4) sigma, while carrying the fundamental system of
 # eta'' + gamma u^2 eta = 0; the limit monodromy is minus that fundamental
-# matrix at theta.
+# matrix at theta.  The arch is symmetric about its peak theta/2, where u'
+# falls through zero, so the search stops there and the coupled system runs
+# to the peak only; hill._unfold turns the matrix at theta/2 into the one
+# at theta.
 _LIMIT_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
@@ -325,8 +329,8 @@ def cazenave_limit_classify(gamma: float,
     """
     if not gamma > 0.0 or not math.isfinite(gamma):
         raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
-    theta = find_zero_crossing(
-        _limit_rhs_u, np.array([0.0, 1.0]), component=0,
+    peak = find_zero_crossing(
+        _limit_rhs_u, np.array([0.0, 1.0]), component=1,
         direction="falling", t_max=10.0, config=_LIMIT_CONFIG,
     )
 
@@ -336,7 +340,5 @@ def cazenave_limit_classify(gamma: float,
         return np.array([y[1], -u**3, y[3], -a * y[2], y[5], -a * y[4]])
 
     y0 = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
-    run = integrate(coupled, y0, (0.0, theta), _LIMIT_CONFIG)
-    yT = run.final_state
-    matrix = -np.array([[yT[2], yT[4]], [yT[3], yT[5]]])
-    return classify_matrix(matrix, tol_margin)
+    y = integrate(coupled, y0, (0.0, peak), _LIMIT_CONFIG).final_state
+    return classify_matrix(-_unfold([[y[2], y[4]], [y[3], y[5]]]), tol_margin)

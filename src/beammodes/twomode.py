@@ -53,6 +53,16 @@ class TwoModeConfig:
             raise DomainError("the two modes must be distinct")
         if not math.isfinite(self.P):
             raise DomainError("load P must be finite")
+        # Each of w, w', z, z' enters the energy through an even power with a
+        # positive coefficient, so a NaN or infinite entry makes it non-finite,
+        # as does an overflow such as w^4 at w = 1e200; refused before any
+        # step is taken.
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = total_energy(self)
+        if not math.isfinite(energy):
+            raise DomainError(
+                f"initial data w0, w1, z0, z1 must be finite with a finite "
+                f"total energy, got energy {energy}")
 
     def initial_state(self) -> np.ndarray:
         return np.array([self.w0, self.w1, self.z0, self.z1])

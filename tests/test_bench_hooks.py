@@ -8,13 +8,15 @@ fails.  The file is loaded from its path and nothing in it is changed.
 import dataclasses
 import importlib.util
 import inspect
+import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
 import beammodes
-from beammodes import Trajectory
+from beammodes import ModeParams, Trajectory, TwoModeConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,3 +44,30 @@ def test_hooks_read_trajectory_fields():
 
 def test_sweep_takes_jobs():
     assert "jobs" in inspect.signature(beammodes.atlas.sweep).parameters
+
+
+def test_traced_pass_gives_finite_layer_metrics(tracing):
+    """One small call per layer under the installed tracer, with the
+    operation ids the benchmark sets: every layer metric must be finite,
+    since a wrapped path that never ran reads NaN and the traced run's JSON
+    is written with allow_nan=False."""
+    atlas = beammodes.atlas
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op = "periods:0:0"
+        beammodes.duffing.period_of(ModeParams(k=1, P=0.0), 1.0)
+        beammodes.duffing.period_of(ModeParams(k=1, P=2.0), -0.1)
+        tracer.op = "atlas:0:0"
+        atlas.sweep(atlas.SweepSpec(P=0.0, modes=[(2, 1)], energy_grid=[1.0, 10.0]))
+        atlas.find_thresholds(2, 1, 3.0, [4.0, 8.0])
+        atlas.sweep(atlas.SweepSpec(P=0.0, modes=[2.0], energy_grid=[1e6],
+                                    verdict_source=atlas.VerdictSource.CAZENAVE_LIMIT))
+        tracer.op = "transfer:0:0"
+        beammodes.twomode.simulate(
+            TwoModeConfig(m=2, n=1, P=3.0, w0=1.0, w1=0.0, z0=0.0, z1=1e-4), 1.0)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert not [name for name, (value, _) in metrics.items() if not math.isfinite(value)]
+    json.dumps(metrics, allow_nan=False)

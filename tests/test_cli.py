@@ -262,6 +262,11 @@ class TestExitCodes:
             "--grid-min", "1", "--grid-max", "2", "--points", "2", *extra], "finite")
           for extra in ([], ["--axis", "energy"],
                         ["--axis", "energy", "--source", "cazenave"])],
+        *[(["twomode", "simulate", "--m", "2", "--n", "1", "--P", "3",
+            *data, "--t-end", "1"], message)
+          for data, message in ((["--w0", "nan"], "finite"),
+                                (["--z1", "inf"], "finite"),
+                                (["--w0", "1e200"], "energy"))],
     ])
     def test_unservable_input_is_one(self, capsys, argv, message):
         assert main(argv) == EXIT_DOMAIN

@@ -235,6 +235,21 @@ class TestOrbits:
         assert theta0 == pytest.approx(math.sqrt(2.0), rel=1e-14)
         assert vel0 == 0.0
 
+    @pytest.mark.parametrize("k,P,E,sign", [
+        (2, 0.0, 3.0, 1),      # sign-changing, no well
+        (1, 5.0, 2.0, 1),      # sign-changing over the hump
+        (1, 2.0, -0.1, 1),     # well orbit
+        (1, 2.0, -0.1, -1),    # mirrored well orbit
+        (1, 2.0, None, 1),     # exact bottom: the constant orbit
+    ])
+    def test_every_orbit_starts_at_rest(self, k, P, E, sign):
+        # hill.monodromy integrates half a coefficient period and unfolds
+        # the rest by time reversal, which needs theta'(0) exactly zero
+        params = ModeParams(k=k, P=P)
+        orbit = constant_orbit(params) if E is None else \
+            orbit_from_energy(params, E, sign=sign)
+        assert orbit.initial_state[1] == 0.0
+
     def test_orbit_closes_after_one_period(self):
         for k, P, E in DOP853_CASES + [(1, 2.0, -1e-10), (1, 2.0, 1e-10)]:
             orbit = orbit_from_energy(ModeParams(k=k, P=P), E)

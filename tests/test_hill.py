@@ -1,9 +1,11 @@
 """Linearized stability of one mode against another: monodromy and criteria."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy import integrate as scipy_integrate
 
 import beammodes.hill
@@ -16,6 +18,7 @@ from beammodes import (
     Verdict,
     build_hill,
     classify_stability,
+    integrate,
     li_zhang_criterion,
     monodromy,
     negative_coefficient_criterion,
@@ -342,3 +345,75 @@ class TestOnePass:
         assert result.coefficient_integrals is None
         with pytest.raises(DomainError):
             li_zhang_criterion(build_hill(2, 1, 0.0, 1.0), result)
+
+
+def full_period_monodromy(problem, config=IntegratorConfig()):
+    """The full-period oracle: one DOP853 pass of the coupled system over
+    (0, T), read without any unfolding, integrals attached."""
+    theta0, dtheta0 = problem.orbit.initial_state
+    y0 = np.array([theta0, dtheta0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    y = integrate(beammodes.hill._coupled_rhs(problem), y0,
+                  (0.0, problem.coeff_period), config).final_state
+    result = classify_matrix(np.array([[y[2], y[4]], [y[3], y[5]]]))
+    return replace(result, coefficient_integrals=(float(y[6]), float(y[7])))
+
+
+REFERENCE = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+_FLOOR_2 = ModeParams(k=1, P=2.0).floor_energy
+_FLOOR_80 = ModeParams(k=1, P=80.0).floor_energy
+HALF_PERIOD_BATTERY = {
+    "sign-changing": (2, 1, 0.0, 1.0),
+    "sign-changing unstable": (1, 2, 0.0, 40.0),
+    "well near floor": (1, 2, 2.0, _FLOOR_2 * (1 - 1e-3)),
+    "well near separatrix": (1, 2, 2.0, -1e-6),
+    "bottom": (1, 2, 2.0, _FLOOR_2),
+    # the deepest cell of the (1, 5), P = 80 row: |trace| about 8e9
+    "huge growth": (1, 5, 80.0, _FLOOR_80 * (0.5 / 30)),
+    # |trace| - 2 is about 1e-5, ten margins outside the marginal band
+    "near |trace| = 2": (1, 2, 6.0, -5.2855),
+}
+
+
+class TestHalfPeriod:
+    """The monodromy integrates half a coefficient period and unfolds the
+    rest by time reversal; the full-period pass is its oracle."""
+
+    @pytest.mark.parametrize("case", list(HALF_PERIOD_BATTERY))
+    def test_matches_full_period(self, case):
+        problem = build_hill(*HALF_PERIOD_BATTERY[case])
+        half = monodromy(problem)
+        full = full_period_monodromy(problem)
+        assert half.verdict is full.verdict
+        assert abs(half.trace - full.trace) <= 1e-7 * max(1.0, abs(full.trace))
+        # the unfolding gives M itself, not a conjugate of it
+        scale = max(1.0, float(np.max(np.abs(full.matrix))))
+        assert_allclose(half.matrix, full.matrix, rtol=0.0, atol=1e-7 * scale)
+        # The integrals are held against the tight full pass: at the default
+        # tolerance the full pass is the less accurate of the two on the kink
+        # of (a^+)^2 (1.3e-8 off on the huge-growth cell, the half pass 1e-13).
+        reference = full_period_monodromy(problem, REFERENCE)
+        for value, want in zip(half.coefficient_integrals,
+                               reference.coefficient_integrals):
+            assert value == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("case", list(HALF_PERIOD_BATTERY))
+    def test_converges_with_the_tolerance(self, case):
+        # at rel_tol 1e-13 the two passes agree at least as well as at the
+        # default tolerance (up to rounding of the trace itself)
+        problem = build_hill(*HALF_PERIOD_BATTERY[case])
+        gaps = []
+        for config in (IntegratorConfig(), REFERENCE):
+            half = monodromy(problem, config)
+            full = full_period_monodromy(problem, config)
+            gaps.append(abs(half.trace - full.trace) / max(1.0, abs(full.trace)))
+        assert gaps[1] <= gaps[0] + 1e-14
+
+    def test_determinant_is_the_square_of_the_half_period_one(self):
+        # nothing is divided by det Phi(T/2), so det M = (det Phi(T/2))^2
+        problem = build_hill(1, 2, 0.0, 40.0)
+        theta0, dtheta0 = problem.orbit.initial_state
+        y = integrate(beammodes.hill._coupled_rhs(problem),
+                      [theta0, dtheta0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                      (0.0, 0.5 * problem.coeff_period)).final_state
+        det_half = y[2] * y[5] - y[4] * y[3]
+        assert monodromy(problem).det == pytest.approx(det_half**2, rel=1e-14)

@@ -6,7 +6,9 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from beammodes import (
     DomainError,
@@ -16,11 +18,16 @@ from beammodes import (
     classify_gamma,
     classify_stability,
     classify_gamma_value,
+    find_zero_crossing,
+    integrate,
     resonance_diagnostics,
     resonance_quartic_scan,
     table_regime,
 )
+from beammodes.hill import classify_matrix
 from beammodes.regime import (
+    _LIMIT_CONFIG,
+    _limit_rhs_u,
     FrequencyRatioClass,
     Ordering,
     Prediction,
@@ -278,6 +285,25 @@ class TestLimitDichotomy:
             cazenave_limit_classify(0.0)
         with pytest.raises(DomainError):
             cazenave_limit_classify(math.inf)
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.25, 4.0, 8.0, 12.0, 49.0 / 9.0])
+    def test_matches_the_full_arch(self, gamma):
+        # oracle: the search runs to the arch's end, the zero of u, and the
+        # coupled system over the whole arch, with no unfolding
+        theta = find_zero_crossing(_limit_rhs_u, [0.0, 1.0], component=0,
+                                   direction="falling", t_max=10.0,
+                                   config=_LIMIT_CONFIG)
+
+        def coupled(t, y):
+            a = gamma * y[0] * y[0]
+            return np.array([y[1], -y[0] ** 3, y[3], -a * y[2], y[5], -a * y[4]])
+
+        y = integrate(coupled, [0.0, 1.0, 1.0, 0.0, 0.0, 1.0], (0.0, theta),
+                      _LIMIT_CONFIG).final_state
+        full = -np.array([[y[2], y[4]], [y[3], y[5]]])
+        limit = cazenave_limit_classify(gamma)
+        assert_allclose(limit.matrix, full, rtol=0.0, atol=1e-11)
+        assert limit.verdict is classify_matrix(full).verdict
 
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (1, 3), (3, 7), (2, 1)])
     def test_hill_trace_tends_to_limit_trace(self, m, n):

@@ -56,6 +56,26 @@ class TestSetup:
         with pytest.raises(DomainError):
             TwoModeConfig(m=2, n=2, P=0.0, w0=1.0, w1=0.0, z0=0.0, z1=0.0)
 
+    @pytest.mark.parametrize("field", ["w0", "w1", "z0", "z1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_data_rejected(self, field, value):
+        data = {**dict(w0=1.0, w1=0.0, z0=0.0, z1=1e-4), field: value}
+        with pytest.raises(DomainError, match="finite"):
+            TwoModeConfig(m=2, n=1, P=3.0, **data)
+
+    @pytest.mark.parametrize("data", [
+        dict(w0=1e200, w1=0.0, z0=0.0, z1=0.0),     # w^4 overflows
+        dict(w0=0.0, w1=1e200, z0=0.0, z1=0.0),     # w'^2 overflows
+    ])
+    def test_overflowing_energy_rejected(self, data):
+        with pytest.raises(DomainError, match="energy"):
+            TwoModeConfig(m=2, n=1, P=3.0, **data)
+
+    def test_huge_finite_energy_is_accepted(self):
+        # a finite total energy is left to the integrator's step budget
+        cfg = TwoModeConfig(m=2, n=1, P=3.0, w0=1e70, w1=0.0, z0=0.0, z1=1e-4)
+        assert math.isfinite(total_energy(cfg))
+
     def test_rhs_signs(self):
         cfg = TwoModeConfig(m=1, n=2, P=0.0, w0=1.0, w1=0.0, z0=0.5, z1=0.0)
         dy = two_mode_rhs(cfg)(0.0, cfg.initial_state())
