@@ -24,7 +24,8 @@ from operator import attrgetter
 from typing import Sequence
 
 from .duffing import ModeParams, energy_from_initial_amplitude
-from .errors import BeamModesError, DomainError, csv_text
+from .errors import (BeamModesError, DomainError, csv_text, require_finite,
+                     require_positive_finite, require_positive_int)
 from .hill import (DEFAULT_TOL_MARGIN, MonodromyResult, Verdict,
                    classify_stability, require_tol_margin)
 from .integrate import IntegratorConfig
@@ -57,8 +58,7 @@ class SweepSpec:
     tol_margin: float = DEFAULT_TOL_MARGIN
 
     def __post_init__(self):
-        if not math.isfinite(self.P):
-            raise DomainError("load P must be finite")
+        require_finite("load P", self.P)
         if (self.theta0_grid is None) == (self.energy_grid is None):
             raise DomainError("give exactly one of theta0_grid or energy_grid")
         grid = self.theta0_grid if self.theta0_grid is not None else self.energy_grid
@@ -73,8 +73,10 @@ class SweepSpec:
             raise DomainError("sweep needs at least one mode entry")
         for entry in self.modes:
             if isinstance(entry, (tuple, list)):
-                continue
-            if self.verdict_source is not VerdictSource.CAZENAVE_LIMIT:
+                m, n = entry
+                require_positive_int("m", m)
+                require_positive_int("n", n)
+            elif self.verdict_source is not VerdictSource.CAZENAVE_LIMIT:
                 raise DomainError(
                     "bare gamma entries need the large-energy limit source"
                 )
@@ -228,8 +230,7 @@ def adaptive_amplitude_sweep(
     require_tol_margin(tol_margin)
     if budget < 4:
         raise DomainError("adaptive sweep needs a budget of at least 4 cells")
-    if not 0.0 < theta0_max < math.inf:
-        raise DomainError(f"theta0_max must be positive and finite, got {theta0_max!r}")
+    require_positive_finite("theta0_max", theta0_max)
     backbone = budget // 2
     if theta0_min is None:
         theta0_min = theta0_max / backbone
@@ -316,9 +317,7 @@ def find_thresholds(
     energies = [float(E) for E in energies]
     if len(energies) < 2:
         raise DomainError("threshold search needs at least two grid energies")
-    if not 0.0 < refinement_tol < math.inf:
-        raise DomainError(
-            f"refinement_tol must be positive and finite, got {refinement_tol!r}")
+    require_positive_finite("refinement_tol", refinement_tol)
     spec = SweepSpec(P=P, modes=[(m, n)], energy_grid=energies,
                      integrator=integrator, tol_margin=tol_margin)
     cells = {E: _verdict(spec, (m, n), E) for E in energies}

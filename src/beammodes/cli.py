@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import nullcontext
 from operator import attrgetter
@@ -38,6 +37,8 @@ from .errors import (
     IntegrationError,
     NumericalQualityError,
     csv_text,
+    require_finite,
+    require_positive_finite,
 )
 from .integrate import IntegratorConfig
 
@@ -78,8 +79,7 @@ def _cmd_mode_period(args) -> dict:
 
 
 def _cmd_mode_orbit(args) -> dict | str:
-    if not 0.0 < args.periods < math.inf:
-        raise DomainError(f"--periods must be positive and finite, got {args.periods!r}")
+    require_positive_finite("--periods", args.periods)
     params = duffing.ModeParams(k=args.k, P=args.P)
     orbit = duffing.orbit_from_energy(params, args.E, sign=args.sign)
     if _sample_count(args):
@@ -209,13 +209,12 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
     if points < 1:
         raise DomainError("points must be at least 1")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"grid endpoints must be finite, got {lo!r}, {hi!r}")
-    if spacing == "log":
-        if lo <= 0.0:
-            raise DomainError("log spacing needs positive endpoints")
-        return list(np.geomspace(lo, hi, points))
-    return list(np.linspace(lo, hi, points))
+    log = spacing == "log"
+    # geomspace fails on a zero end and gives NaN past one
+    check = require_positive_finite if log else require_finite
+    check("grid start", lo)
+    check("grid end", hi)
+    return list(np.geomspace(lo, hi, points) if log else np.linspace(lo, hi, points))
 
 
 def _cmd_atlas_sweep(args) -> str:

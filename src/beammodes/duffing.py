@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, require_positive_int
+from .errors import DomainError, require_finite, require_positive_int
 from .special import elliptic_k, elliptic_k_from_complement, jacobi_sn_cn_dn
 
 # Regime classification tolerance; scales with the energy magnitude.
@@ -58,8 +58,7 @@ class ModeParams:
 
     def __post_init__(self):
         require_positive_int("mode number", self.k)
-        if not math.isfinite(self.P):
-            raise DomainError("load P must be finite")
+        require_finite("load P", self.P)
 
     @property
     def stiffness(self) -> float:
@@ -105,8 +104,7 @@ def energy_of(params: ModeParams, alpha: float, beta: float) -> EnergyLevel:
 
 def classify_energy(params: ModeParams, E: float) -> EnergyRegime:
     """Regime of the orbits at energy E."""
-    if not math.isfinite(E):
-        raise DomainError(f"energy must be finite, got E={E!r}")
+    require_finite("energy", E)
     tol = _CLASSIFY_TOL * (1.0 + abs(E))
     if not params.has_well:
         if abs(E) <= tol:

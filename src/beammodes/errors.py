@@ -3,13 +3,16 @@
 DomainError marks inputs outside an operation's mathematical domain,
 IntegrationError marks ODE driver failures, and NumericalQualityError marks
 results whose internal checks (determinant drift, residuals) failed even
-though the computation ran to completion.  require_positive_int is the one
-check on mode numbers.  Serializable is the one rule by which result
-dataclasses become JSON-ready dicts, and csv_text the one rule by which
-tables of results become CSV.
+though the computation ran to completion.  Four helpers are the one check
+per kind of input: require_positive_int (mode numbers), require_finite
+(loads, energies), require_positive_finite (horizons, tolerances, ratios)
+and require_mode_pair (distinct modes m, n under a finite load).
+Serializable is the one rule by which result dataclasses become JSON-ready
+dicts, and csv_text the one rule by which tables of results become CSV.
 """
 
 import csv
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import fields
 from enum import Enum
@@ -55,6 +58,28 @@ def require_positive_int(label: str, value) -> None:
     """Raise DomainError unless value is an integer (Python or numpy) >= 1."""
     if not isinstance(value, Integral) or value < 1:
         raise DomainError(f"{label} must be a positive integer, got {value!r}")
+
+
+def require_finite(label: str, x) -> None:
+    """Raise DomainError unless x is a finite number (not NaN, not +-inf)."""
+    if not math.isfinite(x):
+        raise DomainError(f"{label} must be finite, got {x!r}")
+
+
+def require_positive_finite(label: str, x) -> None:
+    """Raise DomainError unless 0 < x < inf; NaN fails too."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{label} must be positive and finite, got {x!r}")
+
+
+def require_mode_pair(m, n, P) -> None:
+    """Raise DomainError unless m and n are distinct positive integers and
+    the load P is finite: the domain of every mode-pair quantity."""
+    require_positive_int("m", m)
+    require_positive_int("n", n)
+    if m == n:
+        raise DomainError(f"modes m and n must be distinct, got m = n = {m!r}")
+    require_finite("load P", P)
 
 
 class Serializable:

@@ -45,7 +45,7 @@ from .duffing import (
     orbit_from_energy,
 )
 from .errors import (ConsistencyError, DomainError, NumericalQualityError,
-                     Serializable, require_positive_int)
+                     Serializable, require_mode_pair)
 from .integrate import IntegratorConfig, integrate
 from .special import sigma_constant
 
@@ -108,10 +108,7 @@ def build_hill(m: int, n: int, P: float, E: float) -> HillProblem:
     constant-coefficient problem around the constant solution, with the
     limiting period as coefficient period.
     """
-    if m == n:
-        raise DomainError("perturbation mode must differ from the orbit mode")
-    require_positive_int("m", m)
-    require_positive_int("n", n)
+    require_mode_pair(m, n, P)
     params = ModeParams(k=m, P=P)
     if classify_energy(params, E) is EnergyRegime.BOTTOM_OF_WELL:
         orbit = constant_orbit(params)

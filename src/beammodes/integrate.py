@@ -22,6 +22,7 @@ from .errors import (
     IntegrationError,
     NoCrossingError,
     StepLimitError,
+    require_positive_finite,
 )
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
@@ -43,11 +44,8 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise DomainError(
-                f"integrator tolerances must be finite and strictly positive, "
-                f"got rel_tol={self.rel_tol!r}, abs_tol={self.abs_tol!r}"
-            )
+        require_positive_finite("rel_tol", self.rel_tol)
+        require_positive_finite("abs_tol", self.abs_tol)
 
 
 @dataclass(frozen=True)

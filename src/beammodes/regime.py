@@ -36,7 +36,8 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DomainError, Serializable, require_positive_int
+from .errors import (DomainError, Serializable, require_mode_pair,
+                     require_positive_finite, require_positive_int)
 from .hill import MonodromyResult, classify_matrix, DEFAULT_TOL_MARGIN, _unfold
 from .integrate import IntegratorConfig, find_zero_crossing, integrate
 
@@ -97,8 +98,7 @@ def classify_gamma_value(gamma: float) -> FrequencyRatioClass:
     as a boundary, so values within roundoff of an endpoint land in a
     neighbouring interval.  Use classify_gamma for exact rational input.
     """
-    if not gamma > 0.0 or not math.isfinite(gamma):
-        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
+    require_positive_finite("gamma", gamma)
     membership, k = _classify_ratio(*float(gamma).as_integer_ratio())
     return FrequencyRatioClass(gamma, membership, k)
 
@@ -142,12 +142,7 @@ def resonance_quartic(m: int, n: int, L: float) -> float:
 
 def resonance_diagnostics(m: int, n: int, P: float) -> ResonanceDiagnostics:
     """All resonance indicators that are defined at (m, n, P)."""
-    require_positive_int("m", m)
-    require_positive_int("n", n)
-    if m == n:
-        raise DomainError("resonance diagnostics need distinct modes")
-    if not math.isfinite(P):
-        raise DomainError("load P must be finite")
+    require_mode_pair(m, n, P)
     ell = mu = None
     if m * m > P and n * n > P:
         ratio = (n * math.sqrt(n * n - P)) / (m * math.sqrt(m * m - P))
@@ -279,12 +274,7 @@ def _ordering_of(m: int, n: int, P: float) -> Ordering:
 def table_regime(m: int, n: int, P: float) -> RegimeReport:
     """Prediction-table row for (m, n, P), with gamma-dependent entries
     resolved through the exact interval classification."""
-    if m == n:
-        raise DomainError("the prediction table needs distinct modes")
-    require_positive_int("m", m)
-    require_positive_int("n", n)
-    if not math.isfinite(P):
-        raise DomainError("load P must be finite")
+    require_mode_pair(m, n, P)
     ordering = _ordering_of(m, n, P)
     low, high, mechanisms = _TABLE[ordering]
     gamma_class = classify_gamma(m, n)
@@ -327,8 +317,7 @@ def cazenave_limit_classify(gamma: float,
     Stable verdicts correspond to gamma interior to I_S, unstable ones to
     gamma interior to I_U.
     """
-    if not gamma > 0.0 or not math.isfinite(gamma):
-        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
+    require_positive_finite("gamma", gamma)
     peak = find_zero_crossing(
         _limit_rhs_u, np.array([0.0, 1.0]), component=1,
         direction="falling", t_max=10.0, config=_LIMIT_CONFIG,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, Serializable
+from .errors import DomainError, Serializable, require_positive_finite
 
 # Largest mode count k a catalog is built for (loads up to 100001^2, about
 # 1e10): 2k + 1 = 200,001 entries, about 38 MB, built in 0.4-1.2 s on
@@ -52,8 +52,7 @@ def stationary_catalog(P: float) -> list[StationarySolution]:
     """All stationary profiles at finite load P > 0, flat state first, then
     the +-pairs ordered by increasing j.  Raises DomainError when the
     catalog would hold more than MAX_STATIONARY_MODES mode pairs."""
-    if not 0.0 < P < math.inf:
-        raise DomainError(f"stationary catalog requires finite P > 0, got {P!r}")
+    require_positive_finite("load P", P)
     k = _mode_count(P)
     if k > MAX_STATIONARY_MODES:
         raise DomainError(f"P = {P!r} has {k} stationary mode pairs; the "

@@ -26,7 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, Serializable, csv_text, require_positive_int
+from .errors import (DomainError, Serializable, csv_text, require_mode_pair,
+                     require_positive_finite)
 from .integrate import IntegratorConfig, Trajectory, integrate
 
 DEFAULT_TRANSFER_THRESHOLD = 100.0
@@ -47,12 +48,7 @@ class TwoModeConfig:
     z1: float
 
     def __post_init__(self):
-        require_positive_int("m", self.m)
-        require_positive_int("n", self.n)
-        if self.m == self.n:
-            raise DomainError("the two modes must be distinct")
-        if not math.isfinite(self.P):
-            raise DomainError("load P must be finite")
+        require_mode_pair(self.m, self.n, self.P)
         # Each of w, w', z, z' enters the energy through an even power with a
         # positive coefficient, so a NaN or infinite entry makes it non-finite,
         # as does an overflow such as w^4 at w = 1e200; refused before any
@@ -139,8 +135,7 @@ def simulate(
     Channel histories are taken at the accepted step points.  The pure
     subspaces are exactly invariant: a zero z seed stays identically zero.
     """
-    if not 0.0 < t_end < math.inf:
-        raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
+    require_positive_finite("t_end", t_end)
     rhs = two_mode_rhs(config)
     trajectory = integrate(rhs, config.initial_state(), (0.0, t_end), integrator)
     e_w, e_z, e_wz = channel_energies(config, trajectory.states)
@@ -179,8 +174,7 @@ def transfer_report(
     departure instead also sees transfer into a mode n with a well of its
     own (n^2 < P): once z falls into that well, E_z turns negative.
     """
-    if not 0.0 < threshold < math.inf:
-        raise DomainError(f"threshold must be positive and finite, got {threshold!r}")
+    require_positive_finite("threshold", threshold)
     seed = float(channels.e_z[0])
     if seed <= 0.0:
         raise DomainError("transfer ratio needs a positive z seed energy")
