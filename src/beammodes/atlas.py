@@ -154,10 +154,11 @@ def _points(spec: SweepSpec) -> list[tuple]:
 
 
 # Fewest cells per worker before a pool pays for its start-up and pickling.
-# Serial against jobs=2 on 2 vCPUs, (1, 2) at P = 0 over a theta0 grid:
-# 0.040 / 0.065 s at 8 cells, 0.158 / 0.181 s at 32, 0.357 / 0.229 s at 64
-# and 0.766 / 0.424 s at 128.
-MIN_CELLS_PER_WORKER = 32
+# Serial against jobs=2 on 2 vCPUs, (1, 2) at P = 0 over theta0 in [0.1, 2.1),
+# medians of 7 runs with no floor: 0.024 / 0.029 s at 8 cells, 0.046 / 0.047 s
+# at 16, 0.084 / 0.067 s at 32, 0.175 / 0.130 s at 64 and 0.344 / 0.204 s at
+# 128 (about 3 ms a cell).
+MIN_CELLS_PER_WORKER = 16
 
 
 def sweep(spec: SweepSpec, jobs: int = 1) -> list[AtlasCell]:

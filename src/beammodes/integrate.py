@@ -83,14 +83,23 @@ def _accepted_steps(
     config: IntegratorConfig,
 ) -> Iterator:
     """The one DOP853 loop: yields the solver after each accepted step
-    from t0 until it reaches t_bound."""
+    from t0 until it reaches t_bound.  Its consumers run it under
+    np.errstate(over="raise", ...), so an overflow or an invalid operation
+    in the initial-step probe or in a step ends the run with an
+    IntegrationError instead of a warning."""
     from scipy.integrate import DOP853
 
-    solver = DOP853(system, t0, y0, t_bound,
-                    rtol=config.rel_tol, atol=config.abs_tol)
+    try:
+        solver = DOP853(system, t0, y0, t_bound,
+                        rtol=config.rel_tol, atol=config.abs_tol)
+    except FloatingPointError as exc:
+        raise IntegrationError(f"floating-point failure: {exc}", time=t0)
     steps = 0
     while solver.status == "running":
-        message = solver.step()
+        try:
+            message = solver.step()
+        except FloatingPointError as exc:
+            raise IntegrationError(f"floating-point failure: {exc}", time=solver.t)
         if solver.status == "failed":
             raise IntegrationError(
                 f"step failure: {message or 'step size underflow'}", time=solver.t
@@ -115,9 +124,10 @@ def integrate(
 
     times = [t0]
     states = [y0.copy()]
-    for solver in _accepted_steps(system, y0, t0, t1, config):
-        times.append(solver.t)
-        states.append(solver.y.copy())
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for solver in _accepted_steps(system, y0, t0, t1, config):
+            times.append(solver.t)
+            states.append(solver.y.copy())
     return Trajectory(np.asarray(times), np.asarray(states))
 
 
@@ -152,22 +162,24 @@ def find_zero_crossing(
         raise DomainError("t_max must exceed t_start")
 
     t_prev, g_prev = float(t_start), float(y0[component])
-    for solver in _accepted_steps(system, y0, t_prev, t_bound, config):
-        g_new = float(solver.y[component])
-        crossed = (
-            (direction == "rising" and g_prev < 0.0 <= g_new)
-            or (direction == "falling" and g_prev > 0.0 >= g_new)
-            or (direction == "any" and g_prev != 0.0 and g_prev * g_new <= 0.0)
-        )
-        if crossed:
-            # The bracket ends on the step's own value g_new: an exact zero
-            # there is returned as is, and the interpolant's end value, which
-            # may round to the other side of a tiny g_new, is never used.
-            segment = solver.dense_output()
-            t_new = solver.t
-            return brentq(lambda t: segment(t)[component] if t < t_new else g_new,
-                          t_prev, t_new, xtol=math.ulp(t_new))
-        t_prev, g_prev = solver.t, g_new
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for solver in _accepted_steps(system, y0, t_prev, t_bound, config):
+            g_new = float(solver.y[component])
+            crossed = (
+                (direction == "rising" and g_prev < 0.0 <= g_new)
+                or (direction == "falling" and g_prev > 0.0 >= g_new)
+                or (direction == "any" and g_prev != 0.0 and g_prev * g_new <= 0.0)
+            )
+            if crossed:
+                # The bracket ends on the step's own value g_new: an exact
+                # zero there is returned as is, and the interpolant's end
+                # value, which may round to the other side of a tiny g_new,
+                # is never used.
+                segment = solver.dense_output()
+                t_new = solver.t
+                return brentq(lambda t: segment(t)[component] if t < t_new else g_new,
+                              t_prev, t_new, xtol=math.ulp(t_new))
+            t_prev, g_prev = solver.t, g_new
 
     raise NoCrossingError(
         f"no {direction} crossing of component {component} in "

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import beammodes.hill
+import beammodes.regime
 from beammodes import atlas
 from beammodes import (
     CSV_HEADER,
@@ -27,9 +29,9 @@ from beammodes.atlas import cells_csv
 from beammodes.errors import csv_text
 
 SMALL = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)], theta0_grid=[0.3, 0.6, 0.9])
-# 64 cells: enough for two pool workers at MIN_CELLS_PER_WORKER = 32
+# 32 cells: enough for two pool workers at MIN_CELLS_PER_WORKER = 16
 WIDE = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)],
-                 theta0_grid=[0.3 + 0.02 * i for i in range(32)])
+                 theta0_grid=[0.3 + 0.02 * i for i in range(16)])
 
 
 def synthetic(theta0, verdict, quality="ok", trace=0.0):
@@ -69,6 +71,20 @@ class TestSweepSpec:
     def test_modes_required(self):
         with pytest.raises(DomainError):
             SweepSpec(P=0.0, modes=[], theta0_grid=[1.0])
+
+    @pytest.mark.parametrize("pair,name", [((0, 2), "m"), ((1, -1), "n"),
+                                           ((1.5, 2), "m")])
+    def test_pair_entries_checked_before_any_cell(self, monkeypatch, pair, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell was integrated")
+
+        monkeypatch.setattr(beammodes.hill, "integrate", refuse)
+        monkeypatch.setattr(beammodes.regime, "find_zero_crossing", refuse)
+        for grid in ({"theta0_grid": [1.0]}, {"energy_grid": [1.0]},
+                     {"energy_grid": [1.0],
+                      "verdict_source": VerdictSource.CAZENAVE_LIMIT}):
+            with pytest.raises(DomainError, match=f"^{name} must be a positive integer"):
+                sweep(SweepSpec(P=0.0, modes=[(1, 2), pair], **grid))
 
     def test_bare_gamma_needs_limit_source(self):
         with pytest.raises(DomainError):
@@ -131,7 +147,7 @@ class TestSweep:
         assert sweep(SMALL, jobs=64) == sweep(SMALL)
         adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 8, jobs=64)
         assert pools == []
-        assert len(sweep(WIDE, jobs=64)) == 64
+        assert len(sweep(WIDE, jobs=64)) == 32
         assert pools == [2]
 
     def test_failed_cell_is_flagged_not_fatal(self):

@@ -7,6 +7,10 @@ import csv
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,24 @@ from beammodes import (ModeParams, SweepSpec, TwoModeConfig, build_hill,
 from beammodes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_QUALITY, build_parser, main
 from beammodes.hill import criteria_report
 from beammodes.twomode import CSV_COLUMNS
+
+
+# Input that once ended in a traceback or printed numpy warnings before its
+# error line: pair entries with m < 1, log grids with an end that is not
+# positive, and an integration whose initial-step probe overflows.
+REFUSED = [
+    (["atlas", "sweep", "--axis", "energy", "--m", "0", "--n", "2", "--P", "0",
+      "--grid-min", "1", "--grid-max", "2", "--points", "2"], "m must be"),
+    (["atlas", "thresholds", "--m", "0", "--n", "2", "--P", "0",
+      "--e-min", "1", "--e-max", "2", "--points", "2"], "m must be"),
+    *[(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0", "--spacing", "log",
+        "--grid-min", "1", "--grid-max", end, "--points", "3"], "grid end")
+      for end in ("0", "-1")],
+    (["atlas", "thresholds", "--m", "2", "--n", "1", "--P", "3", "--e-min", "4",
+      "--e-max", "-1", "--points", "3", "--spacing", "log"], "grid end"),
+    (["twomode", "simulate", "--m", "2", "--n", "1", "--P", "3", "--w0", "1e70",
+      "--z1", "1e-4", "--t-end", "1"], "overflow"),
+]
 
 
 def run(capsys, *argv):
@@ -267,10 +289,25 @@ class TestExitCodes:
           for data, message in ((["--w0", "nan"], "finite"),
                                 (["--z1", "inf"], "finite"),
                                 (["--w0", "1e200"], "energy"))],
+        *REFUSED,
     ])
     def test_unservable_input_is_one(self, capsys, argv, message):
         assert main(argv) == EXIT_DOMAIN
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", REFUSED)
+    def test_refusal_is_one_stderr_line(self, argv, message):
+        """A real CLI run, whose stderr also shows any warning numpy or
+        scipy prints (in process, pytest turns those into errors)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "beammodes.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_DOMAIN
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") \
+            and message in lines[0], done.stderr
 
     @pytest.mark.parametrize("extra", [[], ["--adaptive"]])
     def test_sweep_checks_margin_before_any_cell(self, capsys, monkeypatch, extra):
