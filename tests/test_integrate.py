@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from beammodes import (
     DomainError,
+    IntegrationError,
     IntegratorConfig,
     NoCrossingError,
     StepLimitError,
@@ -73,6 +74,19 @@ def test_step_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(integrate_mod, "MAX_STEPS", 5)
     with pytest.raises(StepLimitError):
         integrate(harmonic, [1.0, 0.0], (0.0, 1000.0))
+
+
+def test_overflow_is_an_integration_error():
+    """Both step loops run in numpy's raise mode, which ends with them: an
+    overflow in the RHS fails the run, and the caller's error state is left
+    as it was, also after a crossing search returns mid-integration."""
+    before = np.geterr()
+    with pytest.raises(IntegrationError, match="overflow"):
+        integrate(lambda t, y: y ** 8, [1e40], (0.0, 1.0))
+    with pytest.raises(IntegrationError, match="overflow"):
+        find_zero_crossing(lambda t, y: y ** 8, [1e40], component=0)
+    assert find_zero_crossing(harmonic, [1.0, 0.0], component=0) > 0.0
+    assert np.geterr() == before
 
 
 def test_trajectory_records_endpoints():
