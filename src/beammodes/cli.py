@@ -34,7 +34,6 @@ from .errors import (
     BeamModesError,
     ConsistencyError,
     DomainError,
-    IntegrationError,
     NumericalQualityError,
     csv_text,
     require_finite,
@@ -44,7 +43,6 @@ from .integrate import IntegratorConfig
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_USAGE = 2
 EXIT_QUALITY = 3
 
 
@@ -454,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalQualityError, ConsistencyError) as exc:
         print(f"numerical-quality failure: {exc}", file=sys.stderr)
         return EXIT_QUALITY
-    except (DomainError, IntegrationError, BeamModesError, OSError) as exc:
+    except (BeamModesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -16,30 +16,17 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from beammodes import (
-    IntegratorConfig,
-    ModeParams,
-    TwoModeConfig,
-    Verdict,
-    adaptive_amplitude_sweep,
-    cazenave_limit_classify,
-    classify_gamma_value,
-    classify_stability,
-    comparison_bounds,
-    duffing_rhs,
-    find_zero_crossing,
-    orbit_from_energy,
-    period_of,
-    resonance_quartic_scan,
-    residual_check,
-    sigma_constant,
-    simulate,
-    stationary_catalog,
-    transfer_report,
-    turning_roots,
-    verdict_runs,
-)
+from beammodes import ModeParams, classify_stability, period_of, stationary_catalog
+from beammodes.atlas import adaptive_amplitude_sweep, verdict_runs
+from beammodes.duffing import duffing_rhs, orbit_from_energy, turning_roots
 from beammodes.errors import NumericalQualityError
+from beammodes.hill import Verdict
+from beammodes.integrate import IntegratorConfig, find_zero_crossing
+from beammodes.regime import (cazenave_limit_classify, classify_gamma_value,
+                              resonance_quartic_scan)
+from beammodes.special import comparison_bounds, sigma_constant
+from beammodes.stationary import residual_check
+from beammodes.twomode import TwoModeConfig, simulate, transfer_report
 
 TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 

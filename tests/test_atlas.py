@@ -8,25 +8,13 @@ import pytest
 import beammodes.hill
 import beammodes.regime
 from beammodes import atlas
-from beammodes import (
-    CSV_HEADER,
-    AtlasCell,
-    DomainError,
-    IntegratorConfig,
-    ModeParams,
-    NumericalQualityError,
-    SweepSpec,
-    Verdict,
-    VerdictSource,
-    adaptive_amplitude_sweep,
-    classify_stability,
-    energy_from_initial_amplitude,
-    find_thresholds,
-    sweep,
-    verdict_runs,
-)
-from beammodes.atlas import cells_csv
-from beammodes.errors import csv_text
+from beammodes import ModeParams, classify_stability
+from beammodes.atlas import (CSV_HEADER, AtlasCell, SweepSpec, VerdictSource,
+                             adaptive_amplitude_sweep, cells_csv, find_thresholds,
+                             sweep, verdict_runs)
+from beammodes.duffing import energy_from_initial_amplitude
+from beammodes.errors import DomainError, NumericalQualityError, csv_text
+from beammodes.hill import Verdict
 
 SMALL = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)], theta0_grid=[0.3, 0.6, 0.9])
 # 32 cells: enough for two pool workers at MIN_CELLS_PER_WORKER = 16

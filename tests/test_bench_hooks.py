@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import beammodes
-from beammodes import ModeParams, Trajectory, TwoModeConfig
+from beammodes import ModeParams
+from beammodes.integrate import Trajectory
+from beammodes.twomode import TwoModeConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

@@ -4,7 +4,6 @@ config-file splicing."""
 
 import argparse
 import csv
-import importlib
 import json
 import math
 import os
@@ -16,16 +15,16 @@ import numpy as np
 import pytest
 
 import beammodes.hill
-from beammodes import (ModeParams, SweepSpec, TwoModeConfig, build_hill,
-                       cazenave_limit_classify, classify_gamma_value,
-                       classify_stability, find_thresholds, homoclinic,
-                       monodromy, orbit_from_energy, period_of,
-                       resonance_diagnostics, resonance_quartic_scan, simulate,
-                       stationary_catalog, sweep, table_regime,
-                       transfer_report)
+from beammodes import (ModeParams, classify_stability, period_of,
+                       stationary_catalog, table_regime)
+from beammodes import integrate as integrate_module
+from beammodes.atlas import SweepSpec, find_thresholds, sweep
 from beammodes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_QUALITY, build_parser, main
-from beammodes.hill import criteria_report
-from beammodes.twomode import CSV_COLUMNS
+from beammodes.duffing import homoclinic, orbit_from_energy
+from beammodes.hill import build_hill, criteria_report, monodromy
+from beammodes.regime import (cazenave_limit_classify, classify_gamma_value,
+                              resonance_diagnostics, resonance_quartic_scan)
+from beammodes.twomode import CSV_COLUMNS, TwoModeConfig, simulate, transfer_report
 
 
 # Input that once ended in a traceback or printed numpy warnings before its
@@ -78,7 +77,6 @@ class TestModeCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("mode orbit --samples integrated")
 
-        integrate_module = importlib.import_module("beammodes.integrate")
         monkeypatch.setattr(integrate_module, "integrate", refuse)
         monkeypatch.setattr(integrate_module, "_accepted_steps", refuse)
         code, out = run(capsys, "mode", "orbit", "--k", "1", "--P", "0",

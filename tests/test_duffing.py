@@ -6,25 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from beammodes import (
-    DomainError,
-    DuffingOrbit,
-    EnergyRegime,
-    IntegratorConfig,
-    ModeParams,
-    classify_energy,
-    constant_orbit,
-    duffing_rhs,
-    energy_from_initial_amplitude,
-    energy_of,
-    find_zero_crossing,
-    homoclinic,
-    integrate,
-    orbit_from_energy,
-    period_of,
-    sigma_constant,
-    turning_roots,
-)
+from beammodes import ModeParams, period_of
+from beammodes.duffing import (EnergyRegime, classify_energy, constant_orbit,
+                               duffing_rhs, energy_from_initial_amplitude,
+                               energy_of, homoclinic, orbit_from_energy,
+                               turning_roots)
+from beammodes.errors import DomainError
+from beammodes.integrate import IntegratorConfig, find_zero_crossing, integrate
+from beammodes.special import sigma_constant
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 # (k, P, E): no well, a well orbit, E > 0 over a hump, and a large energy

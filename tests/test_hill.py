@@ -9,24 +9,13 @@ from numpy.testing import assert_allclose
 from scipy import integrate as scipy_integrate
 
 import beammodes.hill
-from beammodes import (
-    ConsistencyError,
-    DomainError,
-    IntegratorConfig,
-    ModeParams,
-    NumericalQualityError,
-    Verdict,
-    build_hill,
-    classify_stability,
-    integrate,
-    li_zhang_criterion,
-    monodromy,
-    negative_coefficient_criterion,
-    orbit_from_energy,
-    sigma_constant,
-    zhukovskii_criterion,
-)
-from beammodes.hill import classify_matrix, criteria_report
+from beammodes import ModeParams, classify_stability
+from beammodes.errors import DomainError, NumericalQualityError
+from beammodes.hill import (Verdict, build_hill, classify_matrix, criteria_report,
+                            li_zhang_criterion, monodromy,
+                            negative_coefficient_criterion, zhukovskii_criterion)
+from beammodes.integrate import IntegratorConfig, integrate
+from beammodes.special import sigma_constant
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 

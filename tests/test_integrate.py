@@ -1,6 +1,5 @@
 """Integrator contract: accuracy, events, budgets, lazy scipy import."""
 
-import importlib
 import math
 import os
 import subprocess
@@ -12,19 +11,10 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from beammodes import (
-    DomainError,
-    IntegrationError,
-    IntegratorConfig,
-    NoCrossingError,
-    StepLimitError,
-    find_zero_crossing,
-    integrate,
-)
-
-
-# the package's `integrate` is the function; the step budget lives on the module
-integrate_mod = importlib.import_module("beammodes.integrate")
+from beammodes import integrate as integrate_mod
+from beammodes.errors import (DomainError, IntegrationError, NoCrossingError,
+                              StepLimitError)
+from beammodes.integrate import IntegratorConfig, find_zero_crossing, integrate
 
 
 def harmonic(t, y):

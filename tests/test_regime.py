@@ -10,31 +10,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from beammodes import (
-    DomainError,
-    GammaMembership,
-    Verdict,
-    cazenave_limit_classify,
-    classify_gamma,
-    classify_stability,
-    classify_gamma_value,
-    find_zero_crossing,
-    integrate,
-    resonance_diagnostics,
-    resonance_quartic_scan,
-    table_regime,
-)
-from beammodes.hill import classify_matrix
+from beammodes import classify_stability, table_regime
+from beammodes.errors import DomainError
+from beammodes.hill import Verdict, classify_matrix
+from beammodes.integrate import find_zero_crossing, integrate
 from beammodes.regime import (
     _LIMIT_CONFIG,
     _limit_rhs_u,
     FrequencyRatioClass,
+    GammaMembership,
     Ordering,
     Prediction,
     RegimeReport,
     _classify_ratio,
     bottom_frequency_ratio,
+    cazenave_limit_classify,
+    classify_gamma,
+    classify_gamma_value,
+    resonance_diagnostics,
     resonance_quartic,
+    resonance_quartic_scan,
 )
 
 

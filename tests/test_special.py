@@ -8,8 +8,9 @@ import scipy.integrate
 import scipy.special
 from numpy.testing import assert_allclose
 
-from beammodes import DomainError, comparison_bounds, elliptic_k, sigma_constant
-from beammodes.special import elliptic_k_from_complement, jacobi_sn_cn_dn
+from beammodes.errors import DomainError
+from beammodes.special import (comparison_bounds, elliptic_k, elliptic_k_from_complement,
+                               jacobi_sn_cn_dn, sigma_constant)
 
 
 def test_elliptic_k_zero_modulus():

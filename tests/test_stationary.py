@@ -7,13 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beammodes import stationary
-from beammodes import (
-    DomainError,
-    StationarySolution,
-    residual_check,
-    stationary_catalog,
-)
+from beammodes import stationary, stationary_catalog
+from beammodes.errors import DomainError
+from beammodes.stationary import StationarySolution, residual_check
 
 GRID = np.linspace(0.0, math.pi, 301)
 

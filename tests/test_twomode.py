@@ -6,24 +6,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from beammodes import (
-    DomainError,
-    IntegratorConfig,
-    ModeParams,
-    TwoModeConfig,
-    monodromy,
-    build_hill,
-    integrate,
-    simulate,
-    transfer_report,
-    turning_roots,
-)
+from beammodes import ModeParams
+from beammodes.duffing import turning_roots
+from beammodes.errors import DomainError
+from beammodes.hill import build_hill, monodromy
+from beammodes.integrate import IntegratorConfig, integrate
 from beammodes.twomode import (
     CSV_COLUMNS,
     TransferVerdict,
+    TwoModeConfig,
     channel_energies,
     channels_csv,
+    simulate,
     total_energy,
+    transfer_report,
     two_mode_rhs,
 )
 
