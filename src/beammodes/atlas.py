@@ -24,8 +24,8 @@ from operator import attrgetter
 from typing import Sequence
 
 from .duffing import ModeParams, energy_from_initial_amplitude
-from .errors import (BeamModesError, DomainError, csv_text, require_finite,
-                     require_positive_finite, require_positive_int)
+from .errors import (BeamModesError, DomainError, csv_text, require_count,
+                     require_finite, require_positive_finite, require_positive_int)
 from .hill import (DEFAULT_TOL_MARGIN, MonodromyResult, Verdict,
                    classify_stability, require_tol_margin)
 from .integrate import IntegratorConfig
@@ -229,8 +229,7 @@ def adaptive_amplitude_sweep(
     and the result is deterministic and independent of jobs.
     """
     require_tol_margin(tol_margin)
-    if budget < 4:
-        raise DomainError("adaptive sweep needs a budget of at least 4 cells")
+    require_count("budget", budget, 4)
     require_positive_finite("theta0_max", theta0_max)
     backbone = budget // 2
     if theta0_min is None:

@@ -36,6 +36,7 @@ from .errors import (
     DomainError,
     NumericalQualityError,
     csv_text,
+    require_count,
     require_finite,
     require_positive_finite,
 )
@@ -62,12 +63,6 @@ def _emit(args, result: dict | str) -> None:
             stream.write("\n")
 
 
-def _sample_count(args) -> int:
-    if args.samples < 0:
-        raise DomainError(f"--samples must be non-negative, got {args.samples}")
-    return args.samples
-
-
 # ---------------------------------------------------------------- mode ----
 
 def _cmd_mode_period(args) -> dict:
@@ -80,7 +75,8 @@ def _cmd_mode_orbit(args) -> dict | str:
     require_positive_finite("--periods", args.periods)
     params = duffing.ModeParams(k=args.k, P=args.P)
     orbit = duffing.orbit_from_energy(params, args.E, sign=args.sign)
-    if _sample_count(args):
+    require_count("--samples", args.samples, 0)
+    if args.samples:
         ts = np.linspace(0.0, args.periods * orbit.period, args.samples)
         return csv_text(("t", "theta", "theta_dot"),
                         np.column_stack((ts, orbit.states(ts))).tolist())
@@ -98,7 +94,8 @@ def _cmd_mode_orbit(args) -> dict | str:
 
 def _cmd_mode_homoclinic(args) -> dict | str:
     params = duffing.ModeParams(k=args.k, P=args.P)
-    if _sample_count(args):
+    require_count("--samples", args.samples, 0)
+    if args.samples:
         ts = _grid(args.t_min, args.t_max, args.samples, "linear")
         return csv_text(("t", "theta"),
                         np.column_stack((ts, duffing.homoclinic(params, ts))).tolist())
@@ -205,8 +202,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
-    if points < 1:
-        raise DomainError("points must be at least 1")
+    require_count("points", points, 1)
     log = spacing == "log"
     # geomspace fails on a zero end and gives NaN past one
     check = require_positive_finite if log else require_finite
@@ -226,7 +222,7 @@ def _cmd_atlas_sweep(args) -> str:
         (m, n), = pairs
         cells = atlas_mod.adaptive_amplitude_sweep(
             m, n, args.P, args.grid_max, args.points,
-            theta0_min=args.grid_min if args.grid_min > 0.0 else None,
+            theta0_min=None if args.grid_min == 0.0 else args.grid_min,
             integrator=_integrator(args), tol_margin=args.margin,
             jobs=args.jobs,
         )

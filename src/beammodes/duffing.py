@@ -59,6 +59,9 @@ class ModeParams:
     def __post_init__(self):
         require_positive_int("mode number", self.k)
         require_finite("load P", self.P)
+        # the well depth and every period formula square P - k^2
+        gap = self.P - self.k**2
+        require_finite("(P - k^2)^2", gap * gap)
 
     @property
     def stiffness(self) -> float:
@@ -104,7 +107,12 @@ def energy_of(params: ModeParams, alpha: float, beta: float) -> EnergyLevel:
 
 def classify_energy(params: ModeParams, E: float) -> EnergyRegime:
     """Regime of the orbits at energy E."""
-    require_finite("energy", E)
+    gap = params.P - params.k**2
+    # the turning-point discriminant: finite iff 4E is, (P - k^2)^2 being so
+    disc = 4.0 * E + gap * gap
+    if not math.isfinite(disc):
+        require_finite("energy", E)
+        require_finite("4E + (P - k^2)^2", disc)
     tol = _CLASSIFY_TOL * (1.0 + abs(E))
     if not params.has_well:
         if abs(E) <= tol:

@@ -3,10 +3,11 @@
 DomainError marks inputs outside an operation's mathematical domain,
 IntegrationError marks ODE driver failures, and NumericalQualityError marks
 results whose internal checks (determinant drift, residuals) failed even
-though the computation ran to completion.  Four helpers are the one check
+though the computation ran to completion.  Five helpers are the one check
 per kind of input: require_positive_int (mode numbers), require_finite
-(loads, energies), require_positive_finite (horizons, tolerances, ratios)
-and require_mode_pair (distinct modes m, n under a finite load).
+(loads, energies), require_positive_finite (horizons, tolerances, ratios),
+require_mode_pair (distinct modes m, n under a finite load) and
+require_count (sample, grid-point and cell-budget counts).
 Serializable is the one rule by which result dataclasses become JSON-ready
 dicts, and csv_text the one rule by which tables of results become CSV.
 """
@@ -18,6 +19,12 @@ from dataclasses import fields
 from enum import Enum
 from numbers import Integral
 from types import SimpleNamespace
+
+# Largest sample, grid-point or cell-budget count: `mode orbit --samples
+# 1000000` takes 7.4 s and peaks at 402 MB RSS, `mode homoclinic` 5.3 s and
+# 352 MB, on 2 vCPUs; memory grows linearly with the count.  Larger counts
+# fail fast instead of exhausting memory.
+MAX_COUNT = 1_000_000
 
 
 class BeamModesError(Exception):
@@ -70,6 +77,13 @@ def require_positive_finite(label: str, x) -> None:
     """Raise DomainError unless 0 < x < inf; NaN fails too."""
     if not 0.0 < x < math.inf:
         raise DomainError(f"{label} must be positive and finite, got {x!r}")
+
+
+def require_count(label: str, n, minimum: int) -> None:
+    """Raise DomainError unless n is an integer with minimum <= n <= MAX_COUNT."""
+    if not isinstance(n, Integral) or not minimum <= n <= MAX_COUNT:
+        raise DomainError(f"{label} must be an integer from {minimum} to "
+                          f"{MAX_COUNT}, got {n!r}")
 
 
 def require_mode_pair(m, n, P) -> None:

@@ -7,8 +7,7 @@ import pytest
 
 import beammodes.hill
 import beammodes.regime
-from beammodes import atlas
-from beammodes import ModeParams, classify_stability
+from beammodes import ModeParams, atlas, classify_stability
 from beammodes.atlas import (CSV_HEADER, AtlasCell, SweepSpec, VerdictSource,
                              adaptive_amplitude_sweep, cells_csv, find_thresholds,
                              sweep, verdict_runs)

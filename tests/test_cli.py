@@ -42,6 +42,24 @@ REFUSED = [
       "--e-max", "-1", "--points", "3", "--spacing", "log"], "grid end"),
     (["twomode", "simulate", "--m", "2", "--n", "1", "--P", "3", "--w0", "1e70",
       "--z1", "1e-4", "--t-end", "1"], "overflow"),
+    *[(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0", "--grid-min", start,
+        "--grid-max", "2", "--points", "8", "--adaptive"], "theta0_min")
+      for start in ("nan", "-1")],
+    (["mode", "period", "--k", "1", "--P", "1e160", "--E", "1"], "finite"),
+    (["mode", "period", "--k", "1", "--P=-1e200", "--E", "1"], "finite"),
+    (["mode", "period", "--k", "1", "--P", "0", "--E", "1e308"], "finite"),
+    (["mode", "orbit", "--k", "1", "--P", "0", "--E", "1e308"], "finite"),
+    (["hill", "classify", "--m", "1", "--n", "2", "--P", "0", "--E", "1e308"], "finite"),
+    (["hill", "classify", "--m", "1", "--n", "2", "--P=-1e200", "--E", "1"], "finite"),
+    (["mode", "orbit", "--k", "1", "--P", "0", "--E", "0.5",
+      "--samples", "1000000000000"], "--samples"),
+    (["mode", "homoclinic", "--k", "1", "--P", "2", "--samples", "1000000000000"],
+     "--samples"),
+    *[(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0", "--grid-min", "0",
+        "--grid-max", "2", "--points", "1000000000000", *extra], message)
+      for extra, message in (([], "points"), (["--adaptive"], "budget"))],
+    (["atlas", "thresholds", "--m", "2", "--n", "1", "--P", "3", "--e-min", "4",
+      "--e-max", "8", "--points", "1000000000000"], "points"),
 ]
 
 

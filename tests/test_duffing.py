@@ -106,6 +106,26 @@ class TestEnergyAndRoots:
             with pytest.raises(DomainError, match="energy must be finite"):
                 query(params, E)
 
+    @pytest.mark.parametrize("P", [1e160, -1e200])
+    def test_overflowing_load_rejected(self, P):
+        # (P - k^2)^2 overflows; well_bottom's float ** 2 would raise
+        with pytest.raises(DomainError, match=r"^\(P - k\^2\)\^2 must be finite"):
+            ModeParams(k=1, P=P)
+
+    @pytest.mark.parametrize("P,E", [(0.0, 1e308), (2.0, 1e308), (0.0, -1e308)])
+    def test_overflowing_energy_rejected(self, P, E):
+        params = ModeParams(k=1, P=P)
+        for query in (classify_energy, period_of, turning_roots, orbit_from_energy):
+            with pytest.raises(DomainError, match=r"^4E \+ \(P - k\^2\)\^2 must be finite"):
+                query(params, E)
+
+    def test_largest_finite_discriminant_accepted(self):
+        # 4E + (P - k^2)^2 = 1.6e308 and (P - k^2)^2 = 1.69e308 still serve
+        assert 0.0 < period_of(ModeParams(k=1, P=0.0), 4e307) < math.inf
+        params = ModeParams(k=1, P=1.3e154)
+        assert params.well_bottom == -0.25 * (1.3e154 - 1.0) ** 2
+        assert 0.0 < period_of(params, -1.0) < math.inf
+
     @pytest.mark.parametrize("P,E,regime", [
         (0.0, 1.0, EnergyRegime.POSITIVE),
         (0.0, 0.0, EnergyRegime.TRIVIAL),

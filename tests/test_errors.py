@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from beammodes.errors import (DomainError, require_finite, require_mode_pair,
-                              require_positive_finite)
+from beammodes.errors import (MAX_COUNT, DomainError, require_count, require_finite,
+                              require_mode_pair, require_positive_finite)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -40,3 +40,12 @@ def test_require_mode_pair(m, n, P, message):
     with pytest.raises(DomainError, match=message):
         require_mode_pair(m, n, P)
     require_mode_pair(2, 1, -3.0)
+
+
+@pytest.mark.parametrize("n", [-1, 3, MAX_COUNT + 1, 10**12, 4.0, math.nan, None])
+def test_require_count(n):
+    with pytest.raises(DomainError,
+                       match=f"^budget must be an integer from 4 to {MAX_COUNT}"):
+        require_count("budget", n, 4)
+    for ok in (4, 5, MAX_COUNT):
+        require_count("budget", ok, 4)
