@@ -107,14 +107,14 @@ def energy_of(params: ModeParams, alpha: float, beta: float) -> EnergyLevel:
 
 def classify_energy(params: ModeParams, E: float) -> EnergyRegime:
     """Regime of the orbits at energy E."""
-    gap = params.P - params.k**2
+    gap = params.P - params.k * params.k     # positive iff the mode has a well
     # the turning-point discriminant: finite iff 4E is, (P - k^2)^2 being so
     disc = 4.0 * E + gap * gap
     if not math.isfinite(disc):
         require_finite("energy", E)
         require_finite("4E + (P - k^2)^2", disc)
     tol = _CLASSIFY_TOL * (1.0 + abs(E))
-    if not params.has_well:
+    if gap <= 0.0:
         if abs(E) <= tol:
             return EnergyRegime.TRIVIAL
         if E < 0.0:
@@ -122,7 +122,7 @@ def classify_energy(params: ModeParams, E: float) -> EnergyRegime:
                 f"mode k={params.k}, P={params.P} admits no orbit at E={E!r}"
             )
         return EnergyRegime.POSITIVE
-    bottom = params.well_bottom
+    bottom = -0.25 * gap * gap               # params.well_bottom, bit for bit
     if E - bottom < -tol:
         raise DomainError(f"energy {E!r} lies below the well bottom {bottom}")
     if E - bottom <= tol:
