@@ -60,7 +60,10 @@ class ModeParams:
         require_positive_int("mode number", self.k)
         require_finite("load P", self.P)
         # the well depth and every period formula square P - k^2
-        gap = self.P - self.k**2
+        try:
+            gap = self.P - self.k**2
+        except OverflowError:            # k^2 is past the float range
+            gap = math.inf
         require_finite("(P - k^2)^2", gap * gap)
 
     @property

@@ -6,8 +6,7 @@ results whose internal checks (determinant drift, residuals) failed even
 though the computation ran to completion.  Five helpers are the one check
 per kind of input: require_positive_int (mode numbers), require_finite
 (loads, energies), require_positive_finite (horizons, tolerances, ratios),
-require_mode_pair (distinct modes m, n under a finite load) and
-require_count (sample, grid-point and cell-budget counts).
+require_mode_pair (distinct modes under a finite load) and require_count.
 Serializable is the one rule by which result dataclasses become JSON-ready
 dicts, and csv_text the one rule by which tables of results become CSV.
 """
@@ -22,8 +21,7 @@ from types import SimpleNamespace
 
 # Largest sample, grid-point or cell-budget count: `mode orbit --samples
 # 1000000` takes 7.4 s and peaks at 402 MB RSS, `mode homoclinic` 5.3 s and
-# 352 MB, on 2 vCPUs; memory grows linearly with the count.  Larger counts
-# fail fast instead of exhausting memory.
+# 352 MB, on 2 vCPUs; larger counts fail fast instead of exhausting memory.
 MAX_COUNT = 1_000_000
 
 

@@ -60,6 +60,7 @@ REFUSED = [
       for extra, message in (([], "points"), (["--adaptive"], "budget"))],
     (["atlas", "thresholds", "--m", "2", "--n", "1", "--P", "3", "--e-min", "4",
       "--e-max", "8", "--points", "1000000000000"], "points"),
+    (["mode", "period", "--k", str(10**160), "--P", "0", "--E", "1"], "finite"),
 ]
 
 

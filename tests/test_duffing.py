@@ -112,6 +112,11 @@ class TestEnergyAndRoots:
         with pytest.raises(DomainError, match=r"^\(P - k\^2\)\^2 must be finite"):
             ModeParams(k=1, P=P)
 
+    @pytest.mark.parametrize("k", [10**160, 10**400])
+    def test_huge_mode_number_rejected(self, k):
+        with pytest.raises(DomainError, match=r"^\(P - k\^2\)\^2 must be finite"):
+            ModeParams(k=k, P=0.0)
+
     @pytest.mark.parametrize("P,E", [(0.0, 1e308), (2.0, 1e308), (0.0, -1e308)])
     def test_overflowing_energy_rejected(self, P, E):
         params = ModeParams(k=1, P=P)
