@@ -41,7 +41,6 @@ from .duffing import (
     ModeParams,
     classify_energy,
     constant_orbit,
-    duffing_rhs,
     orbit_from_energy,
 )
 from .errors import (ConsistencyError, DomainError, NumericalQualityError,
@@ -184,31 +183,37 @@ def classify_matrix(matrix: np.ndarray, tol_margin: float = DEFAULT_TOL_MARGIN) 
                            multipliers=multipliers, verdict=verdict)
 
 
-def _coupled_rhs(problem: HillProblem) -> Callable[[float, np.ndarray], np.ndarray]:
+def _coupled_rhs(params: ModeParams, linear: float,
+                 coupling: float) -> Callable[[float, np.ndarray], np.ndarray]:
     # One pass integrates the orbit, both fundamental Hill solutions and the
     # two coefficient quadratures of the Li-Zhang criterion:
     # y = (theta, theta', xi1, xi1', xi2, xi2', int a, int (a^+)^2).
     # Driving the Hill columns with the integrated orbit keeps coefficient
-    # and solutions in phase to the integrator tolerance.
-    rhs = duffing_rhs(problem.orbit.params)
-    linear = problem.linear_term
-    coupling = problem.coupling
+    # and solutions in phase to the integrator tolerance.  The orbit row is
+    # duffing_rhs's expression, written out to save a call, slice and array.
+    stiffness = params.stiffness
+    quartic = float(params.k) ** 4
 
     def coupled(t: float, y: np.ndarray) -> np.ndarray:
-        d_theta = rhs(t, y[:2])
-        a = linear + coupling * y[0] * y[0]
-        return np.array([d_theta[0], d_theta[1], y[3], -a * y[2], y[5], -a * y[4],
-                         a, max(a, 0.0) ** 2])
+        theta = y[0]
+        a = linear + coupling * theta * theta
+        return np.array([y[1], -(stiffness + quartic * theta * theta) * theta,
+                         y[3], -a * y[2], y[5], -a * y[4], a, max(a, 0.0) ** 2])
 
     return coupled
 
 
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """det Phi M from the fundamental matrix Phi at half the period of a
-    coefficient even about the start, as in the module docstring."""
-    (a, b), (c, d) = np.asarray(half, dtype=float).tolist()
+def _half_period_pass(params: ModeParams, state, linear: float, coupling: float,
+                      half: float, config: IntegratorConfig) -> tuple[np.ndarray, tuple]:
+    """det Phi M and the full-period coefficient integrals of mode params from
+    state = (theta, theta') with a = linear + coupling theta^2, from one pass
+    over (0, half) as in the module docstring; a must be even about t = 0."""
+    y = integrate(_coupled_rhs(params, linear, coupling),
+                  [*state, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (0.0, half), config).final_state
+    a, c, b, d, mean, square = y[2:].tolist()   # Phi = [[a, b], [c, d]]
     diagonal = a * d + b * c
-    return np.array([[diagonal, 2.0 * b * d], [2.0 * a * c, diagonal]])
+    matrix = np.array([[diagonal, 2.0 * b * d], [2.0 * a * c, diagonal]])
+    return matrix, (2.0 * mean, 2.0 * square)
 
 
 def monodromy(
@@ -224,12 +229,10 @@ def monodromy(
     needs a(t) even, which holds because the orbit starts at a turning
     point: initial_state[1] == 0.
     """
-    theta0, dtheta0 = problem.orbit.initial_state
-    y0 = np.array([theta0, dtheta0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    half_period = 0.5 * problem.coeff_period
-    y = integrate(_coupled_rhs(problem), y0, (0.0, half_period), config).final_state
-    result = classify_matrix(_unfold([[y[2], y[4]], [y[3], y[5]]]), tol_margin)
-    return replace(result, coefficient_integrals=(2.0 * float(y[6]), 2.0 * float(y[7])))
+    matrix, integrals = _half_period_pass(
+        problem.orbit.params, problem.orbit.initial_state, problem.linear_term,
+        problem.coupling, 0.5 * problem.coeff_period, config)
+    return replace(classify_matrix(matrix, tol_margin), coefficient_integrals=integrals)
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,12 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
-import numpy as np
-
+from . import hill
+from .duffing import ModeParams, duffing_rhs
 from .errors import (DomainError, Serializable, require_mode_pair,
                      require_positive_finite, require_positive_int)
-from .hill import MonodromyResult, classify_matrix, DEFAULT_TOL_MARGIN, _unfold
-from .integrate import IntegratorConfig, find_zero_crossing, integrate
+from .hill import MonodromyResult, classify_matrix, DEFAULT_TOL_MARGIN
+from .integrate import IntegratorConfig, find_zero_crossing
 
 # Relative tolerance for recognizing an exactly-integer frequency ratio
 # from floating-point data.
@@ -295,18 +295,14 @@ def table_regime(m: int, n: int, P: float) -> RegimeReport:
 
 
 # The large-energy limit classifier follows the normalized cubic oscillator
-# u'' + u^3 = 0, u(0) = 0, u'(0) = 1, over its first arch (0, theta),
-# theta = 2^(5/4) sigma, while carrying the fundamental system of
-# eta'' + gamma u^2 eta = 0; the limit monodromy is minus that fundamental
-# matrix at theta.  The arch is symmetric about its peak theta/2, where u'
-# falls through zero, so the search stops there and the coupled system runs
-# to the peak only; hill._unfold turns the matrix at theta/2 into the one
-# at theta.
+# u'' + u^3 = 0 (mode k = 1 at load P = 1), u(0) = 0, u'(0) = 1, over its
+# first arch (0, theta), theta = 2^(5/4) sigma, carrying the fundamental
+# system of eta'' + gamma u^2 eta = 0 (linear term 0, coupling gamma); the
+# limit monodromy is minus that matrix at theta.  The arch is symmetric
+# about its peak theta/2, where u' falls through zero, so the search stops
+# there and hill's half-period pass unfolds the matrix at theta from it.
+_LIMIT_MODE = ModeParams(k=1, P=1.0)
 _LIMIT_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-
-
-def _limit_rhs_u(t: float, y: np.ndarray) -> np.ndarray:
-    return np.array([y[1], -y[0] ** 3])
 
 
 def cazenave_limit_classify(gamma: float,
@@ -319,15 +315,9 @@ def cazenave_limit_classify(gamma: float,
     """
     require_positive_finite("gamma", gamma)
     peak = find_zero_crossing(
-        _limit_rhs_u, np.array([0.0, 1.0]), component=1,
+        duffing_rhs(_LIMIT_MODE), (0.0, 1.0), component=1,
         direction="falling", t_max=10.0, config=_LIMIT_CONFIG,
     )
-
-    def coupled(t: float, y: np.ndarray) -> np.ndarray:
-        u = y[0]
-        a = gamma * u * u
-        return np.array([y[1], -u**3, y[3], -a * y[2], y[5], -a * y[4]])
-
-    y0 = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
-    y = integrate(coupled, y0, (0.0, peak), _LIMIT_CONFIG).final_state
-    return classify_matrix(-_unfold([[y[2], y[4]], [y[3], y[5]]]), tol_margin)
+    matrix, _ = hill._half_period_pass(_LIMIT_MODE, (0.0, 1.0), 0.0, gamma,
+                                       peak, _LIMIT_CONFIG)
+    return classify_matrix(-matrix, tol_margin)

@@ -15,6 +15,7 @@ from beammodes.hill import (Verdict, build_hill, classify_matrix, criteria_repor
                             li_zhang_criterion, monodromy,
                             negative_coefficient_criterion, zhukovskii_criterion)
 from beammodes.integrate import IntegratorConfig, integrate
+from beammodes.regime import cazenave_limit_classify
 from beammodes.special import sigma_constant
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
@@ -341,8 +342,9 @@ def full_period_monodromy(problem, config=IntegratorConfig()):
     (0, T), read without any unfolding, integrals attached."""
     theta0, dtheta0 = problem.orbit.initial_state
     y0 = np.array([theta0, dtheta0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    y = integrate(beammodes.hill._coupled_rhs(problem), y0,
-                  (0.0, problem.coeff_period), config).final_state
+    rhs = beammodes.hill._coupled_rhs(problem.orbit.params, problem.linear_term,
+                                      problem.coupling)
+    y = integrate(rhs, y0, (0.0, problem.coeff_period), config).final_state
     result = classify_matrix(np.array([[y[2], y[4]], [y[3], y[5]]]))
     return replace(result, coefficient_integrals=(float(y[6]), float(y[7])))
 
@@ -401,8 +403,27 @@ class TestHalfPeriod:
         # nothing is divided by det Phi(T/2), so det M = (det Phi(T/2))^2
         problem = build_hill(1, 2, 0.0, 40.0)
         theta0, dtheta0 = problem.orbit.initial_state
-        y = integrate(beammodes.hill._coupled_rhs(problem),
+        rhs = beammodes.hill._coupled_rhs(problem.orbit.params, problem.linear_term,
+                                          problem.coupling)
+        y = integrate(rhs,
                       [theta0, dtheta0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
                       (0.0, 0.5 * problem.coeff_period)).final_state
         det_half = y[2] * y[5] - y[4] * y[3]
         assert monodromy(problem).det == pytest.approx(det_half**2, rel=1e-14)
+
+    def test_both_cell_kinds_run_the_one_pass(self, monkeypatch):
+        # the Hill cell and the large-energy limit cell integrate through
+        # the same half-period pass, and nothing else integrates their cells
+        class Reached(Exception):
+            pass
+
+        def sentinel(*args):
+            raise Reached
+
+        problem = build_hill(2, 1, 0.0, 1.0)
+        monkeypatch.setattr(beammodes.hill, "_half_period_pass", sentinel)
+        for cell in (lambda: monodromy(problem),
+                     lambda: classify_stability(2, 1, 0.0, 1.0),
+                     lambda: cazenave_limit_classify(2.25)):
+            with pytest.raises(Reached):
+                cell()

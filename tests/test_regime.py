@@ -16,7 +16,6 @@ from beammodes.hill import Verdict, classify_matrix
 from beammodes.integrate import find_zero_crossing, integrate
 from beammodes.regime import (
     _LIMIT_CONFIG,
-    _limit_rhs_u,
     FrequencyRatioClass,
     GammaMembership,
     Ordering,
@@ -285,7 +284,10 @@ class TestLimitDichotomy:
     def test_matches_the_full_arch(self, gamma):
         # oracle: the search runs to the arch's end, the zero of u, and the
         # coupled system over the whole arch, with no unfolding
-        theta = find_zero_crossing(_limit_rhs_u, [0.0, 1.0], component=0,
+        def cubic(t, y):
+            return np.array([y[1], -y[0] ** 3])
+
+        theta = find_zero_crossing(cubic, [0.0, 1.0], component=0,
                                    direction="falling", t_max=10.0,
                                    config=_LIMIT_CONFIG)
 
