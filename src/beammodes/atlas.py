@@ -25,7 +25,8 @@ from typing import Sequence
 
 from .duffing import ModeParams, energy_from_initial_amplitude
 from .errors import (BeamModesError, DomainError, csv_text, require_count,
-                     require_finite, require_positive_finite, require_positive_int)
+                     require_finite, require_mode_pair, require_positive_finite,
+                     require_positive_int)
 from .hill import (DEFAULT_TOL_MARGIN, MonodromyResult, Verdict,
                    classify_stability, require_tol_margin)
 from .integrate import IntegratorConfig
@@ -74,8 +75,11 @@ class SweepSpec:
         for entry in self.modes:
             if isinstance(entry, (tuple, list)):
                 m, n = entry
-                require_positive_int("m", m)
-                require_positive_int("n", n)
+                if self.verdict_source is VerdictSource.MONODROMY:
+                    require_mode_pair(m, n, self.P)
+                else:                       # gamma = 1 is a valid limit ratio
+                    require_positive_int("m", m)
+                    require_positive_int("n", n)
             elif self.verdict_source is not VerdictSource.CAZENAVE_LIMIT:
                 raise DomainError(
                     "bare gamma entries need the large-energy limit source"

@@ -216,9 +216,10 @@ def _cmd_atlas_sweep(args) -> str:
     if any(v is None for pair in pairs for v in pair):
         raise DomainError("give --m and --n, or --pairs m:n,...")
     if args.adaptive:
-        if len(pairs) != 1 or args.axis != "theta0" or args.source != "monodromy":
+        if len(pairs) != 1 or args.axis != "theta0" or args.source != "monodromy" \
+                or args.spacing != "linear":
             raise DomainError("--adaptive needs a single m:n pair, the theta0 "
-                              "axis and the monodromy source")
+                              "axis, linear spacing and the monodromy source")
         (m, n), = pairs
         cells = atlas_mod.adaptive_amplitude_sweep(
             m, n, args.P, args.grid_max, args.points,

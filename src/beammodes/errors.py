@@ -77,11 +77,11 @@ def require_positive_finite(label: str, x) -> None:
         raise DomainError(f"{label} must be positive and finite, got {x!r}")
 
 
-def require_count(label: str, n, minimum: int) -> None:
-    """Raise DomainError unless n is an integer with minimum <= n <= MAX_COUNT."""
-    if not isinstance(n, Integral) or not minimum <= n <= MAX_COUNT:
+def require_count(label: str, n, minimum: int, maximum: int = MAX_COUNT) -> None:
+    """Raise DomainError unless n is an integer with minimum <= n <= maximum."""
+    if not isinstance(n, Integral) or not minimum <= n <= maximum:
         raise DomainError(f"{label} must be an integer from {minimum} to "
-                          f"{MAX_COUNT}, got {n!r}")
+                          f"{maximum}, got {n!r}")
 
 
 def require_mode_pair(m, n, P) -> None:

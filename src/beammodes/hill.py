@@ -166,13 +166,8 @@ def classify_matrix(matrix: np.ndarray, tol_margin: float = DEFAULT_TOL_MARGIN) 
         raise NumericalQualityError(
             f"monodromy determinant drifted to {det}; result not trustworthy"
         )
-    disc = trace * trace - 4.0 * det
-    if disc >= 0.0:
-        r = math.sqrt(disc)
-        multipliers = ((trace + r) / 2.0 + 0.0j, (trace - r) / 2.0 + 0.0j)
-    else:
-        r = cmath.sqrt(complex(disc))
-        multipliers = ((trace + r) / 2.0, (trace - r) / 2.0)
+    r = cmath.sqrt(trace * trace - 4.0 * det)
+    multipliers = ((trace + r) / 2.0, (trace - r) / 2.0)
     if abs(trace) < 2.0 - tol_margin:
         verdict = Verdict.STABLE
     elif abs(trace) > 2.0 + tol_margin:

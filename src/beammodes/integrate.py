@@ -30,6 +30,9 @@ RHS = Callable[[float, np.ndarray], np.ndarray]
 # Accepted steps one run may take before the driver gives up.
 MAX_STEPS = 1_000_000
 
+# DOP853's floor on rel_tol: scipy raises a smaller one to it, with a warning.
+MIN_REL_TOL = 100 * float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -37,14 +40,16 @@ class IntegratorConfig:
 
     rel_tol/abs_tol are the per-step error controls of the embedded pair
     and must be finite and positive (a NaN or infinite tolerance stalls the
-    step-size control inside a single step).
+    step-size control inside a single step), rel_tol at least MIN_REL_TOL.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        require_positive_finite("rel_tol", self.rel_tol)
+        if not MIN_REL_TOL <= self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be finite and at least {MIN_REL_TOL!r}, "
+                              f"got {self.rel_tol!r}")
         require_positive_finite("abs_tol", self.abs_tol)
 
 

@@ -36,7 +36,7 @@ from math import isqrt
 
 from . import hill
 from .duffing import ModeParams, duffing_rhs
-from .errors import (DomainError, Serializable, require_mode_pair,
+from .errors import (DomainError, Serializable, require_count, require_mode_pair,
                      require_positive_finite, require_positive_int)
 from .hill import MonodromyResult, classify_matrix, DEFAULT_TOL_MARGIN
 from .integrate import IntegratorConfig, find_zero_crossing
@@ -44,6 +44,10 @@ from .integrate import IntegratorConfig, find_zero_crossing
 # Relative tolerance for recognizing an exactly-integer frequency ratio
 # from floating-point data.
 _RATIO_TOL = 1e-12
+
+# Largest n_max of the quartic scan, which tests n^2 / 2 pairs: 0.27 s at
+# n_max = 500 and 32 s at 5,000 on 2 vCPUs.  Larger ones fail fast.
+MAX_QUARTIC_N = 5_000
 
 
 class GammaMembership(Enum):
@@ -172,8 +176,7 @@ def resonance_quartic_scan(n_max: int) -> list[tuple[int, int, int]]:
     root need testing.  An empty result means the quartic obstruction
     never degenerates in the scanned range.
     """
-    if n_max < 2:
-        raise DomainError("n_max must be at least 2")
+    require_count("n_max", n_max, 2, MAX_QUARTIC_N)
     hits: list[tuple[int, int, int]] = []
     for n in range(2, n_max + 1):
         n2 = n * n
@@ -294,13 +297,12 @@ def table_regime(m: int, n: int, P: float) -> RegimeReport:
                         gamma_class=gamma_class, mechanisms=mechanisms)
 
 
-# The large-energy limit classifier follows the normalized cubic oscillator
-# u'' + u^3 = 0 (mode k = 1 at load P = 1), u(0) = 0, u'(0) = 1, over its
-# first arch (0, theta), theta = 2^(5/4) sigma, carrying the fundamental
-# system of eta'' + gamma u^2 eta = 0 (linear term 0, coupling gamma); the
-# limit monodromy is minus that matrix at theta.  The arch is symmetric
-# about its peak theta/2, where u' falls through zero, so the search stops
-# there and hill's half-period pass unfolds the matrix at theta from it.
+# The large-energy limit classifier follows u'' + u^3 = 0 (mode k = 1 at
+# load P = 1), u(0) = 0, u'(0) = 1, over its first arch (0, theta), theta =
+# 2^(5/4) sigma, with eta'' + gamma u^2 eta = 0 (linear term 0, coupling
+# gamma); the limit monodromy is minus the fundamental matrix at theta.
+# The arch is symmetric about its peak theta/2, where u' falls through zero,
+# so the search stops there and hill's half-period pass unfolds from it.
 _LIMIT_MODE = ModeParams(k=1, P=1.0)
 _LIMIT_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 

@@ -73,6 +73,14 @@ class TestSweepSpec:
             with pytest.raises(DomainError, match=f"^{name} must be a positive integer"):
                 sweep(SweepSpec(P=0.0, modes=[(1, 2), pair], **grid))
 
+    def test_equal_modes_only_under_the_limit_source(self):
+        # m = n has no Hill problem, but gamma = 1 is a valid limit ratio
+        with pytest.raises(DomainError, match="distinct"):
+            SweepSpec(P=0.0, modes=[(1, 2), (2, 2)], theta0_grid=[1.0])
+        spec = SweepSpec(P=0.0, modes=[(2, 2)], energy_grid=[1.0],
+                         verdict_source=VerdictSource.CAZENAVE_LIMIT)
+        assert [c.gamma for c in sweep(spec)] == [1.0]
+
     def test_bare_gamma_needs_limit_source(self):
         with pytest.raises(DomainError):
             SweepSpec(P=0.0, modes=[2.25], theta0_grid=[1.0])
@@ -138,7 +146,8 @@ class TestSweep:
         assert pools == [2]
 
     def test_failed_cell_is_flagged_not_fatal(self):
-        spec = SweepSpec(P=0.0, modes=[(2, 2), (2, 1)], energy_grid=[1.0])
+        # E = -0.1 lies in mode 1's well at P = 2 but below mode 2's floor
+        spec = SweepSpec(P=2.0, modes=[(2, 1), (1, 2)], energy_grid=[-0.1])
         cells = sweep(spec)
         bad, good = cells
         assert not bad.ok

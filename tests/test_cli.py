@@ -61,6 +61,15 @@ REFUSED = [
     (["atlas", "thresholds", "--m", "2", "--n", "1", "--P", "3", "--e-min", "4",
       "--e-max", "8", "--points", "1000000000000"], "points"),
     (["mode", "period", "--k", str(10**160), "--P", "0", "--E", "1"], "finite"),
+    *[(["atlas", "sweep", *pairs, "--P", "0", "--grid-min", "0", "--grid-max", "2",
+        "--points", "8"], "distinct")
+      for pairs in (["--m", "1", "--n", "1"], ["--m", "1", "--n", "1", "--adaptive"],
+                    ["--pairs", "1:2,1:1"])],
+    (["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0", "--grid-min", "0",
+      "--grid-max", "2", "--points", "8", "--adaptive", "--spacing", "log"], "spacing"),
+    (["hill", "classify", "--m", "2", "--n", "1", "--P", "3", "--E", "5",
+      "--tol", "1e-15"], "rel_tol"),
+    (["scan", "quartic", "--n-max", "100000000"], "n_max"),
 ]
 
 
@@ -239,8 +248,9 @@ class TestAtlasCommands:
         assert code == EXIT_DOMAIN
 
     def test_all_cells_failing_is_quality_exit(self, capsys):
-        code, _ = run(capsys, "atlas", "sweep", "--pairs", "2:2",
-                      "--P", "0", "--grid-min", "0.2", "--grid-max", "0.8",
+        # no energy below 0 has an orbit of mode 2 at P = 0
+        code, _ = run(capsys, "atlas", "sweep", "--pairs", "2:1", "--axis", "energy",
+                      "--P", "0", "--grid-min", "-2", "--grid-max", "-1",
                       "--points", "2")
         assert code == EXIT_QUALITY
 

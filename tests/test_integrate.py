@@ -91,6 +91,7 @@ def test_trajectory_records_endpoints():
     dict(rel_tol=0.0), dict(abs_tol=-1e-9),
     dict(rel_tol=math.nan), dict(abs_tol=math.nan),
     dict(rel_tol=math.inf), dict(abs_tol=math.inf),
+    dict(rel_tol=1e-15),
 ])
 def test_config_validation(bad):
     with pytest.raises(DomainError):

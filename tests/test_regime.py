@@ -16,6 +16,7 @@ from beammodes.hill import Verdict, classify_matrix
 from beammodes.integrate import find_zero_crossing, integrate
 from beammodes.regime import (
     _LIMIT_CONFIG,
+    MAX_QUARTIC_N,
     FrequencyRatioClass,
     GammaMembership,
     Ordering,
@@ -190,6 +191,11 @@ class TestQuarticScan:
     def test_scan_validates_bound(self):
         with pytest.raises(DomainError):
             resonance_quartic_scan(1)
+
+    @pytest.mark.parametrize("n_max", [2.5, MAX_QUARTIC_N + 1, 10**8])
+    def test_scan_refuses_what_it_cannot_serve(self, n_max):
+        with pytest.raises(DomainError, match="n_max"):
+            resonance_quartic_scan(n_max)
 
     @pytest.mark.slow
     def test_no_integer_roots_up_to_5000(self):
