@@ -152,9 +152,11 @@ def turning_roots(params: ModeParams, E: float) -> TurningRoots:
     k2 = params.k**2
     gap = params.P - k2                      # positive inside a double well
     s = math.sqrt(max(gap * gap + 4.0 * E, 0.0))
+    if s == 0.0:                             # the well bottom: a double root
+        return TurningRoots(lo=gap / k2, hi=gap / k2)
     # The root of larger magnitude adds gap and s without cancellation; the
     # other is the product of the roots, -4E/k^4, over it.  At E = 0 that
-    # root is an exact zero, also at P = k^2, where both roots vanish.
+    # root is an exact zero.
     if gap >= 0.0:
         hi = (gap + s) / k2
         lo = -4.0 * E / (k2 * (gap + s)) if E else 0.0
@@ -217,18 +219,16 @@ class DuffingOrbit:
     def states(self, ts) -> np.ndarray:
         """(theta, theta') at the times ts in closed form, shape (len(ts), 2):
         A cn(w t) if the orbit changes sign, else A kp / dn(w t) = A dn(w t + K),
-        the dn orbit started at its inner turning point as initial_state is;
-        kp and w are those of period_of."""
-        k, E, A = float(self.params.k), self.energy.value, self.amplitude
-        gap = k * k - self.params.P
-        root = math.sqrt(4.0 * E + gap * gap)
+        the dn orbit started at its inner turning point as initial_state is.
+        w and kp come from the turning roots: theta'^2 = (k^4/2)(hi - theta^2)
+        (theta^2 - lo) is the cn equation at w = k^2 sqrt((hi - lo)/2),
+        kp^2 = -lo/(hi - lo), and the dn equation at w = k^2 sqrt(hi/2),
+        kp^2 = lo/hi; the constant orbit at the well bottom is kp = 1."""
+        k2, lo, hi, A = float(self.params.k) ** 2, self.sq_lo, self.sq_hi, self.amplitude
         if self.sign_changing:
-            omega = k * math.sqrt(root)
-            kp = math.sqrt(2.0 * E / (root * (root - gap)) if gap < 0.0
-                           else 0.5 + gap / (2.0 * root))
+            omega, kp = k2 * math.sqrt(0.5 * (hi - lo)), math.sqrt(-lo / (hi - lo))
         else:
-            omega = k * math.sqrt(0.5 * (root - gap))
-            kp = 2.0 * math.sqrt(-E) / (root - gap)
+            omega, kp = k2 * math.sqrt(0.5 * hi), self.modulus
         sn, cn, dn = jacobi_sn_cn_dn(omega * np.asarray(ts, dtype=float), kp)
         if self.sign_changing:
             return self.sign * np.column_stack((A * cn, -A * omega * sn * dn))
@@ -301,18 +301,18 @@ def orbit_from_energy(params: ModeParams, E: float, sign: int = 1) -> DuffingOrb
     """Canonical periodic orbit at energy E.
 
     Raises for energies with no periodic orbit: E <= 0 without a well,
-    E <= bottom or E = 0 with one.  The exact bottom is the constant
-    solution; build it with constant_orbit.
+    E < bottom or E = 0 with one.  An energy that classifies as the well
+    bottom is set to it exactly, and gives the constant solution
+    +-sqrt(P - k^2)/k, whose period is the limiting period of the
+    surrounding oscillations.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     regime = classify_energy(params, E)
-    if regime is EnergyRegime.BOTTOM_OF_WELL:
-        raise DomainError(
-            "the bottom of the well is a constant solution; use constant_orbit"
-        )
     if regime is EnergyRegime.HOMOCLINIC:
         raise DomainError("E = 0 with a well carries no periodic orbit")
+    if regime is EnergyRegime.BOTTOM_OF_WELL:
+        E = params.well_bottom
     roots = turning_roots(params, E)
     return DuffingOrbit(
         params=params,
@@ -321,26 +321,6 @@ def orbit_from_energy(params: ModeParams, E: float, sign: int = 1) -> DuffingOrb
         sq_hi=roots.hi,
         period=period_of(params, E),
         sign=sign,
-    )
-
-
-def constant_orbit(params: ModeParams) -> DuffingOrbit:
-    """The constant solution +sqrt(P - k^2)/k at the bottom of the well.
-
-    Its period field carries the limiting period of the surrounding
-    oscillations, which is the natural coefficient period for linearized
-    problems built on top of it.
-    """
-    if not params.has_well:
-        raise DomainError(f"mode k={params.k} has no well at P={params.P}")
-    c_sq = (params.P - params.k**2) / params.k**2
-    bottom = params.well_bottom
-    return DuffingOrbit(
-        params=params,
-        energy=EnergyLevel(bottom, EnergyRegime.BOTTOM_OF_WELL),
-        sq_lo=c_sq,
-        sq_hi=c_sq,
-        period=period_of(params, bottom),
     )
 
 

@@ -35,14 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .duffing import (
-    DuffingOrbit,
-    EnergyRegime,
-    ModeParams,
-    classify_energy,
-    constant_orbit,
-    orbit_from_energy,
-)
+from .duffing import DuffingOrbit, ModeParams, orbit_from_energy
 from .errors import (ConsistencyError, DomainError, NumericalQualityError,
                      Serializable, require_mode_pair)
 from .integrate import IntegratorConfig, integrate
@@ -108,12 +101,7 @@ def build_hill(m: int, n: int, P: float, E: float) -> HillProblem:
     limiting period as coefficient period.
     """
     require_mode_pair(m, n, P)
-    params = ModeParams(k=m, P=P)
-    if classify_energy(params, E) is EnergyRegime.BOTTOM_OF_WELL:
-        orbit = constant_orbit(params)
-    else:
-        orbit = orbit_from_energy(params, E)
-    return HillProblem(m=m, n=n, P=P, orbit=orbit)
+    return HillProblem(m=m, n=n, P=P, orbit=orbit_from_energy(ModeParams(k=m, P=P), E))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from beammodes import ModeParams, period_of
-from beammodes.duffing import (EnergyRegime, classify_energy, constant_orbit,
-                               duffing_rhs, energy_from_initial_amplitude,
-                               energy_of, homoclinic, orbit_from_energy,
-                               turning_roots)
+from beammodes.duffing import (EnergyRegime, classify_energy, duffing_rhs,
+                               energy_from_initial_amplitude, energy_of,
+                               homoclinic, orbit_from_energy, turning_roots)
 from beammodes.errors import DomainError
 from beammodes.integrate import IntegratorConfig, find_zero_crossing, integrate
 from beammodes.special import sigma_constant
@@ -260,8 +259,8 @@ class TestOrbits:
         # hill.monodromy integrates half a coefficient period and unfolds
         # the rest by time reversal, which needs theta'(0) exactly zero
         params = ModeParams(k=k, P=P)
-        orbit = constant_orbit(params) if E is None else \
-            orbit_from_energy(params, E, sign=sign)
+        orbit = orbit_from_energy(params, params.floor_energy if E is None else E,
+                                  sign=sign)
         assert orbit.initial_state[1] == 0.0
 
     def test_orbit_closes_after_one_period(self):
@@ -328,9 +327,7 @@ class TestOrbits:
 
     def test_exact_bottom_needs_constant_orbit(self):
         params = ModeParams(k=1, P=2.0)
-        with pytest.raises(DomainError):
-            orbit_from_energy(params, params.floor_energy)
-        orbit = constant_orbit(params)
+        orbit = orbit_from_energy(params, params.floor_energy)
         assert orbit.amplitude == pytest.approx(1.0, rel=1e-14)
         assert orbit.period == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-14)
 
