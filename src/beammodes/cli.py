@@ -242,6 +242,9 @@ def _cmd_atlas_sweep(args) -> str:
     if not any(c.ok for c in cells):
         # the CSV still records why each cell failed
         _emit(args, text)
+        if all(c.quality.startswith("error:DomainError:") for c in cells):
+            raise DomainError("every sweep cell is outside the domain, "
+                              "such as an energy with no orbit")
         raise NumericalQualityError("every sweep cell failed")
     return text
 

@@ -17,10 +17,12 @@ import pytest
 import beammodes.hill
 from beammodes import (ModeParams, classify_stability, period_of,
                        stationary_catalog, table_regime)
+from beammodes import atlas as atlas_module
 from beammodes import integrate as integrate_module
 from beammodes.atlas import SweepSpec, find_thresholds, sweep
 from beammodes.cli import EXIT_DOMAIN, EXIT_OK, EXIT_QUALITY, build_parser, main
 from beammodes.duffing import homoclinic, orbit_from_energy
+from beammodes.errors import NumericalQualityError
 from beammodes.hill import build_hill, criteria_report, monodromy
 from beammodes.regime import (cazenave_limit_classify, classify_gamma_value,
                               resonance_diagnostics, resonance_quartic_scan)
@@ -70,6 +72,7 @@ REFUSED = [
     (["hill", "classify", "--m", "2", "--n", "1", "--P", "3", "--E", "5",
       "--tol", "1e-15"], "rel_tol"),
     (["scan", "quartic", "--n-max", "100000000"], "n_max"),
+    (["mode", "orbit", "--k", "1", "--P", "1", "--E=-1e-15"], "no period"),
 ]
 
 
@@ -117,6 +120,20 @@ class TestModeCommands:
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
         assert rows[-1][0] == 2.0 * orbit.period
         assert [r[1:] for r in rows] == orbit.states([r[0] for r in rows]).tolist()
+
+    def test_orbit_at_the_well_bottom(self, capsys):
+        payload = run_json(capsys, "mode", "orbit", "--k", "1", "--P", "2",
+                           "--E=-0.25")
+        assert payload["regime"] == "bottom-of-well"
+        assert payload["modulus"] == 1.0
+        assert payload["turning_sq"]["lo"] == payload["turning_sq"]["hi"]
+        assert payload["period"] == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-15)
+        code, out = run(capsys, "mode", "orbit", "--k", "1", "--P", "2",
+                        "--E=-0.25", "--samples", "9", "--periods", "2")
+        assert code == EXIT_OK
+        rows = [[float(v) for v in line.split(",")[1:]]
+                for line in out.strip().splitlines()[1:]]
+        assert rows == [[1.0, 0.0]] * 9          # theta = sqrt(P - k^2)/k at rest
 
     def test_homoclinic_value(self, capsys):
         payload = run_json(capsys, "mode", "homoclinic",
@@ -247,12 +264,28 @@ class TestAtlasCommands:
                       "--points", "12", "--adaptive")
         assert code == EXIT_DOMAIN
 
-    def test_all_cells_failing_is_quality_exit(self, capsys):
+    def test_sweep_with_no_orbit_is_domain_exit(self, capsys):
         # no energy below 0 has an orbit of mode 2 at P = 0
-        code, _ = run(capsys, "atlas", "sweep", "--pairs", "2:1", "--axis", "energy",
-                      "--P", "0", "--grid-min", "-2", "--grid-max", "-1",
-                      "--points", "2")
+        code = main(["atlas", "sweep", "--pairs", "2:1", "--axis", "energy",
+                     "--P", "0", "--grid-min", "-2", "--grid-max", "-1",
+                     "--points", "2"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert "outside the domain" in err
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 2 and all("error:DomainError" in r for r in rows)
+
+    def test_all_cells_failing_numerically_is_quality_exit(self, capsys, monkeypatch):
+        def refuse(spec, entry, E):
+            raise NumericalQualityError("sentinel")
+
+        monkeypatch.setattr(atlas_module, "_verdict", refuse)
+        code = main(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0",
+                     "--grid-min", "0.5", "--grid-max", "1", "--points", "2"])
+        out, err = capsys.readouterr()
         assert code == EXIT_QUALITY
+        assert "every sweep cell failed" in err
+        assert out.count("error:NumericalQualityError: sentinel") == 2
 
     def test_thresholds(self, capsys):
         payload = run_json(capsys, "atlas", "thresholds", "--m", "2", "--n", "1",

@@ -81,6 +81,23 @@ class TestEnergyAndRoots:
             want = (float((gap - s) / (k * k)), float((gap + s) / (k * k)))
         assert tuple(roots) == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("k,P", [(1, 2.0), (1, 4.267493734335839), (3, 55.0)])
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-14])
+    def test_well_bottom_is_a_double_root(self, k, P, scale):
+        # at P = 4.267493734335839 the product-over-sum root was one ulp low;
+        # just below the bottom the discriminant clamps to zero
+        params = ModeParams(k=k, P=P)
+        roots = turning_roots(params, scale * params.floor_energy)
+        assert roots.lo == roots.hi == (P - k * k) / (k * k)
+
+    def test_trivial_energy_at_zero_gap_has_no_orbit(self):
+        # P = k^2 and E just below 0: the discriminant clamps to a double
+        # root at 0, where the product-over-sum root divided by zero
+        params = ModeParams(k=1, P=1.0)
+        assert turning_roots(params, -1e-15) == (0.0, 0.0)
+        with pytest.raises(DomainError, match="no period"):
+            orbit_from_energy(params, -1e-15)
+
     def test_well_orbit_modulus(self):
         orbit = orbit_from_energy(ModeParams(k=1, P=2.0), -3.0 / 16.0)
         assert orbit.modulus == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
@@ -330,6 +347,23 @@ class TestOrbits:
         orbit = orbit_from_energy(params, params.floor_energy)
         assert orbit.amplitude == pytest.approx(1.0, rel=1e-14)
         assert orbit.period == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("k,P", [(1, 2.0), (1, 4.267493734335839), (3, 55.0)])
+    @pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-14])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_well_bottom_is_the_constant_orbit(self, k, P, scale, sign):
+        """An energy that classifies as the bottom gives the constant
+        solution, the dn orbit at kp = 1, with the limiting period."""
+        params = ModeParams(k=k, P=P)
+        orbit = orbit_from_energy(params, scale * params.floor_energy, sign=sign)
+        c = math.sqrt((P - k * k) / (k * k))
+        assert orbit.energy.value == params.well_bottom
+        assert orbit.energy.regime is EnergyRegime.BOTTOM_OF_WELL
+        assert orbit.sq_lo == orbit.sq_hi and orbit.modulus == 1.0
+        assert orbit.initial_state == (sign * c, 0.0)
+        assert orbit.period == period_of(params, params.well_bottom)
+        ts = np.linspace(0.0, 3.0 * orbit.period, 61)
+        assert np.array_equal(orbit.states(ts), np.tile([sign * c, 0.0], (61, 1)))
 
     def test_virial_identity_over_one_period(self):
         """a int(theta^2) + (3b/4) int(theta^4) = E T with a = k^2(k^2-P),
