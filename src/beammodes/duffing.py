@@ -152,7 +152,7 @@ def turning_roots(params: ModeParams, E: float) -> TurningRoots:
     k2 = params.k**2
     gap = params.P - k2                      # positive inside a double well
     s = math.sqrt(max(gap * gap + 4.0 * E, 0.0))
-    if s == 0.0:                             # the well bottom: a double root
+    if s == 0.0:                             # a double root, as at the well bottom
         return TurningRoots(lo=gap / k2, hi=gap / k2)
     # The root of larger magnitude adds gap and s without cancellation; the
     # other is the product of the roots, -4E/k^4, over it.  At E = 0 that

@@ -72,6 +72,8 @@ REFUSED = [
     (["hill", "classify", "--m", "2", "--n", "1", "--P", "3", "--E", "5",
       "--tol", "1e-15"], "rel_tol"),
     (["scan", "quartic", "--n-max", "100000000"], "n_max"),
+    # P = k^2 and E just below 0: the clamped discriminant is a double root
+    # at 0, where the product-over-sum root divided by zero
     (["mode", "orbit", "--k", "1", "--P", "1", "--E=-1e-15"], "no period"),
 ]
 

@@ -90,14 +90,6 @@ class TestEnergyAndRoots:
         roots = turning_roots(params, scale * params.floor_energy)
         assert roots.lo == roots.hi == (P - k * k) / (k * k)
 
-    def test_trivial_energy_at_zero_gap_has_no_orbit(self):
-        # P = k^2 and E just below 0: the discriminant clamps to a double
-        # root at 0, where the product-over-sum root divided by zero
-        params = ModeParams(k=1, P=1.0)
-        assert turning_roots(params, -1e-15) == (0.0, 0.0)
-        with pytest.raises(DomainError, match="no period"):
-            orbit_from_energy(params, -1e-15)
-
     def test_well_orbit_modulus(self):
         orbit = orbit_from_energy(ModeParams(k=1, P=2.0), -3.0 / 16.0)
         assert orbit.modulus == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
