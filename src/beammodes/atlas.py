@@ -159,10 +159,11 @@ def _points(spec: SweepSpec) -> list[tuple]:
 
 # Fewest cells per worker before a pool pays for its start-up and pickling.
 # Serial against jobs=2 on 2 vCPUs, (1, 2) at P = 0 over theta0 in [0.1, 2.1),
-# medians of 7 runs with no floor: 0.024 / 0.029 s at 8 cells, 0.046 / 0.047 s
-# at 16, 0.084 / 0.067 s at 32, 0.175 / 0.130 s at 64 and 0.344 / 0.204 s at
-# 128 (about 3 ms a cell).
-MIN_CELLS_PER_WORKER = 16
+# medians of 11 runs with no floor, two rounds: 0.015-0.017 / 0.020-0.023 s
+# at 16 cells, 0.020-0.030 / 0.026-0.033 s at 24, 0.027-0.032 / 0.028-0.034 s
+# at 32, 0.054-0.055 / 0.043-0.046 s at 48, 0.060-0.067 / 0.050-0.051 s at 64
+# and 0.107-0.135 / 0.080-0.095 s at 128 (about 1 ms a cell).
+MIN_CELLS_PER_WORKER = 24
 
 
 def sweep(spec: SweepSpec, jobs: int = 1) -> list[AtlasCell]:

@@ -233,8 +233,10 @@ class DuffingOrbit:
         if self.sign_changing:
             return self.sign * np.column_stack((A * cn, -A * omega * sn * dn))
         theta = A * kp / dn
+        # + 0.0 turns -0.0 into 0.0: at the well bottom (kp = 1) theta' is
+        # zero times sn cn and the sign, -0.0 where their product is negative
         return self.sign * np.column_stack(
-            (theta, theta * omega * (1.0 - kp) * (1.0 + kp) * sn * cn / dn))
+            (theta, theta * omega * (1.0 - kp) * (1.0 + kp) * sn * cn / dn)) + 0.0
 
 
 def duffing_rhs(params: ModeParams) -> Callable[[float, np.ndarray], np.ndarray]:

@@ -12,9 +12,9 @@ the coefficient period: det M = 1, so |trace M| < 2 means bounded
 solutions (multipliers on the unit circle) and |trace M| > 2 exponential
 growth.  Two sufficient stability criteria and one sufficient instability
 criterion cross-check that verdict; whenever one of them applies, the
-monodromy verdict must agree.  The one integration that yields the
-monodromy also carries the coefficient integrals the Li-Zhang criterion
-needs, so a classified cell integrates its orbit once.
+monodromy verdict must agree.  The one pass that yields the monodromy
+also carries the coefficient integrals the Li-Zhang criterion needs, so a
+classified cell makes one pass over its orbit.
 
 Every orbit starts at a turning point, so a(t) is even, and the monodromy
 needs only half a coefficient period (Magnus & Winkler, Hill's Equation,
@@ -23,6 +23,18 @@ T/2, M = S Phi^-1 S Phi with S = diag(1, -1).  The unfolding keeps the
 factor det Phi, det Phi M = [[ad + bc, 2bd], [2ac, ad + bc]], so the
 determinant the quality gate reads is (det Phi)^2 and nothing is divided
 by it; the coefficient integrals are twice their half-period values.
+
+The pass over (0, T/2) is a 4th-order Magnus integrator with two Gauss
+nodes per step and exact 2x2 exponentials, run on a(t) sampled from the
+closed-form orbit (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999;
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  Its step count doubles
+from 16 until two successive traces agree to the integrator's rel_tol, so
+rel_tol is the relative accuracy asked of the trace.  Each step has unit
+determinant, so the determinant gate cannot see a bad kernel result; the
+step doubling is its check.  A cell that does not converge within
+MAX_MAGNUS_STEPS falls back to the DOP853 pass, which integrates the orbit,
+both Hill columns and the integrals together and is also the one pass of
+the large-energy limit cell.
 """
 
 from __future__ import annotations
@@ -113,8 +125,10 @@ class MonodromyResult(Serializable):
     to integration error (from monodromy the matrix is det Phi(T/2) M and
     det is (det Phi(T/2))^2).  coefficient_integrals holds (int_0^T a,
     int_0^T (a^+)^2) from the same integration when the matrix comes from
-    monodromy, and None when a bare matrix was classified; it stays out of
-    to_dict.
+    monodromy, and None when a bare matrix was classified.  step_doubling
+    holds the Magnus kernel's final step count over T/2 and the gap between
+    its last two traces, and None when the matrix came from DOP853 or was
+    classified bare.  Both stay out of to_dict.
     """
 
     matrix: np.ndarray
@@ -123,6 +137,8 @@ class MonodromyResult(Serializable):
     multipliers: tuple[complex, complex]
     verdict: Verdict
     coefficient_integrals: tuple[float, float] | None = field(
+        default=None, metadata={"to_dict": False})
+    step_doubling: tuple[int, float] | None = field(
         default=None, metadata={"to_dict": False})
 
 
@@ -186,17 +202,86 @@ def _coupled_rhs(params: ModeParams, linear: float,
     return coupled
 
 
+def _unfold(a: float, b: float, c: float, d: float) -> np.ndarray:
+    """det Phi M from Phi = Phi(T/2) = [[a, b], [c, d]], as in the module
+    docstring."""
+    diagonal = a * d + b * c
+    return np.array([[diagonal, 2.0 * b * d], [2.0 * a * c, diagonal]])
+
+
 def _half_period_pass(params: ModeParams, state, linear: float, coupling: float,
                       half: float, config: IntegratorConfig) -> tuple[np.ndarray, tuple]:
     """det Phi M and the full-period coefficient integrals of mode params from
-    state = (theta, theta') with a = linear + coupling theta^2, from one pass
-    over (0, half) as in the module docstring; a must be even about t = 0."""
+    state = (theta, theta') with a = linear + coupling theta^2, from one DOP853
+    pass over (0, half) as in the module docstring; a must be even about t = 0."""
     y = integrate(_coupled_rhs(params, linear, coupling),
                   [*state, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (0.0, half), config).final_state
     a, c, b, d, mean, square = y[2:].tolist()   # Phi = [[a, b], [c, d]]
-    diagonal = a * d + b * c
-    matrix = np.array([[diagonal, 2.0 * b * d], [2.0 * a * c, diagonal]])
-    return matrix, (2.0 * mean, 2.0 * square)
+    return _unfold(a, b, c, d), (2.0 * mean, 2.0 * square)
+
+
+# Step counts of the Magnus kernel over (0, T/2): the first pass, and the
+# largest one before a cell falls back to the DOP853 pass.
+_MAGNUS_FIRST_STEPS = 16
+MAX_MAGNUS_STEPS = 2**16
+
+# Offset of the two Gauss nodes from a step's midpoint, in steps.
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+
+
+def _magnus_pass(problem: HillProblem, steps: int) -> tuple[np.ndarray, tuple]:
+    """det Phi M and the full-period coefficient integrals of the problem
+    from `steps` (a power of two) 4th-order Magnus steps over (0, T/2),
+    with a(t) sampled on the closed-form orbit at two Gauss nodes a1, a2
+    per step h.  A step is exp(Omega), Omega = h (A1 + A2) / 2
+    + (sqrt(3)/12) h^2 [A2, A1] with A = [[0, 1], [-a, 0]]: Omega =
+    [[c, h], [-h abar, -c]], abar = (a1 + a2)/2, c = (sqrt(3)/12) h^2
+    (a2 - a1).  Omega^2 = q^2 I with q^2 = c^2 - h^2 abar, so exp(Omega) =
+    cosh q I + (sinh q / q) Omega, cos and sin for q^2 < 0.  The steps
+    are multiplied as a pairwise tree, later factors on the left, and the
+    integrals are the same nodes' Gauss sums, doubled."""
+    h = 0.5 * problem.coeff_period / steps
+    mid = h * (np.arange(steps) + 0.5)
+    theta = problem.orbit.states(np.concatenate((mid - _GAUSS_OFFSET * h,
+                                                 mid + _GAUSS_OFFSET * h)))[:, 0]
+    coefficient = problem.linear_term + problem.coupling * theta * theta
+    a1, a2 = coefficient[:steps], coefficient[steps:]
+    abar = 0.5 * (a1 + a2)
+    c = (math.sqrt(3.0) / 12.0) * h * h * (a2 - a1)
+    q2 = c * c - h * h * abar
+    q = np.sqrt(np.abs(q2))
+    cos_part, sin_part = np.cos(q), np.sinc(q / math.pi)   # sinc: sin(q) / q
+    growing = q2 > 0.0
+    cos_part[growing] = np.cosh(q[growing])
+    sin_part[growing] = np.sinh(q[growing]) / q[growing]
+    factors = np.empty((steps, 2, 2))
+    factors[:, 0, 0] = cos_part + sin_part * c
+    factors[:, 0, 1] = sin_part * h
+    factors[:, 1, 0] = -sin_part * h * abar
+    factors[:, 1, 1] = cos_part - sin_part * c
+    while len(factors) > 1:
+        factors = factors[1::2] @ factors[0::2]
+    positive = np.maximum(coefficient, 0.0)
+    return _unfold(*factors[0].ravel().tolist()), (
+        h * float(np.sum(coefficient)), h * float(np.sum(positive * positive)))
+
+
+def _magnus_kernel(problem: HillProblem, rel_tol: float) -> tuple | None:
+    """(det Phi M, integrals, (steps, delta)) from Magnus passes at 16, 32,
+    ... steps, up to the first pass whose trace is within rel_tol
+    max(1, |trace|) of the last one's, delta being that gap; None when a
+    trace is not finite or the step count would pass MAX_MAGNUS_STEPS."""
+    steps, last = _MAGNUS_FIRST_STEPS, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps <= MAX_MAGNUS_STEPS:
+            matrix, integrals = _magnus_pass(problem, steps)
+            trace = 2.0 * float(matrix[0, 0])
+            if not math.isfinite(trace):
+                return None
+            if last is not None and abs(trace - last) <= rel_tol * max(1.0, abs(trace)):
+                return matrix, integrals, (steps, abs(trace - last))
+            steps, last = 2 * steps, trace
+    return None
 
 
 def monodromy(
@@ -211,11 +296,22 @@ def monodromy(
     det Phi(T/2) M from there, whose determinant is (det Phi(T/2))^2.  That
     needs a(t) even, which holds because the orbit starts at a turning
     point: initial_state[1] == 0.
+
+    The pass is the Magnus kernel on the closed-form orbit, with step
+    doubling until two traces agree within config.rel_tol max(1, |trace|);
+    the result records the final step count and that gap in step_doubling.
+    A cell whose traces do not converge by MAX_MAGNUS_STEPS, or are not
+    finite, takes the DOP853 pass at config instead, and step_doubling is
+    None.
     """
-    matrix, integrals = _half_period_pass(
-        problem.orbit.params, problem.orbit.initial_state, problem.linear_term,
-        problem.coupling, 0.5 * problem.coeff_period, config)
-    return replace(classify_matrix(matrix, tol_margin), coefficient_integrals=integrals)
+    kernel = _magnus_kernel(problem, config.rel_tol)
+    if kernel is None:
+        kernel = (*_half_period_pass(
+            problem.orbit.params, problem.orbit.initial_state, problem.linear_term,
+            problem.coupling, 0.5 * problem.coeff_period, config), None)
+    matrix, integrals, doubling = kernel
+    return replace(classify_matrix(matrix, tol_margin), coefficient_integrals=integrals,
+                   step_doubling=doubling)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ from beammodes.errors import DomainError, NumericalQualityError, csv_text
 from beammodes.hill import Verdict
 
 SMALL = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)], theta0_grid=[0.3, 0.6, 0.9])
-# 32 cells: enough for two pool workers at MIN_CELLS_PER_WORKER = 16
+# 48 cells: enough for two pool workers at MIN_CELLS_PER_WORKER = 24
 WIDE = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)],
-                 theta0_grid=[0.3 + 0.02 * i for i in range(16)])
+                 theta0_grid=[0.3 + 0.02 * i for i in range(24)])
 
 
 def synthetic(theta0, verdict, quality="ok", trace=0.0):
@@ -66,6 +66,7 @@ class TestSweepSpec:
             raise AssertionError("a cell was integrated")
 
         monkeypatch.setattr(beammodes.hill, "integrate", refuse)
+        monkeypatch.setattr(beammodes.hill, "_magnus_pass", refuse)
         monkeypatch.setattr(beammodes.regime, "find_zero_crossing", refuse)
         for grid in ({"theta0_grid": [1.0]}, {"energy_grid": [1.0]},
                      {"energy_grid": [1.0],
@@ -142,7 +143,7 @@ class TestSweep:
         assert sweep(SMALL, jobs=64) == sweep(SMALL)
         adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 8, jobs=64)
         assert pools == []
-        assert len(sweep(WIDE, jobs=64)) == 32
+        assert len(sweep(WIDE, jobs=64)) == 48
         assert pools == [2]
 
     def test_failed_cell_is_flagged_not_fatal(self):

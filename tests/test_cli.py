@@ -137,6 +137,14 @@ class TestModeCommands:
                 for line in out.strip().splitlines()[1:]]
         assert rows == [[1.0, 0.0]] * 9          # theta = sqrt(P - k^2)/k at rest
 
+    @pytest.mark.parametrize("sign", [[], ["--sign", "-1"]])
+    def test_orbit_at_the_well_bottom_prints_no_signed_zero(self, capsys, sign):
+        code, out = run(capsys, "mode", "orbit", "--k", "1", "--P", "2",
+                        "--E=-0.25", "--samples", "9", "--periods", "2", *sign)
+        assert code == EXIT_OK
+        fields = [f for line in out.splitlines()[1:] for f in line.split(",")]
+        assert len(fields) == 27 and "-0.0" not in fields
+
     def test_homoclinic_value(self, capsys):
         payload = run_json(capsys, "mode", "homoclinic",
                            "--k", "1", "--P", "2", "--t", "0")
@@ -164,6 +172,21 @@ class TestHillCommands:
                            "--P", "3", "--E", "1")
         assert payload["coeff_period"] > 0.0
         assert payload["negative_coefficient"]["applies"] is True
+
+    @pytest.mark.parametrize("command", ["classify", "criteria"])
+    def test_converged_cell_leaves_scipy_integrate_unimported(self, command):
+        """A fresh interpreter: the Magnus kernel integrates the cell, so the
+        command never loads scipy.integrate, most of its cold start."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        code = ("import sys; from beammodes.cli import main; "
+                f"code = main(['hill', '{command}', '--m', '2', '--n', '1', "
+                "'--P', '3', '--E', '1']); "
+                "print(code, 'scipy.integrate' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
 
 class TestTwomodeCommand:
@@ -377,6 +400,7 @@ class TestExitCodes:
             raise AssertionError("a cell was integrated")
 
         monkeypatch.setattr(beammodes.hill, "integrate", refuse)
+        monkeypatch.setattr(beammodes.hill, "_magnus_pass", refuse)
         code = main(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0",
                      "--grid-min", "0.5", "--grid-max", "1", "--points", "3",
                      "--margin", "nan", *extra])

@@ -290,6 +290,9 @@ class TestOnePass:
         (1, 2, 2.0, -0.2), (1, 2, 2.0, -0.25),
     ])
     def test_one_integration_per_cell(self, monkeypatch, m, n, P, E):
+        # a cell the Magnus kernel converges on integrates nothing; with the
+        # kernel's cap below its second pass, the cell falls back to exactly
+        # one DOP853 pass
         calls = []
         original = beammodes.hill.integrate
 
@@ -299,7 +302,13 @@ class TestOnePass:
 
         monkeypatch.setattr(beammodes.hill, "integrate", counted)
         report = classify_stability(m, n, P, E)
+        assert calls == []
+        assert report.monodromy.step_doubling is not None
+        assert report.monodromy.coefficient_integrals is not None
+        monkeypatch.setattr(beammodes.hill, "MAX_MAGNUS_STEPS", 16)
+        report = classify_stability(m, n, P, E)
         assert len(calls) == 1
+        assert report.monodromy.step_doubling is None
         assert report.monodromy.coefficient_integrals is not None
 
     @pytest.mark.parametrize("m,n,P,E", [
@@ -349,6 +358,17 @@ def full_period_monodromy(problem, config=IntegratorConfig()):
     return replace(result, coefficient_integrals=(float(y[6]), float(y[7])))
 
 
+def dop853_pass(problem, config=IntegratorConfig()):
+    """The DOP853 half-period pass of the problem: (det Phi M, integrals)."""
+    return beammodes.hill._half_period_pass(
+        problem.orbit.params, problem.orbit.initial_state, problem.linear_term,
+        problem.coupling, 0.5 * problem.coeff_period, config)
+
+
+def relative_gap(value, want):
+    return abs(value - want) / max(1.0, abs(want))
+
+
 REFERENCE = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
 _FLOOR_2 = ModeParams(k=1, P=2.0).floor_energy
 _FLOOR_80 = ModeParams(k=1, P=80.0).floor_energy
@@ -363,6 +383,10 @@ HALF_PERIOD_BATTERY = {
     # |trace| - 2 is about 1e-5, ten margins outside the marginal band
     "near |trace| = 2": (1, 2, 6.0, -5.2855),
 }
+
+
+# the thirty cells of the (1, 5) row at P = 80, floor to separatrix
+ROW_80 = [(1, 5, 80.0, _FLOOR_80 * (1.0 - (i + 0.5) / 30)) for i in range(30)]
 
 
 class TestHalfPeriod:
@@ -409,21 +433,91 @@ class TestHalfPeriod:
                       [theta0, dtheta0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
                       (0.0, 0.5 * problem.coeff_period)).final_state
         det_half = y[2] * y[5] - y[4] * y[3]
-        assert monodromy(problem).det == pytest.approx(det_half**2, rel=1e-14)
+        assert classify_matrix(dop853_pass(problem)[0]).det == pytest.approx(
+            det_half**2, rel=1e-14)
 
     def test_both_cell_kinds_run_the_one_pass(self, monkeypatch):
-        # the Hill cell and the large-energy limit cell integrate through
-        # the same half-period pass, and nothing else integrates their cells
+        # a converged Hill cell runs the Magnus kernel alone; the large-energy
+        # limit cell and a Hill cell past the kernel's cap integrate through
+        # the half-period DOP853 pass
         class Reached(Exception):
             pass
 
-        def sentinel(*args):
-            raise Reached
+        def reached(name):
+            def sentinel(*args):
+                raise Reached(name)
+            return sentinel
 
         problem = build_hill(2, 1, 0.0, 1.0)
-        monkeypatch.setattr(beammodes.hill, "_half_period_pass", sentinel)
+        monkeypatch.setattr(beammodes.hill, "_half_period_pass", reached("dop853"))
+        monkeypatch.setattr(beammodes.hill, "_magnus_pass", reached("magnus"))
         for cell in (lambda: monodromy(problem),
-                     lambda: classify_stability(2, 1, 0.0, 1.0),
-                     lambda: cazenave_limit_classify(2.25)):
-            with pytest.raises(Reached):
+                     lambda: classify_stability(2, 1, 0.0, 1.0)):
+            with pytest.raises(Reached, match="magnus"):
                 cell()
+        with pytest.raises(Reached, match="dop853"):
+            cazenave_limit_classify(2.25)
+        monkeypatch.setattr(beammodes.hill, "MAX_MAGNUS_STEPS", 8)
+        with pytest.raises(Reached, match="dop853"):
+            monodromy(problem)
+
+
+class TestMagnusKernel:
+    """The Magnus kernel on the closed-form orbit against the DOP853 pass,
+    its oracle."""
+
+    @pytest.mark.parametrize("case", ["sign-changing unstable", "well near separatrix",
+                                      "huge growth", "near |trace| = 2"])
+    def test_fourth_order(self, case):
+        # each doubling of the step count cuts the trace error by about 16;
+        # a wrong commutator sign leaves the method second order (about 4)
+        problem = build_hill(*HALF_PERIOD_BATTERY[case])
+        want = 2.0 * dop853_pass(problem, REFERENCE)[0][0, 0]
+        errors = [relative_gap(2.0 * beammodes.hill._magnus_pass(problem, steps)[0][0, 0],
+                               want) for steps in (16, 32, 64, 128)]
+        assert all(coarse >= 12.0 * fine for coarse, fine in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("cell", list(HALF_PERIOD_BATTERY.values()) + ROW_80,
+                             ids=list(HALF_PERIOD_BATTERY) + [f"row80-{i}" for i in range(30)])
+    def test_matches_dop853(self, cell):
+        problem = build_hill(*cell)
+        kernel = monodromy(problem)
+        matrix, integrals = dop853_pass(problem, REFERENCE)
+        reference = classify_matrix(matrix)
+        assert kernel.step_doubling is not None
+        assert kernel.verdict is reference.verdict
+        assert relative_gap(kernel.trace, reference.trace) <= 1e-9
+        for value, want in zip(kernel.coefficient_integrals, integrals):
+            assert value == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("case", list(HALF_PERIOD_BATTERY))
+    def test_tighter_tolerance_is_no_less_accurate(self, case):
+        # up to the resolution of the reference pass itself (rel_tol 1e-13)
+        problem = build_hill(*HALF_PERIOD_BATTERY[case])
+        want = 2.0 * dop853_pass(problem, REFERENCE)[0][0, 0]
+        loose, tight = (relative_gap(monodromy(problem, IntegratorConfig(rel_tol=tol)).trace,
+                                     want) for tol in (1e-10, 1e-12))
+        assert tight <= loose + 1e-13
+
+    def test_step_doubling_stops_within_the_tolerance(self):
+        problem = build_hill(*HALF_PERIOD_BATTERY["huge growth"])
+        result = monodromy(problem)
+        steps, delta = result.step_doubling
+        assert steps & (steps - 1) == 0 and 32 <= steps <= beammodes.hill.MAX_MAGNUS_STEPS
+        assert delta <= IntegratorConfig().rel_tol * abs(result.trace)
+        assert list(result.to_dict()) == ["matrix", "det", "trace",
+                                          "multipliers", "verdict"]
+
+    @pytest.mark.parametrize("how", ["cap", "non-finite trace"])
+    def test_fallback_is_the_dop853_pass(self, monkeypatch, how):
+        problem = build_hill(*HALF_PERIOD_BATTERY["sign-changing unstable"])
+        if how == "cap":
+            monkeypatch.setattr(beammodes.hill, "MAX_MAGNUS_STEPS", 16)
+        else:
+            monkeypatch.setattr(beammodes.hill, "_magnus_pass", lambda problem, steps: (
+                np.full((2, 2), math.inf), (0.0, 0.0)))
+        result = monodromy(problem, TIGHT)
+        matrix, integrals = dop853_pass(problem, TIGHT)
+        assert result.step_doubling is None
+        assert result.matrix.tobytes() == matrix.tobytes()
+        assert result.coefficient_integrals == integrals
