@@ -24,17 +24,19 @@ factor det Phi, det Phi M = [[ad + bc, 2bd], [2ac, ad + bc]], so the
 determinant the quality gate reads is (det Phi)^2 and nothing is divided
 by it; the coefficient integrals are twice their half-period values.
 
-The pass over (0, T/2) is a 4th-order Magnus integrator with two Gauss
+The pass over (0, T/2) is a 6th-order Magnus integrator with three Gauss
 nodes per step and exact 2x2 exponentials, run on a(t) sampled from the
 closed-form orbit (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999;
 Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  Its step count doubles
-from 16 until two successive traces agree to the integrator's rel_tol, so
+from 64 until two successive traces agree to the integrator's rel_tol, so
 rel_tol is the relative accuracy asked of the trace.  Each step has unit
 determinant, so the determinant gate cannot see a bad kernel result; the
-step doubling is its check.  A cell that does not converge within
-MAX_MAGNUS_STEPS falls back to the DOP853 pass, which integrates the orbit,
-both Hill columns and the integrals together and is also the one pass of
-the large-energy limit cell.
+step doubling is its check.  The accepted pass's samples give the
+coefficient integrals, with the kink of (a^+)^2 at the root of a taken
+exactly.  A cell that does not converge within MAX_MAGNUS_STEPS falls
+back to the DOP853 pass, which integrates the orbit, both Hill columns
+and the integrals together and is also the one pass of the large-energy
+limit cell.
 """
 
 from __future__ import annotations
@@ -221,65 +223,153 @@ def _half_period_pass(params: ModeParams, state, linear: float, coupling: float,
 
 
 # Step counts of the Magnus kernel over (0, T/2): the first pass, and the
-# largest one before a cell falls back to the DOP853 pass.
-_MAGNUS_FIRST_STEPS = 16
+# largest one before a cell falls back to the DOP853 pass.  Two coarse
+# passes can agree by accident: a first pass at 16 or 32 steps stops
+# (3, 7) at P = 49, E = 1.0494525233259504 with its trace 1.3e-10 off.
+_MAGNUS_FIRST_STEPS = 64
 MAX_MAGNUS_STEPS = 2**16
 
-# Offset of the two Gauss nodes from a step's midpoint, in steps.
-_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+# Offset of the outer Gauss nodes from a step's midpoint, in steps, and the
+# Gauss weights of the outer and middle nodes.
+_GAUSS_OFFSET = math.sqrt(15.0) / 10.0
+_OUTER_WEIGHT, _MIDDLE_WEIGHT = 5.0 / 18.0, 8.0 / 18.0
 
 
-def _magnus_pass(problem: HillProblem, steps: int) -> tuple[np.ndarray, tuple]:
-    """det Phi M and the full-period coefficient integrals of the problem
-    from `steps` (a power of two) 4th-order Magnus steps over (0, T/2),
-    with a(t) sampled on the closed-form orbit at two Gauss nodes a1, a2
-    per step h.  A step is exp(Omega), Omega = h (A1 + A2) / 2
-    + (sqrt(3)/12) h^2 [A2, A1] with A = [[0, 1], [-a, 0]]: Omega =
-    [[c, h], [-h abar, -c]], abar = (a1 + a2)/2, c = (sqrt(3)/12) h^2
-    (a2 - a1).  Omega^2 = q^2 I with q^2 = c^2 - h^2 abar, so exp(Omega) =
+def _gauss_times(start, h) -> np.ndarray:
+    """The three Gauss nodes of the steps (start, start + h), outer nodes
+    first: shape (3 len(start),)."""
+    mid = start + 0.5 * h
+    return np.concatenate((mid - _GAUSS_OFFSET * h, mid, mid + _GAUSS_OFFSET * h))
+
+
+def _gauss_sum(samples: np.ndarray) -> np.ndarray:
+    """Per-step Gauss sums of values taken at _gauss_times's nodes and
+    reshaped (3, steps): times the step, the integral over each step."""
+    return _OUTER_WEIGHT * (samples[0] + samples[2]) + _MIDDLE_WEIGHT * samples[1]
+
+
+def _magnus_pass(problem: HillProblem, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """det Phi M of the problem from `steps` (a power of two) 6th-order
+    Magnus steps over (0, T/2), and the a(t) samples it took, shape
+    (3, steps): a1, a2, a3 at the three Gauss nodes of each step h, on the
+    closed-form orbit.  For A = [[0, 1], [-a, 0]] every commutator in the
+    step (Blanes, Casas, Oteo & Ros 2009) is traceless, so Omega =
+    [[x, y], [z, -x]] in closed form: with Z1 = -h a2,
+    Z2 = -(sqrt(15) h/3)(a3 - a1) and Z3 = -(10 h/3)(a3 - 2 a2 + a1),
+        x = Z2 (-h/12 + h^2 Z1/180 + h^2 Z3/7200),
+        y = h + h^3 Z2^2/3600 - h^2 Z3/180,
+        z = Z1 + Z3/12 + ((4/3) h Z1 Z3 + h Z3^2/15 - 2 h Z2^2
+                          + h^2 Z1 Z2^2/15)/240.
+    A step with h^2 max|a_i| > 1 keeps only the 4th-order part,
+    x = -h Z2/12, y = h, z = Z1 + Z3/12: there the higher terms grow like
+    powers of h^2 a and overflow the exponential before the step count
+    resolves a.  Omega^2 = q^2 I with q^2 = x^2 + y z, so exp(Omega) =
     cosh q I + (sinh q / q) Omega, cos and sin for q^2 < 0.  The steps
-    are multiplied as a pairwise tree, later factors on the left, and the
-    integrals are the same nodes' Gauss sums, doubled."""
+    are multiplied as a pairwise tree, later factors on the left."""
     h = 0.5 * problem.coeff_period / steps
-    mid = h * (np.arange(steps) + 0.5)
-    theta = problem.orbit.states(np.concatenate((mid - _GAUSS_OFFSET * h,
-                                                 mid + _GAUSS_OFFSET * h)))[:, 0]
-    coefficient = problem.linear_term + problem.coupling * theta * theta
-    a1, a2 = coefficient[:steps], coefficient[steps:]
-    abar = 0.5 * (a1 + a2)
-    c = (math.sqrt(3.0) / 12.0) * h * h * (a2 - a1)
-    q2 = c * c - h * h * abar
+    theta = problem.orbit.states(_gauss_times(h * np.arange(steps), h))[:, 0]
+    coefficient = (problem.linear_term + problem.coupling * theta * theta).reshape(3, steps)
+    a1, a2, a3 = coefficient
+    z1 = -h * a2
+    z2 = -(math.sqrt(15.0) / 3.0) * h * (a3 - a1)
+    z3 = -(10.0 / 3.0) * h * (a3 - 2.0 * a2 + a1)
+    # h where the step takes the 6th-order terms, 0 where it keeps the 4th
+    sixth = np.where(h * h * np.max(np.abs(coefficient), axis=0) <= 1.0, h, 0.0)
+    x = z2 * (-h / 12.0 + sixth * h * (z1 / 180.0 + z3 / 7200.0))
+    y = h + sixth * h * (h * z2 * z2 / 3600.0 - z3 / 180.0)
+    z = z1 + z3 / 12.0 + sixth * ((4.0 / 3.0) * z1 * z3 + z3 * z3 / 15.0 - 2.0 * z2 * z2
+                                  + h * z1 * z2 * z2 / 15.0) / 240.0
+    q2 = x * x + y * z
     q = np.sqrt(np.abs(q2))
     cos_part, sin_part = np.cos(q), np.sinc(q / math.pi)   # sinc: sin(q) / q
     growing = q2 > 0.0
     cos_part[growing] = np.cosh(q[growing])
     sin_part[growing] = np.sinh(q[growing]) / q[growing]
     factors = np.empty((steps, 2, 2))
-    factors[:, 0, 0] = cos_part + sin_part * c
-    factors[:, 0, 1] = sin_part * h
-    factors[:, 1, 0] = -sin_part * h * abar
-    factors[:, 1, 1] = cos_part - sin_part * c
+    factors[:, 0, 0] = cos_part + sin_part * x
+    factors[:, 0, 1] = sin_part * y
+    factors[:, 1, 0] = sin_part * z
+    factors[:, 1, 1] = cos_part - sin_part * x
     while len(factors) > 1:
         factors = factors[1::2] @ factors[0::2]
+    return _unfold(*factors[0].ravel().tolist()), coefficient
+
+
+def _coefficient_root(problem: HillProblem, lo: float, hi: float,
+                      positive_first: bool, tol: float) -> float:
+    """The root t* of a(t) in the bracket (lo, hi), to within tol:
+    safeguarded Newton on theta^2 - theta*^2 along the closed-form orbit,
+    theta*^2 = -linear/coupling, from the bracket's midpoint; a step that
+    leaves the bracket is replaced by bisection.  positive_first says a > 0
+    before t*."""
+    target = -problem.linear_term / problem.coupling
+    t = 0.5 * (lo + hi)
+    for _ in range(100):      # bisection alone reaches tol = 1e-9 h within 30
+        theta, dtheta = problem.orbit.states([t])[0].tolist()
+        gap, slope = theta * theta - target, 2.0 * theta * dtheta
+        if (gap > 0.0) == positive_first:
+            lo = t
+        else:
+            hi = t
+        newton = t - gap / slope if slope else math.nan
+        if abs(newton - t) <= tol:
+            return newton
+        t = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            break
+    return t
+
+
+def _coefficient_integrals(problem: HillProblem, coefficient: np.ndarray) -> tuple:
+    """(int_0^T a, int_0^T (a^+)^2) from a pass's samples a(t) at the Gauss
+    nodes, shape (3, steps): the Gauss sums over (0, T/2), doubled.  a is
+    monotone on (0, T/2), as theta^2 is, so it changes sign at most once,
+    at t*; (a^+)^2 has a kink there that the plain Gauss sum over that step
+    misses, so on that one step (a^+)^2 is integrated by Gauss over its
+    positive side alone, up to or from t*.  t* is found in the gap between
+    the two nodes on either side of it, to 1e-9 h: an error d in t* moves
+    the integral by a'(t*)^2 d^3 / 3."""
+    steps = coefficient.shape[1]
+    h = 0.5 * problem.coeff_period / steps
+    mean = 2.0 * h * float(np.sum(_gauss_sum(coefficient)))
     positive = np.maximum(coefficient, 0.0)
-    return _unfold(*factors[0].ravel().tolist()), (
-        h * float(np.sum(coefficient)), h * float(np.sum(positive * positive)))
+    shares = _gauss_sum(positive * positive)
+    if not problem.coeff_min < 0.0 < problem.coeff_max:
+        return mean, 2.0 * h * float(np.sum(shares))
+    positive_first = problem.coefficient(problem.orbit.initial_state[0] ** 2) > 0.0
+    # in time order, node j = 3i + r of the pass sits at h (i + 1/2 + (r - 1)
+    # offset) and the first `before` nodes lie before t*; the bracket of t*
+    # runs between two nodes, or a node and an end of (0, T/2)
+    before = int(np.count_nonzero((coefficient.T.ravel() > 0.0) == positive_first))
+    node = [h * (j // 3 + 0.5 + (j % 3 - 1) * _GAUSS_OFFSET) for j in (before - 1, before)]
+    lo = node[0] if before > 0 else 0.0
+    hi = node[1] if before < 3 * steps else 0.5 * problem.coeff_period
+    root = _coefficient_root(problem, lo, hi, positive_first, 1e-9 * h)
+    kink = min(int(root / h), steps - 1)
+    start, end = (kink * h, root) if positive_first else (root, (kink + 1) * h)
+    theta = problem.orbit.states(_gauss_times(np.array([start]), end - start))[:, 0]
+    side = problem.linear_term + problem.coupling * theta * theta
+    square = h * (float(np.sum(shares)) - float(shares[kink])) \
+        + (end - start) * float(_gauss_sum(side * side))
+    return mean, 2.0 * square
 
 
 def _magnus_kernel(problem: HillProblem, rel_tol: float) -> tuple | None:
-    """(det Phi M, integrals, (steps, delta)) from Magnus passes at 16, 32,
+    """(det Phi M, integrals, (steps, delta)) from Magnus passes at 64, 128,
     ... steps, up to the first pass whose trace is within rel_tol
     max(1, |trace|) of the last one's, delta being that gap; None when a
-    trace is not finite or the step count would pass MAX_MAGNUS_STEPS."""
+    trace is not finite or the step count would pass MAX_MAGNUS_STEPS.
+    The integrals come from the accepted pass's samples."""
     steps, last = _MAGNUS_FIRST_STEPS, None
     with np.errstate(over="ignore", invalid="ignore"):
         while steps <= MAX_MAGNUS_STEPS:
-            matrix, integrals = _magnus_pass(problem, steps)
+            matrix, coefficient = _magnus_pass(problem, steps)
             trace = 2.0 * float(matrix[0, 0])
             if not math.isfinite(trace):
                 return None
             if last is not None and abs(trace - last) <= rel_tol * max(1.0, abs(trace)):
-                return matrix, integrals, (steps, abs(trace - last))
+                return (matrix, _coefficient_integrals(problem, coefficient),
+                        (steps, abs(trace - last)))
             steps, last = 2 * steps, trace
     return None
 

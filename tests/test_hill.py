@@ -291,7 +291,7 @@ class TestOnePass:
     ])
     def test_one_integration_per_cell(self, monkeypatch, m, n, P, E):
         # a cell the Magnus kernel converges on integrates nothing; with the
-        # kernel's cap below its second pass, the cell falls back to exactly
+        # kernel's cap below its first pass, the cell falls back to exactly
         # one DOP853 pass
         calls = []
         original = beammodes.hill.integrate
@@ -389,6 +389,47 @@ HALF_PERIOD_BATTERY = {
 ROW_80 = [(1, 5, 80.0, _FLOOR_80 * (1.0 - (i + 0.5) / 30)) for i in range(30)]
 
 
+def mpmath_well_coefficient(mp, m, n, P, E):
+    """a(t) of the Hill problem (m, n, P, E) along the well orbit
+    theta = A kp / dn(omega t) of mode m, and half its period, K / omega,
+    in mpmath at its working precision.  The lower turning root is the
+    product of the roots over the upper one, which does not cancel."""
+    P, E = mp.mpf(P), mp.mpf(E)
+    gap = P - m * m
+    hi = (gap + mp.sqrt(gap * gap + 4 * E)) / m**2
+    lo = -4 * E / (m**4 * hi)
+    A, kp, omega = mp.sqrt(hi), mp.sqrt(lo / hi), m**2 * mp.sqrt(hi / 2)
+
+    def a(t):
+        theta = A * kp / mp.ellipfun("dn", omega * t, m=1 - kp**2)
+        return n**2 * (n**2 - P) + m**2 * n**2 * theta**2
+
+    return a, mp.ellipk(1 - kp**2) / omega
+
+
+def mpmath_separatrix_trace(dps=30):
+    """The monodromy trace of the "well near separatrix" cell, (1, 2) at
+    P = 2, E = -1e-6, to dps digits: mpmath.odefun's Taylor integrator on
+    both Hill columns over (0, T/2) on mpmath_well_coefficient, unfolded as
+    hill._unfold does.  At dps = 30 it takes about two minutes;
+    SEPARATRIX_TRACE is its output.  Run as
+    python -c "import test_hill as t; print(t.mpmath_separatrix_trace())"
+    from tests/ with src on PYTHONPATH."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        a, half = mpmath_well_coefficient(mp, 1, 2, 2.0, -1e-6)
+        x1, dx1, x2, dx2 = mp.odefun(
+            lambda t, y: [y[1], -a(t) * y[0], y[3], -a(t) * y[2]], 0, [1, 0, 0, 1])(half)
+        return mp.nstr(2 * (x1 * dx2 + x2 * dx1), dps)
+
+
+# mpmath_separatrix_trace() at 30 digits, for E the double nearest -1e-6;
+# E = -10^-6 exactly gives 1.29079200105731928854934956621, 2e-16 lower.
+# DOP853 at REFERENCE is 5.8e-13 off here, more than the 1e-13 resolution
+# test_tighter_tolerance_is_no_less_accurate asks.
+SEPARATRIX_TRACE = 1.29079200105731948407933418643
+
+
 class TestHalfPeriod:
     """The monodromy integrates half a coefficient period and unfolds the
     rest by time reversal; the full-period pass is its oracle."""
@@ -466,16 +507,26 @@ class TestMagnusKernel:
     """The Magnus kernel on the closed-form orbit against the DOP853 pass,
     its oracle."""
 
-    @pytest.mark.parametrize("case", ["sign-changing unstable", "well near separatrix",
-                                      "huge growth", "near |trace| = 2"])
-    def test_fourth_order(self, case):
-        # each doubling of the step count cuts the trace error by about 16;
-        # a wrong commutator sign leaves the method second order (about 4)
+    @pytest.mark.parametrize("case", [case for case in HALF_PERIOD_BATTERY
+                                      if case != "bottom"])
+    def test_sixth_order(self, case):
+        # each doubling of the step count cuts the trace error by about 64; a
+        # wrong sign on one commutator term leaves it 4th order (about 16) or
+        # lower.  Only step counts where every step takes the 6th-order
+        # Omega count, and whose error is above 1e-12, clear of the reference
+        # pass's own.  At the bottom a is constant and every pass is exact.
         problem = build_hill(*HALF_PERIOD_BATTERY[case])
         want = 2.0 * dop853_pass(problem, REFERENCE)[0][0, 0]
-        errors = [relative_gap(2.0 * beammodes.hill._magnus_pass(problem, steps)[0][0, 0],
-                               want) for steps in (16, 32, 64, 128)]
-        assert all(coarse >= 12.0 * fine for coarse, fine in zip(errors, errors[1:]))
+        errors = {}
+        for steps in (2**k for k in range(2, 13)):
+            matrix, coefficient = beammodes.hill._magnus_pass(problem, steps)
+            h = 0.5 * problem.coeff_period / steps
+            error = relative_gap(2.0 * matrix[0, 0], want)
+            if h * h * np.max(np.abs(coefficient)) <= 1.0 and error > 1e-12:
+                errors[steps] = error
+        ratios = [errors[steps] / errors[2 * steps] for steps in errors
+                  if 2 * steps in errors]
+        assert ratios and min(ratios) >= 40.0, errors
 
     @pytest.mark.parametrize("cell", list(HALF_PERIOD_BATTERY.values()) + ROW_80,
                              ids=list(HALF_PERIOD_BATTERY) + [f"row80-{i}" for i in range(30)])
@@ -492,9 +543,13 @@ class TestMagnusKernel:
 
     @pytest.mark.parametrize("case", list(HALF_PERIOD_BATTERY))
     def test_tighter_tolerance_is_no_less_accurate(self, case):
-        # up to the resolution of the reference pass itself (rel_tol 1e-13)
+        # up to the resolution of the reference (1e-13): the DOP853 pass at
+        # rel_tol 1e-13, or the 30-digit trace near the separatrix
         problem = build_hill(*HALF_PERIOD_BATTERY[case])
-        want = 2.0 * dop853_pass(problem, REFERENCE)[0][0, 0]
+        if case == "well near separatrix":
+            want = SEPARATRIX_TRACE
+        else:
+            want = 2.0 * dop853_pass(problem, REFERENCE)[0][0, 0]
         loose, tight = (relative_gap(monodromy(problem, IntegratorConfig(rel_tol=tol)).trace,
                                      want) for tol in (1e-10, 1e-12))
         assert tight <= loose + 1e-13
@@ -515,9 +570,45 @@ class TestMagnusKernel:
             monkeypatch.setattr(beammodes.hill, "MAX_MAGNUS_STEPS", 16)
         else:
             monkeypatch.setattr(beammodes.hill, "_magnus_pass", lambda problem, steps: (
-                np.full((2, 2), math.inf), (0.0, 0.0)))
+                np.full((2, 2), math.inf), np.zeros((3, steps))))
         result = monodromy(problem, TIGHT)
         matrix, integrals = dop853_pass(problem, TIGHT)
         assert result.step_doubling is None
         assert result.matrix.tobytes() == matrix.tobytes()
         assert result.coefficient_integrals == integrals
+
+    def test_coarse_passes_do_not_stop_the_doubling(self):
+        # the passes at 32 and 64 steps agree here by accident, to within
+        # rel_tol |trace| (3.9e-10), and would stop the doubling with the
+        # trace 1.3e-10 off; the first pass has 64 steps
+        problem = build_hill(3, 7, 49.0, 1.0494525233259504)
+        kernel = monodromy(problem)
+        want = 2.0 * dop853_pass(problem, REFERENCE)[0][0, 0]
+        assert kernel.step_doubling is not None
+        assert abs(kernel.trace - want) <= 1e-10 * max(1.0, abs(kernel.trace))
+
+    def test_coarse_steps_keep_the_fourth_order_omega(self):
+        # a(t) = n^4 + n^2 theta^2 is about 1.6e9 for n = 200: at 64 steps
+        # h^2 a is about 5e5, where the 6th-order terms overflow the first
+        # pass's exponentials and the cell would fall back to DOP853
+        result = monodromy(build_hill(1, 200, 0.0, 1.0))
+        assert result.step_doubling is not None
+        assert result.step_doubling[0] <= 4096
+        assert result.trace == pytest.approx(1.5619842287179009, rel=0.0, abs=1e-9)
+
+    def test_kink_integral_matches_mpmath(self):
+        # int_0^T (a^+)^2 where a changes sign, against mpmath.quad on the
+        # positive side of the root t* of a: on this (1, 5) well orbit
+        # theta^2 rises from the inner turning point, so a > 0 on (t*, T/2),
+        # and the integral over T is twice that over (t*, T/2)
+        mp = pytest.importorskip("mpmath")
+        problem = build_hill(*ROW_80[15])
+        assert problem.coeff_min < 0.0 < problem.coeff_max
+        square = monodromy(problem).coefficient_integrals[1]
+        with mp.workdps(30):
+            a, half = mpmath_well_coefficient(mp, 1, 5, problem.P,
+                                              problem.orbit.energy.value)
+            assert a(0) < 0 < a(half)
+            root = mp.findroot(a, (0, half), solver="anderson")
+            want = 2 * mp.quad(lambda t: a(t) ** 2, [root, half])
+        assert square == pytest.approx(float(want), rel=1e-11)
