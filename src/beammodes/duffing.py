@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, require_finite, require_positive_int
-from .special import elliptic_k, elliptic_k_from_complement, jacobi_sn_cn_dn
+from .special import elliptic_f, elliptic_k, elliptic_k_from_complement, jacobi_sn_cn_dn
 
 # Regime classification tolerance; scales with the energy magnitude.
 _CLASSIFY_TOL = 1e-13
@@ -216,19 +216,20 @@ class DuffingOrbit:
         """Period of theta^2: half the orbit period iff the orbit changes sign."""
         return 0.5 * self.period if self.sign_changing else self.period
 
+    def _jacobi_scaling(self) -> tuple[float, float]:
+        """(w, kp) of the orbit: theta'^2 = (k^4/2)(hi - theta^2)(theta^2 - lo)
+        is the cn equation at w = k^2 sqrt((hi - lo)/2), kp^2 = -lo/(hi - lo),
+        and the dn one at w = k^2 sqrt(hi/2), kp^2 = lo/hi (1 at the bottom)."""
+        k2, lo, hi = float(self.params.k) ** 2, self.sq_lo, self.sq_hi
+        if self.sign_changing:
+            return k2 * math.sqrt(0.5 * (hi - lo)), math.sqrt(-lo / (hi - lo))
+        return k2 * math.sqrt(0.5 * hi), self.modulus
+
     def states(self, ts) -> np.ndarray:
         """(theta, theta') at the times ts in closed form, shape (len(ts), 2):
         A cn(w t) if the orbit changes sign, else A kp / dn(w t) = A dn(w t + K),
-        the dn orbit started at its inner turning point as initial_state is.
-        w and kp come from the turning roots: theta'^2 = (k^4/2)(hi - theta^2)
-        (theta^2 - lo) is the cn equation at w = k^2 sqrt((hi - lo)/2),
-        kp^2 = -lo/(hi - lo), and the dn equation at w = k^2 sqrt(hi/2),
-        kp^2 = lo/hi; the constant orbit at the well bottom is kp = 1."""
-        k2, lo, hi, A = float(self.params.k) ** 2, self.sq_lo, self.sq_hi, self.amplitude
-        if self.sign_changing:
-            omega, kp = k2 * math.sqrt(0.5 * (hi - lo)), math.sqrt(-lo / (hi - lo))
-        else:
-            omega, kp = k2 * math.sqrt(0.5 * hi), self.modulus
+        the dn orbit started at its inner turning point as initial_state is."""
+        A, (omega, kp) = self.amplitude, self._jacobi_scaling()
         sn, cn, dn = jacobi_sn_cn_dn(omega * np.asarray(ts, dtype=float), kp)
         if self.sign_changing:
             return self.sign * np.column_stack((A * cn, -A * omega * sn * dn))
@@ -237,6 +238,21 @@ class DuffingOrbit:
         # zero times sn cn and the sign, -0.0 where their product is negative
         return self.sign * np.column_stack(
             (theta, theta * omega * (1.0 - kp) * (1.0 + kp) * sn * cn / dn)) + 0.0
+
+    def time_at_square(self, theta_sq: float) -> float:
+        """The t in [0, T_c/2] where theta^2 = theta_sq, off the well bottom:
+        F(phi | kappa) / w, with sn^2 phi = (hi - theta_sq)/hi on a cn orbit
+        (theta^2 falls from sq_hi) and hi (theta_sq - lo) / (theta_sq (hi - lo))
+        on a dn one (it rises from sq_lo); sn and cn take no difference of
+        nearly equal numbers but those of the data."""
+        (omega, kp), lo, hi = self._jacobi_scaling(), self.sq_lo, self.sq_hi
+        if self.sign_changing:
+            sn2, cn2 = (hi - theta_sq) / hi, theta_sq / hi
+        else:
+            scale = theta_sq * (hi - lo)
+            sn2, cn2 = hi * (theta_sq - lo) / scale, lo * (hi - theta_sq) / scale
+        t = float(elliptic_f(math.sqrt(max(sn2, 0.0)), math.sqrt(max(cn2, 0.0)), kp)) / omega
+        return min(t, 0.5 * self.coefficient_period)
 
 
 def duffing_rhs(params: ModeParams) -> Callable[[float, np.ndarray], np.ndarray]:

@@ -28,15 +28,15 @@ The pass over (0, T/2) is a 6th-order Magnus integrator with three Gauss
 nodes per step and exact 2x2 exponentials, run on a(t) sampled from the
 closed-form orbit (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999;
 Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  Its step count doubles
-from 64 until two successive traces agree to the integrator's rel_tol, so
-rel_tol is the relative accuracy asked of the trace.  Each step has unit
-determinant, so the determinant gate cannot see a bad kernel result; the
-step doubling is its check.  The accepted pass's samples give the
-coefficient integrals, with the kink of (a^+)^2 at the root of a taken
-exactly.  A cell that does not converge within MAX_MAGNUS_STEPS falls
-back to the DOP853 pass, which integrates the orbit, both Hill columns
-and the integrals together and is also the one pass of the large-energy
-limit cell.
+from 64 until two successive finite traces agree to the integrator's
+rel_tol, the relative accuracy asked of the trace; a pass that overflows
+doubles on.  Each step has unit determinant, so the determinant gate
+cannot see a bad kernel result; the step doubling is its check.  The
+accepted pass's samples give the coefficient integrals, with the kink of
+(a^+)^2 at the root of a in closed form.  Only the step cap falls back:
+past MAX_MAGNUS_STEPS, to the DOP853 pass, which integrates the orbit,
+both Hill columns and the integrals together and is also the one pass of
+the large-energy limit cell.
 """
 
 from __future__ import annotations
@@ -295,79 +295,41 @@ def _magnus_pass(problem: HillProblem, steps: int) -> tuple[np.ndarray, np.ndarr
     return _unfold(*factors[0].ravel().tolist()), coefficient
 
 
-def _coefficient_root(problem: HillProblem, lo: float, hi: float,
-                      positive_first: bool, tol: float) -> float:
-    """The root t* of a(t) in the bracket (lo, hi), to within tol:
-    safeguarded Newton on theta^2 - theta*^2 along the closed-form orbit,
-    theta*^2 = -linear/coupling, from the bracket's midpoint; a step that
-    leaves the bracket is replaced by bisection.  positive_first says a > 0
-    before t*."""
-    target = -problem.linear_term / problem.coupling
-    t = 0.5 * (lo + hi)
-    for _ in range(100):      # bisection alone reaches tol = 1e-9 h within 30
-        theta, dtheta = problem.orbit.states([t])[0].tolist()
-        gap, slope = theta * theta - target, 2.0 * theta * dtheta
-        if (gap > 0.0) == positive_first:
-            lo = t
-        else:
-            hi = t
-        newton = t - gap / slope if slope else math.nan
-        if abs(newton - t) <= tol:
-            return newton
-        t = newton if lo < newton < hi else 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            break
-    return t
-
-
 def _coefficient_integrals(problem: HillProblem, coefficient: np.ndarray) -> tuple:
     """(int_0^T a, int_0^T (a^+)^2) from a pass's samples a(t) at the Gauss
     nodes, shape (3, steps): the Gauss sums over (0, T/2), doubled.  a is
-    monotone on (0, T/2), as theta^2 is, so it changes sign at most once,
-    at t*; (a^+)^2 has a kink there that the plain Gauss sum over that step
-    misses, so on that one step (a^+)^2 is integrated by Gauss over its
-    positive side alone, up to or from t*.  t* is found in the gap between
-    the two nodes on either side of it, to 1e-9 h: an error d in t* moves
-    the integral by a'(t*)^2 d^3 / 3."""
+    monotone on (0, T/2), as theta^2 is, so it changes sign at most once, at
+    the t* where theta^2 = -linear/coupling, in closed form; on the step that
+    holds t*, (a^+)^2 is integrated by Gauss over its positive side alone,
+    past the kink that the plain Gauss sum misses."""
     steps = coefficient.shape[1]
     h = 0.5 * problem.coeff_period / steps
     mean = 2.0 * h * float(np.sum(_gauss_sum(coefficient)))
     positive = np.maximum(coefficient, 0.0)
     shares = _gauss_sum(positive * positive)
-    if not problem.coeff_min < 0.0 < problem.coeff_max:
-        return mean, 2.0 * h * float(np.sum(shares))
-    positive_first = problem.coefficient(problem.orbit.initial_state[0] ** 2) > 0.0
-    # in time order, node j = 3i + r of the pass sits at h (i + 1/2 + (r - 1)
-    # offset) and the first `before` nodes lie before t*; the bracket of t*
-    # runs between two nodes, or a node and an end of (0, T/2)
-    before = int(np.count_nonzero((coefficient.T.ravel() > 0.0) == positive_first))
-    node = [h * (j // 3 + 0.5 + (j % 3 - 1) * _GAUSS_OFFSET) for j in (before - 1, before)]
-    lo = node[0] if before > 0 else 0.0
-    hi = node[1] if before < 3 * steps else 0.5 * problem.coeff_period
-    root = _coefficient_root(problem, lo, hi, positive_first, 1e-9 * h)
-    kink = min(int(root / h), steps - 1)
-    start, end = (kink * h, root) if positive_first else (root, (kink + 1) * h)
-    theta = problem.orbit.states(_gauss_times(np.array([start]), end - start))[:, 0]
-    side = problem.linear_term + problem.coupling * theta * theta
-    square = h * (float(np.sum(shares)) - float(shares[kink])) \
-        + (end - start) * float(_gauss_sum(side * side))
-    return mean, 2.0 * square
+    if problem.coeff_min < 0.0 < problem.coeff_max:
+        # a > 0 before t* on a cn orbit, after it on a dn one
+        root = problem.orbit.time_at_square(-problem.linear_term / problem.coupling)
+        kink = min(int(root / h), steps - 1)
+        start, end = (kink * h, root) if problem.orbit.sign_changing else (root, (kink + 1) * h)
+        theta = problem.orbit.states(_gauss_times(np.array([start]), end - start))[:, 0]
+        side = problem.linear_term + problem.coupling * theta * theta
+        shares[kink] = (end - start) / h * float(_gauss_sum(side * side))
+    return mean, 2.0 * h * float(np.sum(shares))
 
 
 def _magnus_kernel(problem: HillProblem, rel_tol: float) -> tuple | None:
     """(det Phi M, integrals, (steps, delta)) from Magnus passes at 64, 128,
     ... steps, up to the first pass whose trace is within rel_tol
-    max(1, |trace|) of the last one's, delta being that gap; None when a
-    trace is not finite or the step count would pass MAX_MAGNUS_STEPS.
-    The integrals come from the accepted pass's samples."""
-    steps, last = _MAGNUS_FIRST_STEPS, None
+    max(1, |trace|) of the last one's, delta being that gap, the integrals
+    from its samples; None past MAX_MAGNUS_STEPS.  A first trace (last = nan)
+    or a non-finite one never passes that test: the doubling runs on."""
+    steps, last = _MAGNUS_FIRST_STEPS, math.nan
     with np.errstate(over="ignore", invalid="ignore"):
         while steps <= MAX_MAGNUS_STEPS:
             matrix, coefficient = _magnus_pass(problem, steps)
             trace = 2.0 * float(matrix[0, 0])
-            if not math.isfinite(trace):
-                return None
-            if last is not None and abs(trace - last) <= rel_tol * max(1.0, abs(trace)):
+            if abs(trace - last) <= rel_tol * max(1.0, abs(trace)) < math.inf:
                 return (matrix, _coefficient_integrals(problem, coefficient),
                         (steps, abs(trace - last)))
             steps, last = 2 * steps, trace
@@ -390,9 +352,8 @@ def monodromy(
     The pass is the Magnus kernel on the closed-form orbit, with step
     doubling until two traces agree within config.rel_tol max(1, |trace|);
     the result records the final step count and that gap in step_doubling.
-    A cell whose traces do not converge by MAX_MAGNUS_STEPS, or are not
-    finite, takes the DOP853 pass at config instead, and step_doubling is
-    None.
+    A cell whose traces do not converge by MAX_MAGNUS_STEPS takes the
+    DOP853 pass at config instead, and step_doubling is None.
     """
     kernel = _magnus_kernel(problem, config.rel_tol)
     if kernel is None:

@@ -33,6 +33,20 @@ def elliptic_k_from_complement(kp: float) -> float:
     return math.pi / (2.0 * a)
 
 
+def _landen_ladder(kp: float, caller: str) -> tuple[list, float]:
+    """The descending Landen moduli [(k_0, kp_0), ..., (k_N, kp_N)] of 0 < kp <= 1
+    from the AGM on (1, kp), and its mean a_N: u at k_0 is u a_N at k_N <= 1e-9."""
+    if not 0.0 < kp <= 1.0:
+        raise DomainError(f"{caller} requires 0 < kp <= 1, got {kp!r}")
+    a, b, k = 1.0, kp, math.sqrt((1.0 - kp) * (1.0 + kp))
+    moduli = [(k, kp)]
+    while k > 1e-9:  # below, sin and cos are sn and cn to within k^2 u / 4
+        k = (a - b) / (a + b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        moduli.append((k, b / a))
+    return moduli, a
+
+
 def jacobi_sn_cn_dn(u, kp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sn, cn, dn of u (scalar or array) at complementary modulus 0 < kp <= 1.
 
@@ -42,14 +56,7 @@ def jacobi_sn_cn_dn(u, kp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     digits near its zeros, and each level forms dn = sqrt(kp^2 + k^2 cn^2),
     which never cancels; kp keeps every digit as k -> 1 (Bulirsch 1965).
     """
-    if not 0.0 < kp <= 1.0:
-        raise DomainError(f"jacobi_sn_cn_dn requires 0 < kp <= 1, got {kp!r}")
-    a, b, k = 1.0, kp, math.sqrt((1.0 - kp) * (1.0 + kp))
-    moduli = [(k, kp)]
-    while k > 1e-9:  # below, sin and cos are sn and cn to within k^2 u / 4
-        k = (a - b) / (a + b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        moduli.append((k, b / a))
+    moduli, a = _landen_ladder(kp, "jacobi_sn_cn_dn")
     phi = np.asarray(u, dtype=float) * a
     sn, cn, dn, k_up = np.sin(phi), np.cos(phi), 1.0, 0.0
     for k, kp_j in reversed(moduli):
@@ -57,6 +64,22 @@ def jacobi_sn_cn_dn(u, kp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sn, cn = (1.0 + k_up) * sn / den, cn * dn / den
         dn, k_up = np.sqrt(kp_j * kp_j + k * k * cn * cn), k
     return sn, cn, dn
+
+
+def elliptic_f(sin_phi, cos_phi, kp: float):
+    """F(phi | sqrt(1 - kp^2)), 0 < kp <= 1, from sin phi and cos phi (scalars or
+    arrays), phi in [0, pi/2]: the u with sn u = sin phi, cn u = cos phi.  The
+    phase goes up jacobi_sn_cn_dn's ladder by its inverse step: with s = (1 + kp)
+    / (1 + dn), sn -> s sn and cn -> cn sqrt(2 s / (dn + kp)), positive factors
+    that keep cn's digits near the separatrix; F = atan2(sn, cn) / a_N at the top
+    (DLMF 19.8, 22.20(ii))."""
+    moduli, a = _landen_ladder(kp, "elliptic_f")
+    sn, cn = sin_phi, cos_phi
+    for k, kp_j in moduli[:-1]:
+        dn = np.sqrt(kp_j * kp_j + k * k * cn * cn)
+        scale = (1.0 + kp_j) / (1.0 + dn)
+        sn, cn = scale * sn, cn * np.sqrt(2.0 * scale / (dn + kp_j))
+    return np.arctan2(sn, cn) / a
 
 
 def elliptic_k(x: float) -> float:

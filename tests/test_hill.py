@@ -566,16 +566,51 @@ class TestMagnusKernel:
     @pytest.mark.parametrize("how", ["cap", "non-finite trace"])
     def test_fallback_is_the_dop853_pass(self, monkeypatch, how):
         problem = build_hill(*HALF_PERIOD_BATTERY["sign-changing unstable"])
+        passes = []
         if how == "cap":
             monkeypatch.setattr(beammodes.hill, "MAX_MAGNUS_STEPS", 16)
         else:
-            monkeypatch.setattr(beammodes.hill, "_magnus_pass", lambda problem, steps: (
-                np.full((2, 2), math.inf), np.zeros((3, steps))))
+            def non_finite(problem, steps):
+                passes.append(steps)
+                return np.full((2, 2), math.inf), np.zeros((3, steps))
+
+            monkeypatch.setattr(beammodes.hill, "_magnus_pass", non_finite)
         result = monodromy(problem, TIGHT)
         matrix, integrals = dop853_pass(problem, TIGHT)
         assert result.step_doubling is None
         assert result.matrix.tobytes() == matrix.tobytes()
         assert result.coefficient_integrals == integrals
+        if how == "non-finite trace":
+            # non-finite traces do not stop the doubling: only the cap does
+            steps = 64
+            assert passes[0] == steps and passes[-1] == beammodes.hill.MAX_MAGNUS_STEPS
+            assert passes == [steps << i for i in range(len(passes))]
+
+    def test_an_infinite_trace_never_converges(self, monkeypatch):
+        # after a finite pass an infinite trace differs from it by inf, which
+        # rel_tol |trace| = inf would admit; the cell falls back instead
+        problem = build_hill(*HALF_PERIOD_BATTERY["sign-changing unstable"])
+        monkeypatch.setattr(beammodes.hill, "_magnus_pass", lambda problem, steps: (
+            np.eye(2) if steps == 64 else np.full((2, 2), math.inf),
+            np.zeros((3, steps))))
+        assert monodromy(problem).step_doubling is None
+
+    def test_a_non_finite_first_pass_keeps_doubling(self):
+        # (1, 200) at P = 40005, E = 1e-6: trace about -1.6e25, and the
+        # 64-step pass is -inf (h^2 max|a| about 7e3); from 128 steps on the
+        # passes are finite and the kernel converges at 65,536 steps, closer
+        # to the DOP853 pass at rel_tol 1e-12 than that pass at the default
+        # tolerance is (3.2e-8)
+        problem = build_hill(1, 200, 40005.0, 1e-6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first, _ = beammodes.hill._magnus_pass(problem, 64)
+        assert not math.isfinite(first[0, 0])
+        kernel = monodromy(problem)
+        assert kernel.step_doubling is not None
+        assert kernel.step_doubling[0] == 65536
+        want = 2.0 * dop853_pass(problem, TIGHT)[0][0, 0]
+        assert abs(kernel.trace - want) <= 1e-9 * abs(want)
+        assert kernel.verdict is Verdict.UNSTABLE
 
     def test_coarse_passes_do_not_stop_the_doubling(self):
         # the passes at 32 and 64 steps agree here by accident, to within

@@ -9,8 +9,8 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from beammodes.errors import DomainError
-from beammodes.special import (comparison_bounds, elliptic_k, elliptic_k_from_complement,
-                               jacobi_sn_cn_dn, sigma_constant)
+from beammodes.special import (comparison_bounds, elliptic_f, elliptic_k,
+                               elliptic_k_from_complement, jacobi_sn_cn_dn, sigma_constant)
 
 
 def test_elliptic_k_zero_modulus():
@@ -95,6 +95,37 @@ def test_jacobi_limits_and_shapes():
 @pytest.mark.parametrize("kp", [0.0, -0.1, 1.5, math.inf, math.nan])
 def test_jacobi_domain(kp):
     with pytest.raises(DomainError):
+        jacobi_sn_cn_dn(1.0, kp)
+
+
+@pytest.mark.parametrize("kp", [1.0, 0.5, 1e-3, 1e-9, 1e-12])
+def test_elliptic_f_against_mpmath(kp):
+    # phi from 0 to the quarter period, its sine and cosine rounded from the
+    # same float phi that mpmath takes; next to pi/2 at kp = 1e-12, F is
+    # within a few units of K ~ 29
+    mpmath = pytest.importorskip("mpmath")
+    for phi in (0.0, 1e-8, 0.3, 1.0, 1.5, math.pi / 2 - 1e-9, math.pi / 2):
+        got = float(elliptic_f(math.sin(phi), math.cos(phi), kp))
+        with mpmath.workdps(40):
+            want = float(mpmath.ellipf(mpmath.mpf(phi), 1 - mpmath.mpf(kp) ** 2))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), phi
+
+
+@pytest.mark.parametrize("kp", [1e-12, 1e-7, 1e-3, 0.5, 1.0])
+def test_elliptic_f_inverts_sn_and_cn(kp):
+    K = elliptic_k_from_complement(kp)
+    assert float(elliptic_f(1.0, 0.0, kp)) == pytest.approx(K, rel=1e-15)
+    us = K * np.linspace(0.0, 1.0, 17)
+    sn, cn, _ = jacobi_sn_cn_dn(us, kp)
+    # sn and cn carry a few units of rounding each
+    assert_allclose(elliptic_f(sn, cn, kp), us, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kp", [0.0, -0.1, 1.5, math.inf, math.nan])
+def test_elliptic_f_domain(kp):
+    with pytest.raises(DomainError, match="elliptic_f requires 0 < kp <= 1"):
+        elliptic_f(0.5, math.sqrt(0.75), kp)
+    with pytest.raises(DomainError, match="jacobi_sn_cn_dn requires 0 < kp <= 1"):
         jacobi_sn_cn_dn(1.0, kp)
 
 
