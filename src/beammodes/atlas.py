@@ -3,12 +3,14 @@
 Every verdict comes from one cell evaluator: the (m, n) Hill monodromy at
 one energy, or the large-energy limit of one gamma.  A sweep runs it over
 a grid of initial amplitudes theta0 (or energies) at fixed load, one cell
-per grid point.  Cells are computed independently, in deterministic
-row-major order (mode pairs outer, grid inner), optionally across worker
-processes; a failing cell records the failure in its quality flag instead
-of aborting the sweep.  The adaptive amplitude sweep adds cells to a
-uniform backbone sweep where a verdict change may hide, and threshold
-finding solves |trace| = 2 between cells whose verdicts differ.
+per grid point, in deterministic row-major order (mode pairs outer, grid
+inner).  The Hill cells of a sweep are one batch of the Magnus kernel
+(hill.classify_batch), or one batch per chunk across worker processes; each
+cell's value is independent of the others.  A failing cell records the
+failure in its quality flag instead of aborting the sweep.  The adaptive
+amplitude sweep adds cells to a uniform backbone sweep where a verdict
+change may hide, and threshold finding solves |trace| = 2 between grid
+cells whose verdicts differ; the cells those two add are one at a time.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from operator import attrgetter
 from typing import Sequence
 
 from .duffing import ModeParams, energy_from_initial_amplitude
-from .errors import (BeamModesError, DomainError, csv_text, require_count,
+from .errors import (BeamModesError, DomainError, attempt, csv_text, require_count,
                      require_finite, require_mode_pair, require_positive_finite,
                      require_positive_int)
-from .hill import (DEFAULT_TOL_MARGIN, MonodromyResult, Verdict,
-                   classify_stability, require_tol_margin)
+from .hill import (DEFAULT_TOL_MARGIN, Verdict, classify_batch, classify_stability,
+                   require_tol_margin)
 from .integrate import IntegratorConfig
 from .regime import cazenave_limit_classify
 
@@ -111,31 +113,48 @@ def _mode_fields(entry) -> tuple[int, int, float]:
     return 0, 0, float(entry)
 
 
-def _verdict(spec: SweepSpec, entry, E: float) -> MonodromyResult:
-    """The classified matrix of one cell: the (m, n) monodromy at energy E,
-    or the large-energy limit of the entry's gamma.  Raises BeamModesError
-    when the cell cannot be classified.  Every atlas verdict comes from
-    here; the classifiers are looked up as module globals at call time."""
-    m, n, gamma = _mode_fields(entry)
+def _verdicts(spec: SweepSpec, points: Sequence[tuple]) -> list:
+    """The classified matrix of each cell at points = (entry, theta0, E): the
+    (m, n) monodromy at energy E, or the large-energy limit of the entry's
+    gamma; a cell that cannot be classified gives its BeamModesError in
+    place of the result.  Every atlas verdict comes from here.  The Hill
+    cells of several points are one hill.classify_batch run; a single point,
+    as Brent's probes and the adaptive refinement ask for, is one
+    classify_stability call.  The classifiers are looked up as module
+    globals at call time."""
     if spec.verdict_source is VerdictSource.CAZENAVE_LIMIT:
-        return cazenave_limit_classify(gamma, tol_margin=spec.tol_margin)
-    return classify_stability(m, n, spec.P, E, config=spec.integrator,
-                              tol_margin=spec.tol_margin).monodromy
+        return [attempt(cazenave_limit_classify, _mode_fields(entry)[2],
+                        tol_margin=spec.tol_margin) for entry, _, _ in points]
+    cells = [(*_mode_fields(entry)[:2], spec.P, E) for entry, _, E in points]
+    if len(cells) == 1:
+        reports = [attempt(classify_stability, *cells[0], config=spec.integrator,
+                           tol_margin=spec.tol_margin)]
+    else:
+        reports = classify_batch(cells, spec.integrator, spec.tol_margin)
+    return [r if isinstance(r, BeamModesError) else r.monodromy for r in reports]
 
 
-def _cell(spec: SweepSpec, point: tuple) -> AtlasCell:
-    """The cell at point = (entry, theta0, E); a failure is recorded in its
-    quality flag instead of raised."""
-    entry, theta0, E = point
-    m, n, gamma = _mode_fields(entry)
-    try:
-        result = _verdict(spec, entry, E)
-        trace, verdict, quality = result.trace, result.verdict.value, "ok"
-    except BeamModesError as exc:
-        trace, verdict = math.nan, "none"
-        quality = f"error:{type(exc).__name__}: {exc}"
-    return AtlasCell(gamma=gamma, m=m, n=n, P=float(spec.P), theta0=theta0, E=E,
-                     trace=trace, verdict=verdict, quality=quality)
+def _raised(result):
+    """The result of one cell of _verdicts, or its error raised."""
+    if isinstance(result, BeamModesError):
+        raise result
+    return result
+
+
+def _cells(spec: SweepSpec, points: Sequence[tuple]) -> list[AtlasCell]:
+    """The cells at points = (entry, theta0, E); a failure is recorded in its
+    cell's quality flag instead of raised."""
+    cells = []
+    for (entry, theta0, E), result in zip(points, _verdicts(spec, points)):
+        m, n, gamma = _mode_fields(entry)
+        if isinstance(result, BeamModesError):
+            trace, verdict = math.nan, "none"
+            quality = f"error:{type(result).__name__}: {result}"
+        else:
+            trace, verdict, quality = result.trace, result.verdict.value, "ok"
+        cells.append(AtlasCell(gamma=gamma, m=m, n=n, P=float(spec.P), theta0=theta0,
+                               E=E, trace=trace, verdict=verdict, quality=quality))
+    return cells
 
 
 def _points(spec: SweepSpec) -> list[tuple]:
@@ -158,31 +177,35 @@ def _points(spec: SweepSpec) -> list[tuple]:
 
 
 # Fewest cells per worker before a pool pays for its start-up and pickling.
-# Serial against jobs=2 on 2 vCPUs, (1, 2) at P = 0 over theta0 in [0.1, 2.1),
-# medians of 11 runs with no floor, two rounds: 0.015-0.017 / 0.020-0.023 s
-# at 16 cells, 0.020-0.030 / 0.026-0.033 s at 24, 0.027-0.032 / 0.028-0.034 s
-# at 32, 0.054-0.055 / 0.043-0.046 s at 48, 0.060-0.067 / 0.050-0.051 s at 64
-# and 0.107-0.135 / 0.080-0.095 s at 128 (about 1 ms a cell).
-MIN_CELLS_PER_WORKER = 24
+# Serial against jobs=2 on 2 vCPUs, each side one batch per chunk, (3, 7) at
+# P = 0 over energies geometric in [0.1, 1e4], medians of 7 runs with no
+# floor: 0.004 / 0.012 s at 48 cells, 0.016-0.017 / 0.020-0.023 s at 200,
+# 0.025-0.029 / 0.022-0.024 s at 300, 0.038-0.047 / 0.027-0.029 s at 400,
+# 0.052-0.053 / 0.033-0.036 s at 600 and 0.090 / 0.052-0.057 s at 1000
+# (about 0.09 ms a cell serially).
+MIN_CELLS_PER_WORKER = 150
 
 
 def sweep(spec: SweepSpec, jobs: int = 1) -> list[AtlasCell]:
     """Evaluate the sweep; the cell order (and every cell value) is
     independent of the worker count.
 
-    The pool starts every worker up front, so it gets no more workers than
-    there are cores, and each gets at least MIN_CELLS_PER_WORKER cells;
-    below two workers no pool runs at all.
+    The cells are one batch (see _verdicts), or one batch per chunk of a
+    worker pool.  The pool starts every worker up front, so it gets no more
+    workers than there are cores, and each gets at least
+    MIN_CELLS_PER_WORKER cells; below two workers no pool runs at all.
     """
     if jobs < 1:
         raise DomainError("jobs must be at least 1")
     points = _points(spec)
     workers = min(jobs, os.cpu_count() or 1, len(points) // MIN_CELLS_PER_WORKER)
     if workers < 2:
-        return [_cell(spec, p) for p in points]
+        return _cells(spec, points)
+    size = -(-len(points) // (4 * workers))
+    chunks = [points[i:i + size] for i in range(0, len(points), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(functools.partial(_cell, spec), points,
-                             chunksize=max(1, len(points) // (4 * workers))))
+        return [cell for cells in pool.map(functools.partial(_cells, spec), chunks)
+                for cell in cells]
 
 
 def _interval_score(left: AtlasCell, right: AtlasCell, margin_floor: float) -> float | None:
@@ -266,8 +289,8 @@ def adaptive_amplitude_sweep(
         mid = 0.5 * (cells[i].theta0 + cells[j].theta0)
         if not cells[i].theta0 < mid < cells[j].theta0:
             continue  # interval exhausted at float resolution
-        cells.append(_cell(spec, (spec.modes[0], mid,
-                                  energy_from_initial_amplitude(params, mid))))
+        cells += _cells(spec, [(spec.modes[0], mid,
+                                energy_from_initial_amplitude(params, mid))])
         k = len(cells) - 1
         remaining -= 1
         push(i, k)
@@ -325,10 +348,11 @@ def find_thresholds(
     require_positive_finite("refinement_tol", refinement_tol)
     spec = SweepSpec(P=P, modes=[(m, n)], energy_grid=energies,
                      integrator=integrator, tol_margin=tol_margin)
-    cells = {E: _verdict(spec, (m, n), E) for E in energies}
+    grid = _verdicts(spec, [((m, n), math.nan, E) for E in energies])
+    cells = dict(zip(energies, map(_raised, grid)))
 
     def excess(E: float) -> float:
-        result = cells[E] if E in cells else _verdict(spec, (m, n), E)
+        result = cells[E] if E in cells else _raised(_verdicts(spec, [((m, n), math.nan, E)])[0])
         return abs(result.trace) - 2.0
 
     verdicts = [cells[E].verdict for E in energies]

@@ -59,6 +59,15 @@ class ConsistencyError(BeamModesError, RuntimeError):
     """An analytic criterion and a direct computation disagree."""
 
 
+def attempt(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the BeamModesError it raised: how a batch of
+    cells keeps each cell's failure in its own place."""
+    try:
+        return fn(*args, **kwargs)
+    except BeamModesError as exc:
+        return exc
+
+
 def require_positive_int(label: str, value) -> None:
     """Raise DomainError unless value is an integer (Python or numpy) >= 1."""
     if not isinstance(value, Integral) or value < 1:

@@ -37,6 +37,17 @@ accepted pass's samples give the coefficient integrals, with the kink of
 past MAX_MAGNUS_STEPS, to the DOP853 pass, which integrates the orbit,
 both Hill columns and the integrals together and is also the one pass of
 the large-energy limit cell.
+
+The kernel runs over a batch of cells (classify_batch; classify_stability
+is a batch of one).  Each pass evaluates every cell that has not converged
+on one (cells, 3 steps) node array, each cell with its own step, orbit,
+linear term and coupling, and the Landen ladders of the orbits are built
+once per batch.  A pass holds at most 3 MAX_MAGNUS_STEPS nodes, what one
+cell at the cap holds; a larger batch is passed in chunks.  A cell leaves
+the batch when its own doubling test passes and takes its own fallback, so
+its result is bit for bit that of the cell alone.  Both entries share the
+per-cell steps after the kernel: classify_matrix, criteria_report and the
+cross-check.
 """
 
 from __future__ import annotations
@@ -45,13 +56,13 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .duffing import DuffingOrbit, ModeParams, orbit_from_energy
-from .errors import (ConsistencyError, DomainError, NumericalQualityError,
-                     Serializable, require_mode_pair)
+from .duffing import DuffingOrbit, ModeParams, OrbitBatch, columns, orbit_from_energy
+from .errors import (BeamModesError, ConsistencyError, DomainError, NumericalQualityError,
+                     Serializable, attempt, require_mode_pair)
 from .integrate import IntegratorConfig, integrate
 from .special import sigma_constant
 
@@ -204,11 +215,13 @@ def _coupled_rhs(params: ModeParams, linear: float,
     return coupled
 
 
-def _unfold(a: float, b: float, c: float, d: float) -> np.ndarray:
+def _unfold(a, b, c, d) -> np.ndarray:
     """det Phi M from Phi = Phi(T/2) = [[a, b], [c, d]], as in the module
-    docstring."""
+    docstring; from numbers, or from arrays with one entry per cell, shape
+    (cells, 2, 2)."""
     diagonal = a * d + b * c
-    return np.array([[diagonal, 2.0 * b * d], [2.0 * a * c, diagonal]])
+    return np.array([diagonal, 2.0 * b * d, 2.0 * a * c, diagonal]).T.reshape(
+        np.shape(diagonal) + (2, 2))
 
 
 def _half_period_pass(params: ModeParams, state, linear: float, coupling: float,
@@ -235,27 +248,67 @@ _GAUSS_OFFSET = math.sqrt(15.0) / 10.0
 _OUTER_WEIGHT, _MIDDLE_WEIGHT = 5.0 / 18.0, 8.0 / 18.0
 
 
+# A batched pass holds at most this many Gauss nodes, what one cell at the
+# step cap holds; a batch with more is passed in chunks.
+_PASS_NODES = 3 * MAX_MAGNUS_STEPS
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """The Hill problems of one kernel batch, one row each: half the
+    coefficient period, the linear term and the coupling as columns (see
+    duffing.columns), and the closed forms of their orbits."""
+
+    half: np.ndarray
+    linear: np.ndarray
+    coupling: np.ndarray
+    orbits: OrbitBatch
+
+    @classmethod
+    def of(cls, problems: Sequence[HillProblem]) -> _Batch:
+        return cls(*columns([(0.5 * p.coeff_period, p.linear_term, p.coupling)
+                             for p in problems]),
+                   OrbitBatch.of([p.orbit for p in problems]))
+
+    def __len__(self) -> int:
+        return self.half.size
+
+    def __getitem__(self, rows) -> _Batch:
+        """The batch of the problems at `rows` (a slice or an index array) of
+        a batch of several."""
+        return _Batch(self.half[rows], self.linear[rows], self.coupling[rows],
+                      self.orbits[rows])
+
+    def coefficient(self, ts) -> np.ndarray:
+        """a(t) = linear + coupling theta(t)^2 at the times ts, a row of times
+        per problem."""
+        theta = self.orbits.theta(ts)
+        return self.linear + self.coupling * theta * theta
+
+
 def _gauss_times(start, h) -> np.ndarray:
     """The three Gauss nodes of the steps (start, start + h), outer nodes
-    first: shape (3 len(start),)."""
+    first, along the last axis: a row of 3 steps nodes per row of starts."""
     mid = start + 0.5 * h
-    return np.concatenate((mid - _GAUSS_OFFSET * h, mid, mid + _GAUSS_OFFSET * h))
+    return np.concatenate((mid - _GAUSS_OFFSET * h, mid, mid + _GAUSS_OFFSET * h), axis=-1)
 
 
 def _gauss_sum(samples: np.ndarray) -> np.ndarray:
     """Per-step Gauss sums of values taken at _gauss_times's nodes and
-    reshaped (3, steps): times the step, the integral over each step."""
-    return _OUTER_WEIGHT * (samples[0] + samples[2]) + _MIDDLE_WEIGHT * samples[1]
+    reshaped (..., 3, steps): times the step, the integral over each step."""
+    return (_OUTER_WEIGHT * (samples[..., 0, :] + samples[..., 2, :])
+            + _MIDDLE_WEIGHT * samples[..., 1, :])
 
 
-def _magnus_pass(problem: HillProblem, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """det Phi M of the problem from `steps` (a power of two) 6th-order
-    Magnus steps over (0, T/2), and the a(t) samples it took, shape
-    (3, steps): a1, a2, a3 at the three Gauss nodes of each step h, on the
-    closed-form orbit.  For A = [[0, 1], [-a, 0]] every commutator in the
-    step (Blanes, Casas, Oteo & Ros 2009) is traceless, so Omega =
-    [[x, y], [z, -x]] in closed form: with Z1 = -h a2,
-    Z2 = -(sqrt(15) h/3)(a3 - a1) and Z3 = -(10 h/3)(a3 - 2 a2 + a1),
+def _magnus_pass(batch: _Batch, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """det Phi M of every problem of the batch, shape (cells, 2, 2), from
+    `steps` (a power of two) 6th-order Magnus steps over (0, T/2), and the
+    a(t) samples it took, shape (cells, 3, steps): a1, a2, a3 at the three
+    Gauss nodes of each step h, on the closed-form orbit.  Each cell's h, a
+    and every other number are its own; the rows share only the array.  For
+    A = [[0, 1], [-a, 0]] every commutator in the step (Blanes, Casas, Oteo &
+    Ros 2009) is traceless, so Omega = [[x, y], [z, -x]] in closed form: with
+    Z1 = -h a2, Z2 = -(sqrt(15) h/3)(a3 - a1) and Z3 = -(10 h/3)(a3 - 2 a2 + a1),
         x = Z2 (-h/12 + h^2 Z1/180 + h^2 Z3/7200),
         y = h + h^3 Z2^2/3600 - h^2 Z3/180,
         z = Z1 + Z3/12 + ((4/3) h Z1 Z3 + h Z3^2/15 - 2 h Z2^2
@@ -266,15 +319,15 @@ def _magnus_pass(problem: HillProblem, steps: int) -> tuple[np.ndarray, np.ndarr
     resolves a.  Omega^2 = q^2 I with q^2 = x^2 + y z, so exp(Omega) =
     cosh q I + (sinh q / q) Omega, cos and sin for q^2 < 0.  The steps
     are multiplied as a pairwise tree, later factors on the left."""
-    h = 0.5 * problem.coeff_period / steps
-    theta = problem.orbit.states(_gauss_times(h * np.arange(steps), h))[:, 0]
-    coefficient = (problem.linear_term + problem.coupling * theta * theta).reshape(3, steps)
-    a1, a2, a3 = coefficient
+    h = batch.half / steps
+    coefficient = batch.coefficient(_gauss_times(h * np.arange(steps), h))
+    coefficient = coefficient.reshape(len(batch), 3, steps)
+    a1, a2, a3 = coefficient.transpose(1, 0, 2)
     z1 = -h * a2
     z2 = -(math.sqrt(15.0) / 3.0) * h * (a3 - a1)
     z3 = -(10.0 / 3.0) * h * (a3 - 2.0 * a2 + a1)
     # h where the step takes the 6th-order terms, 0 where it keeps the 4th
-    sixth = np.where(h * h * np.max(np.abs(coefficient), axis=0) <= 1.0, h, 0.0)
+    sixth = np.where(h * h * np.max(np.abs(coefficient), axis=1) <= 1.0, h, 0.0)
     x = z2 * (-h / 12.0 + sixth * h * (z1 / 180.0 + z3 / 7200.0))
     y = h + sixth * h * (h * z2 * z2 / 3600.0 - z3 / 180.0)
     z = z1 + z3 / 12.0 + sixth * ((4.0 / 3.0) * z1 * z3 + z3 * z3 / 15.0 - 2.0 * z2 * z2
@@ -285,55 +338,105 @@ def _magnus_pass(problem: HillProblem, steps: int) -> tuple[np.ndarray, np.ndarr
     growing = q2 > 0.0
     cos_part[growing] = np.cosh(q[growing])
     sin_part[growing] = np.sinh(q[growing]) / q[growing]
-    factors = np.empty((steps, 2, 2))
-    factors[:, 0, 0] = cos_part + sin_part * x
-    factors[:, 0, 1] = sin_part * y
-    factors[:, 1, 0] = sin_part * z
-    factors[:, 1, 1] = cos_part - sin_part * x
-    while len(factors) > 1:
-        factors = factors[1::2] @ factors[0::2]
-    return _unfold(*factors[0].ravel().tolist()), coefficient
+    factors = np.empty((len(batch), steps, 2, 2))
+    factors[..., 0, 0] = cos_part + sin_part * x
+    factors[..., 0, 1] = sin_part * y
+    factors[..., 1, 0] = sin_part * z
+    factors[..., 1, 1] = cos_part - sin_part * x
+    while factors.shape[1] > 1:
+        factors = factors[:, 1::2] @ factors[:, 0::2]
+    (a, b), (c, d) = factors[:, 0].transpose(1, 2, 0)
+    return _unfold(a, b, c, d), coefficient
 
 
-def _coefficient_integrals(problem: HillProblem, coefficient: np.ndarray) -> tuple:
-    """(int_0^T a, int_0^T (a^+)^2) from a pass's samples a(t) at the Gauss
-    nodes, shape (3, steps): the Gauss sums over (0, T/2), doubled.  a is
-    monotone on (0, T/2), as theta^2 is, so it changes sign at most once, at
-    the t* where theta^2 = -linear/coupling, in closed form; on the step that
-    holds t*, (a^+)^2 is integrated by Gauss over its positive side alone,
-    past the kink that the plain Gauss sum misses."""
-    steps = coefficient.shape[1]
-    h = 0.5 * problem.coeff_period / steps
-    mean = 2.0 * h * float(np.sum(_gauss_sum(coefficient)))
+def _coefficient_integrals(problems: Sequence[HillProblem], batch: _Batch,
+                           coefficient: np.ndarray) -> list[tuple]:
+    """(int_0^T a, int_0^T (a^+)^2) of each problem of the batch from a pass's
+    samples a(t) at the Gauss nodes, shape (cells, 3, steps): the Gauss sums
+    over (0, T/2), doubled.  a is monotone on (0, T/2), as theta^2 is, so it
+    changes sign at most once, at the t* where theta^2 = -linear/coupling, in
+    closed form; on the step that holds t*, (a^+)^2 is integrated by Gauss
+    over its positive side alone, past the kink that the plain Gauss sum
+    misses."""
+    steps = coefficient.shape[2]
+    hs = (batch.half / steps).reshape(-1)
     positive = np.maximum(coefficient, 0.0)
     shares = _gauss_sum(positive * positive)
-    if problem.coeff_min < 0.0 < problem.coeff_max:
-        # a > 0 before t* on a cn orbit, after it on a dn one
-        root = problem.orbit.time_at_square(-problem.linear_term / problem.coupling)
-        kink = min(int(root / h), steps - 1)
-        start, end = (kink * h, root) if problem.orbit.sign_changing else (root, (kink + 1) * h)
-        theta = problem.orbit.states(_gauss_times(np.array([start]), end - start))[:, 0]
-        side = problem.linear_term + problem.coupling * theta * theta
-        shares[kink] = (end - start) / h * float(_gauss_sum(side * side))
-    return mean, 2.0 * h * float(np.sum(shares))
+    kinks = [i for i, p in enumerate(problems) if p.coeff_min < 0.0 < p.coeff_max]
+    if kinks:
+        ends = []
+        for i in kinks:
+            # a > 0 before t* on a cn orbit, after it on a dn one
+            problem, h = problems[i], float(hs[i])
+            root = problem.orbit.time_at_square(-problem.linear_term / problem.coupling)
+            kink = min(int(root / h), steps - 1)
+            ends.append((kink, *((kink * h, root) if problem.orbit.sign_changing
+                                 else (root, (kink + 1) * h))))
+        kink, start, end = (np.array(column) for column in zip(*ends))
+        width = (end - start)[:, None]
+        kinked = batch if len(kinks) == len(problems) else batch[kinks]
+        side = kinked.coefficient(_gauss_times(start[:, None], width)).reshape(-1, 3, 1)
+        shares[kinks, kink] = width[:, 0] / hs[kinks] * _gauss_sum(side * side)[:, 0]
+    means = _gauss_sum(coefficient)
+    return [(2.0 * h * float(np.sum(mean)), 2.0 * h * float(np.sum(share)))
+            for h, mean, share in zip(hs.tolist(), means, shares)]
 
 
-def _magnus_kernel(problem: HillProblem, rel_tol: float) -> tuple | None:
-    """(det Phi M, integrals, (steps, delta)) from Magnus passes at 64, 128,
-    ... steps, up to the first pass whose trace is within rel_tol
-    max(1, |trace|) of the last one's, delta being that gap, the integrals
-    from its samples; None past MAX_MAGNUS_STEPS.  A first trace (last = nan)
-    or a non-finite one never passes that test: the doubling runs on."""
-    steps, last = _MAGNUS_FIRST_STEPS, math.nan
+def _magnus_kernel(problems: Sequence[HillProblem], rel_tol: float) -> list:
+    """(det Phi M, integrals, (steps, delta)) of each problem from Magnus
+    passes at 64, 128, ... steps, up to the first pass whose trace is within
+    rel_tol max(1, |trace|) of the last one's, delta being that gap, the
+    integrals from its samples; None past MAX_MAGNUS_STEPS.  A first trace
+    (last = nan) or a non-finite one never passes that test: the doubling
+    runs on.  Each pass evaluates all unconverged cells at once, in chunks of
+    at most _PASS_NODES nodes, and a cell leaves when its own test passes;
+    its result does not depend on the rest of the batch."""
+    results: list = [None] * len(problems)
+    if not problems:
+        return results
+    batch, active = _Batch.of(problems), list(range(len(problems)))
+    last = [math.nan] * len(problems)
+    steps = _MAGNUS_FIRST_STEPS
     with np.errstate(over="ignore", invalid="ignore"):
-        while steps <= MAX_MAGNUS_STEPS:
-            matrix, coefficient = _magnus_pass(problem, steps)
-            trace = 2.0 * float(matrix[0, 0])
-            if abs(trace - last) <= rel_tol * max(1.0, abs(trace)) < math.inf:
-                return (matrix, _coefficient_integrals(problem, coefficient),
-                        (steps, abs(trace - last)))
-            steps, last = 2 * steps, trace
-    return None
+        while steps <= MAX_MAGNUS_STEPS and active:
+            size = max(1, _PASS_NODES // (3 * steps))
+            left = []
+            for begin in range(0, len(active), size):
+                chunk = batch if size >= len(active) else batch[begin:begin + size]
+                matrices, coefficient = _magnus_pass(chunk, steps)
+                passed = []
+                for row, trace in enumerate((2.0 * matrices[:, 0, 0]).tolist()):
+                    i = active[begin + row]
+                    if abs(trace - last[i]) <= rel_tol * max(1.0, abs(trace)) < math.inf:
+                        passed.append((row, i, abs(trace - last[i])))
+                    else:
+                        left.append(begin + row)
+                    last[i] = trace
+                if passed:
+                    rows = [row for row, _, _ in passed]
+                    whole = len(rows) == len(chunk)
+                    integrals = _coefficient_integrals(
+                        [problems[i] for _, i, _ in passed], chunk if whole else chunk[rows],
+                        coefficient if whole else coefficient[rows])
+                    for (row, i, gap), pair in zip(passed, integrals):
+                        results[i] = (matrices[row].copy(), pair, (steps, gap))
+            if left and len(left) < len(active):
+                batch = batch[left]
+            active, steps = [active[row] for row in left], 2 * steps
+    return results
+
+
+def _classified(problem: HillProblem, kernel: tuple | None, config: IntegratorConfig,
+                tol_margin: float) -> MonodromyResult:
+    """The problem's MonodromyResult from its Magnus kernel result, or from
+    the DOP853 pass at config when the kernel reached its cap (None)."""
+    if kernel is None:
+        kernel = (*_half_period_pass(
+            problem.orbit.params, problem.orbit.initial_state, problem.linear_term,
+            problem.coupling, 0.5 * problem.coeff_period, config), None)
+    matrix, integrals, doubling = kernel
+    return replace(classify_matrix(matrix, tol_margin), coefficient_integrals=integrals,
+                   step_doubling=doubling)
 
 
 def monodromy(
@@ -355,14 +458,8 @@ def monodromy(
     A cell whose traces do not converge by MAX_MAGNUS_STEPS takes the
     DOP853 pass at config instead, and step_doubling is None.
     """
-    kernel = _magnus_kernel(problem, config.rel_tol)
-    if kernel is None:
-        kernel = (*_half_period_pass(
-            problem.orbit.params, problem.orbit.initial_state, problem.linear_term,
-            problem.coupling, 0.5 * problem.coeff_period, config), None)
-    matrix, integrals, doubling = kernel
-    return replace(classify_matrix(matrix, tol_margin), coefficient_integrals=integrals,
-                   step_doubling=doubling)
+    return _classified(problem, _magnus_kernel([problem], config.rel_tol)[0],
+                       config, tol_margin)
 
 
 @dataclass(frozen=True)
@@ -458,6 +555,27 @@ def criteria_report(problem: HillProblem, result: MonodromyResult) -> CriterionR
     )
 
 
+def _checked(cell: tuple, problem: HillProblem, result: MonodromyResult) -> StabilityReport:
+    """classify_stability's report of the cell (m, n, P, E) from its
+    monodromy result: the criteria, cross-checked against its verdict."""
+    m, n, P, E = cell
+    criteria = criteria_report(problem, result)
+    stable_claim = criteria.zhukovskii.applies or criteria.li_zhang.applies
+    unstable_claim = criteria.negative_coefficient.applies
+    if stable_claim and result.verdict is Verdict.UNSTABLE:
+        raise ConsistencyError(
+            f"stability criterion applies but monodromy is unstable "
+            f"(m={m}, n={n}, P={P}, E={E}, trace={result.trace})"
+        )
+    if unstable_claim and result.verdict is Verdict.STABLE:
+        raise ConsistencyError(
+            f"instability criterion applies but monodromy is stable "
+            f"(m={m}, n={n}, P={P}, E={E}, trace={result.trace})"
+        )
+    return StabilityReport(verdict=result.verdict, criteria=criteria,
+                           monodromy=result)
+
+
 def classify_stability(
     m: int,
     n: int,
@@ -475,19 +593,23 @@ def classify_stability(
     ConsistencyError.  Marginal monodromy agrees with either side.
     """
     problem = build_hill(m, n, P, E)
-    result = monodromy(problem, config, tol_margin)
-    criteria = criteria_report(problem, result)
-    stable_claim = criteria.zhukovskii.applies or criteria.li_zhang.applies
-    unstable_claim = criteria.negative_coefficient.applies
-    if stable_claim and result.verdict is Verdict.UNSTABLE:
-        raise ConsistencyError(
-            f"stability criterion applies but monodromy is unstable "
-            f"(m={m}, n={n}, P={P}, E={E}, trace={result.trace})"
-        )
-    if unstable_claim and result.verdict is Verdict.STABLE:
-        raise ConsistencyError(
-            f"instability criterion applies but monodromy is stable "
-            f"(m={m}, n={n}, P={P}, E={E}, trace={result.trace})"
-        )
-    return StabilityReport(verdict=result.verdict, criteria=criteria,
-                           monodromy=result)
+    return _checked((m, n, P, E), problem, monodromy(problem, config, tol_margin))
+
+
+def classify_batch(
+    cells: Sequence[tuple[int, int, float, float]],
+    config: IntegratorConfig = IntegratorConfig(),
+    tol_margin: float = DEFAULT_TOL_MARGIN,
+) -> list[StabilityReport | BeamModesError]:
+    """classify_stability of every cell (m, n, P, E), with one Magnus kernel
+    run over all of them; a cell that raises gives its BeamModesError in
+    place of the report.  Each report equals classify_stability's for its
+    cell, bit for bit."""
+    reports = [attempt(build_hill, *cell) for cell in cells]
+    built = [i for i, problem in enumerate(reports) if isinstance(problem, HillProblem)]
+    kernels = _magnus_kernel([reports[i] for i in built], config.rel_tol)
+    for i, kernel in zip(built, kernels):
+        problem = reports[i]
+        reports[i] = attempt(lambda: _checked(
+            cells[i], problem, _classified(problem, kernel, config, tol_margin)))
+    return reports

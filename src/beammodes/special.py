@@ -47,23 +47,71 @@ def _landen_ladder(kp: float, caller: str) -> tuple[list, float]:
     return moduli, a
 
 
-def jacobi_sn_cn_dn(u, kp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sn, cn, dn of u (scalar or array) at complementary modulus 0 < kp <= 1.
+def landen_ladders(kp) -> tuple[np.ndarray, np.ndarray]:
+    """The Landen ladders of jacobi_sn_cn_dn for kp, a scalar or one value per
+    row, as the factors of each level j's step down: k_{j+1} (0 at the top),
+    1 + k_{j+1}, k_j^2 and kp_j^2, shape (4, depth) + shape(kp); and the means
+    a_N, shape(kp).  A shorter ladder is padded at the top with levels k = 0,
+    kp = 1, through which the way down is exact (sn and cn pass unchanged and
+    dn is 1), so each row's arithmetic is that of its own ladder."""
+    kps = np.asarray(kp, dtype=float)
+    ladders = [_landen_ladder(x, "jacobi_sn_cn_dn") for x in kps.ravel().tolist()]
+    depth = max(len(moduli) for moduli, _ in ladders)
+    levels = []
+    for moduli, _ in ladders:
+        moduli = moduli + [(0.0, 1.0)] * (depth - len(moduli))
+        k_up = [k for k, _ in moduli[1:]] + [0.0]
+        levels.append((k_up, [1.0 + k for k in k_up], [k * k for k, _ in moduli],
+                       [kp_j * kp_j for _, kp_j in moduli]))
+    return (np.array(levels).transpose(1, 2, 0).reshape((4, depth) + kps.shape),
+            np.array([a for _, a in ladders]).reshape(kps.shape))
 
-    The AGM on (1, kp) gives the descending Landen moduli; at the top, sn
-    and cn are sin and cos of u agm(1, kp) (DLMF 22.20(ii)).  The way down
-    (DLMF 22.7.1-3) multiplies positive factors, so cn keeps its relative
-    digits near its zeros, and each level forms dn = sqrt(kp^2 + k^2 cn^2),
-    which never cancels; kp keeps every digit as k -> 1 (Bulirsch 1965).
+
+def jacobi_on_ladders(u, levels: np.ndarray, means: np.ndarray):
+    """sn, cn, dn of u on the ladders that landen_ladders built: one ladder,
+    or one for each row of u (the leading axes of u are those of kp).
+
+    At the top, sn and cn are sin and cos of u a_N (DLMF 22.20(ii)).  The
+    way down (DLMF 22.7.1-3) multiplies positive factors, so cn keeps its
+    relative digits near its zeros, and each level forms
+    dn = sqrt(kp^2 + k^2 cn^2), which never cancels; kp keeps every digit as
+    k -> 1 (Bulirsch 1965).
     """
-    moduli, a = _landen_ladder(kp, "jacobi_sn_cn_dn")
-    phi = np.asarray(u, dtype=float) * a
-    sn, cn, dn, k_up = np.sin(phi), np.cos(phi), 1.0, 0.0
-    for k, kp_j in reversed(moduli):
-        den = 1.0 + k_up * sn * sn
-        sn, cn = (1.0 + k_up) * sn / den, cn * dn / den
-        dn, k_up = np.sqrt(kp_j * kp_j + k * k * cn * cn), k
+    u = np.asarray(u, dtype=float)
+    if means.ndim:
+        rows = means.shape + (1,) * (u.ndim - means.ndim)
+        factors, means = levels.reshape(levels.shape[:2] + rows), means.reshape(rows)
+    else:                                   # one ladder: its factors as floats
+        factors = levels.tolist()
+    phi = u * means
+    sn, cn = np.sin(phi), np.cos(phi)
+    del phi
+    # in place where sn and cn are arrays, so that a batch holds fewer of
+    # them at once; each step is the product or sum it stands for, operand
+    # order aside, on which + and * round alike: den = 1 + k_up sn sn,
+    # sn = grow sn / den, cn = cn dn / den, dn = sqrt(kp^2 + k^2 cn cn).
+    # At the top k_up = 0, so den = 1 and sn and cn stay.
+    for level, (k_up, grow, k_sq, kp_sq) in enumerate(reversed(list(zip(*factors)))):
+        if level:
+            den = k_up * sn
+            den *= sn
+            den += 1.0
+            sn *= grow
+            sn /= den
+            cn *= dn
+            cn /= den
+        dn = k_sq * cn
+        dn *= cn
+        dn += kp_sq
+        dn = np.sqrt(dn)
     return sn, cn, dn
+
+
+def jacobi_sn_cn_dn(u, kp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sn, cn, dn of u (scalar or array) at complementary modulus 0 < kp <= 1,
+    or at one kp per row of u, on the descending Landen moduli of the AGM on
+    (1, kp) (see landen_ladders and jacobi_on_ladders)."""
+    return jacobi_on_ladders(u, *landen_ladders(kp))
 
 
 def elliptic_f(sin_phi, cos_phi, kp: float):

@@ -16,9 +16,9 @@ from beammodes.errors import DomainError, NumericalQualityError, csv_text
 from beammodes.hill import Verdict
 
 SMALL = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)], theta0_grid=[0.3, 0.6, 0.9])
-# 48 cells: enough for two pool workers at MIN_CELLS_PER_WORKER = 24
+# enough cells for two pool workers at MIN_CELLS_PER_WORKER
 WIDE = SweepSpec(P=0.0, modes=[(2, 1), (1, 2)],
-                 theta0_grid=[0.3 + 0.02 * i for i in range(24)])
+                 theta0_grid=[0.3 + 0.02 * i for i in range(atlas.MIN_CELLS_PER_WORKER)])
 
 
 def synthetic(theta0, verdict, quality="ok", trace=0.0):
@@ -113,6 +113,20 @@ class TestSweep:
     def test_worker_count_does_not_change_output(self):
         assert sweep(WIDE, jobs=1) == sweep(WIDE, jobs=2)
 
+    @pytest.mark.parametrize("spec", [
+        # the (1, 5) row at P = 80, whose deep cells fail the determinant gate
+        SweepSpec(P=80.0, modes=[(1, 5)],
+                  energy_grid=[-1560.25 * (1.0 - (i + 0.5) / 30) for i in range(30)]),
+        # gate 10's backbone
+        SweepSpec(P=0.0, modes=[(3, 7)],
+                  theta0_grid=[0.25 + i * (50.0 - 0.25) / 199 for i in range(199)] + [50.0]),
+        SweepSpec(P=2.0, modes=[(2, 1), (1, 2)], energy_grid=[-0.2, -0.1, 1.0, 30.0]),
+    ], ids=["row80", "gate10-backbone", "pairs-with-failures"])
+    def test_batched_sweep_equals_per_cell(self, spec):
+        # one point at a time, each cell is one classify_stability call
+        singles = [cell for point in atlas._points(spec) for cell in atlas._cells(spec, [point])]
+        assert cells_csv(sweep(spec)) == cells_csv(singles)
+
     def test_jobs_validated(self):
         with pytest.raises(DomainError):
             sweep(SMALL, jobs=0)
@@ -143,7 +157,7 @@ class TestSweep:
         assert sweep(SMALL, jobs=64) == sweep(SMALL)
         adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 8, jobs=64)
         assert pools == []
-        assert len(sweep(WIDE, jobs=64)) == 48
+        assert len(sweep(WIDE, jobs=64)) == 2 * atlas.MIN_CELLS_PER_WORKER
         assert pools == [2]
 
     def test_failed_cell_is_flagged_not_fatal(self):
@@ -169,16 +183,16 @@ class TestSweep:
 
 class TestOneEvaluator:
     """Every atlas verdict, in sweeps, refinement and threshold search,
-    comes from atlas._verdict."""
+    comes from atlas._verdicts."""
 
     QUALITY = "error:NumericalQualityError: sentinel"
 
     @pytest.fixture
     def sentinel(self, monkeypatch):
-        def refuse(spec, entry, E):
-            raise NumericalQualityError("sentinel")
+        def refuse(spec, points):
+            return [NumericalQualityError("sentinel") for _ in points]
 
-        monkeypatch.setattr(atlas, "_verdict", refuse)
+        monkeypatch.setattr(atlas, "_verdicts", refuse)
 
     def test_sweeps_record_it(self, sentinel):
         limit = SweepSpec(P=0.0, modes=[2.25, (1, 2)], energy_grid=[1.0],
@@ -197,13 +211,13 @@ class TestOneEvaluator:
 
     def test_refinement_cells_use_it(self, monkeypatch):
         calls = []
-        verdict = atlas._verdict
+        verdicts = atlas._verdicts
 
-        def counted(spec, entry, E):
-            calls.append(E)
-            return verdict(spec, entry, E)
+        def counted(spec, points):
+            calls.extend(E for _, _, E in points)
+            return verdicts(spec, points)
 
-        monkeypatch.setattr(atlas, "_verdict", counted)
+        monkeypatch.setattr(atlas, "_verdicts", counted)
         cells = adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 8)
         assert len(cells) == 8
         assert sorted(calls) == sorted(c.E for c in cells)
@@ -299,13 +313,13 @@ class TestFindThresholds:
         """Brent's method on |trace| - 2 takes at most 10 cells here, the
         two grid cells included; bisecting the verdict took 15."""
         calls = []
-        verdict = atlas._verdict
+        verdicts = atlas._verdicts
 
-        def counted(spec, entry, E):
-            calls.append(E)
-            return verdict(spec, entry, E)
+        def counted(spec, points):
+            calls.extend(E for _, _, E in points)
+            return verdicts(spec, points)
 
-        monkeypatch.setattr(atlas, "_verdict", counted)
+        monkeypatch.setattr(atlas, "_verdicts", counted)
         assert len(find_thresholds(2, 1, 3.0, [4.0, 8.0])) == 1
         assert len(calls) <= 10
         assert len(set(calls)) == len(calls)

@@ -301,10 +301,10 @@ class TestAtlasCommands:
         assert len(rows) == 2 and all("error:DomainError" in r for r in rows)
 
     def test_all_cells_failing_numerically_is_quality_exit(self, capsys, monkeypatch):
-        def refuse(spec, entry, E):
-            raise NumericalQualityError("sentinel")
+        def refuse(spec, points):
+            return [NumericalQualityError("sentinel") for _ in points]
 
-        monkeypatch.setattr(atlas_module, "_verdict", refuse)
+        monkeypatch.setattr(atlas_module, "_verdicts", refuse)
         code = main(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0",
                      "--grid-min", "0.5", "--grid-max", "1", "--points", "2"])
         out, err = capsys.readouterr()

@@ -9,10 +9,11 @@ from numpy.testing import assert_allclose
 from scipy import integrate as scipy_integrate
 
 import beammodes.hill
-from beammodes import ModeParams, classify_stability
+from beammodes import ModeParams, atlas, classify_stability
+from beammodes.duffing import energy_from_initial_amplitude
 from beammodes.errors import DomainError, NumericalQualityError
-from beammodes.hill import (Verdict, build_hill, classify_matrix, criteria_report,
-                            li_zhang_criterion, monodromy,
+from beammodes.hill import (Verdict, build_hill, classify_batch, classify_matrix,
+                            criteria_report, li_zhang_criterion, monodromy,
                             negative_coefficient_criterion, zhukovskii_criterion)
 from beammodes.integrate import IntegratorConfig, integrate
 from beammodes.regime import cazenave_limit_classify
@@ -518,8 +519,9 @@ class TestMagnusKernel:
         problem = build_hill(*HALF_PERIOD_BATTERY[case])
         want = 2.0 * dop853_pass(problem, REFERENCE)[0][0, 0]
         errors = {}
+        batch = beammodes.hill._Batch.of([problem])
         for steps in (2**k for k in range(2, 13)):
-            matrix, coefficient = beammodes.hill._magnus_pass(problem, steps)
+            (matrix,), (coefficient,) = beammodes.hill._magnus_pass(batch, steps)
             h = 0.5 * problem.coeff_period / steps
             error = relative_gap(2.0 * matrix[0, 0], want)
             if h * h * np.max(np.abs(coefficient)) <= 1.0 and error > 1e-12:
@@ -570,9 +572,9 @@ class TestMagnusKernel:
         if how == "cap":
             monkeypatch.setattr(beammodes.hill, "MAX_MAGNUS_STEPS", 16)
         else:
-            def non_finite(problem, steps):
+            def non_finite(batch, steps):
                 passes.append(steps)
-                return np.full((2, 2), math.inf), np.zeros((3, steps))
+                return np.full((len(batch), 2, 2), math.inf), np.zeros((len(batch), 3, steps))
 
             monkeypatch.setattr(beammodes.hill, "_magnus_pass", non_finite)
         result = monodromy(problem, TIGHT)
@@ -590,9 +592,9 @@ class TestMagnusKernel:
         # after a finite pass an infinite trace differs from it by inf, which
         # rel_tol |trace| = inf would admit; the cell falls back instead
         problem = build_hill(*HALF_PERIOD_BATTERY["sign-changing unstable"])
-        monkeypatch.setattr(beammodes.hill, "_magnus_pass", lambda problem, steps: (
-            np.eye(2) if steps == 64 else np.full((2, 2), math.inf),
-            np.zeros((3, steps))))
+        monkeypatch.setattr(beammodes.hill, "_magnus_pass", lambda batch, steps: (
+            np.array([np.eye(2) if steps == 64 else np.full((2, 2), math.inf)]),
+            np.zeros((len(batch), 3, steps))))
         assert monodromy(problem).step_doubling is None
 
     def test_a_non_finite_first_pass_keeps_doubling(self):
@@ -603,7 +605,7 @@ class TestMagnusKernel:
         # tolerance is (3.2e-8)
         problem = build_hill(1, 200, 40005.0, 1e-6)
         with np.errstate(over="ignore", invalid="ignore"):
-            first, _ = beammodes.hill._magnus_pass(problem, 64)
+            (first,), _ = beammodes.hill._magnus_pass(beammodes.hill._Batch.of([problem]), 64)
         assert not math.isfinite(first[0, 0])
         kernel = monodromy(problem)
         assert kernel.step_doubling is not None
@@ -647,3 +649,84 @@ class TestMagnusKernel:
             root = mp.findroot(a, (0, half), solver="anderson")
             want = 2 * mp.quad(lambda t: a(t) ** 2, [root, half])
         assert square == pytest.approx(float(want), rel=1e-11)
+
+
+def cell_record(report):
+    """Everything classify_stability reports for a cell, as comparable data:
+    matrix bytes, trace, verdict, step_doubling, integrals and criteria, or
+    the error's type and message."""
+    if isinstance(report, Exception):
+        return type(report).__name__, str(report)
+    result = report.monodromy
+    return (result.matrix.tobytes(), result.trace, result.verdict, report.verdict,
+            result.step_doubling, result.coefficient_integrals, report.criteria.to_dict())
+
+
+def per_cell_records(cells):
+    records = []
+    for cell in cells:
+        try:
+            records.append(cell_record(classify_stability(*cell)))
+        except (DomainError, NumericalQualityError) as exc:
+            records.append(cell_record(exc))
+    return records
+
+
+# gate 10's backbone: the 200 uniform amplitudes of
+# adaptive_amplitude_sweep(3, 7, 0.0, 50.0, 400), as energies of mode 3
+GATE_10_BACKBONE = [(3, 7, 0.0, energy_from_initial_amplitude(
+    ModeParams(k=3, P=0.0), 50.0 if i == 199 else 0.25 + i * (50.0 - 0.25) / 199))
+    for i in range(200)]
+
+
+class TestBatch:
+    """classify_batch runs one Magnus kernel over many cells; every cell's
+    report equals classify_stability's, bit for bit."""
+
+    @pytest.mark.parametrize("cells", [list(HALF_PERIOD_BATTERY.values()), ROW_80,
+                                       GATE_10_BACKBONE],
+                             ids=["battery", "row80", "gate10-backbone"])
+    def test_equals_per_cell(self, cells):
+        assert [cell_record(r) for r in classify_batch(cells)] == per_cell_records(cells)
+
+    def test_mixed_batch_with_an_error_and_a_fallback(self, monkeypatch):
+        # at a cap of 256 steps the near-separatrix cell (512 steps) falls
+        # back to DOP853 while the others converge in the kernel; the cell
+        # below the well floor raises DomainError in its own place
+        monkeypatch.setattr(beammodes.hill, "MAX_MAGNUS_STEPS", 256)
+        cells = [HALF_PERIOD_BATTERY["sign-changing"], (1, 2, 2.0, -1.0),
+                 HALF_PERIOD_BATTERY["well near separatrix"], ROW_80[0],
+                 HALF_PERIOD_BATTERY["bottom"]]
+        batch = classify_batch(cells)
+        assert [cell_record(r) for r in batch] == per_cell_records(cells)
+        assert isinstance(batch[1], DomainError)
+        assert batch[2].monodromy.step_doubling is None
+        assert batch[0].monodromy.step_doubling is not None
+
+    def test_cells_do_not_depend_on_their_batch(self, monkeypatch):
+        # with a node budget of one 64-step cell per pass, every pass is cut
+        # into single-cell chunks
+        cells = list(HALF_PERIOD_BATTERY.values())
+        whole = [cell_record(r) for r in classify_batch(cells)]
+        monkeypatch.setattr(beammodes.hill, "_PASS_NODES", 3 * 64)
+        assert [cell_record(r) for r in classify_batch(cells)] == whole
+        assert [cell_record(r) for r in classify_batch(cells[::-1])] == whole[::-1]
+
+    def test_passes_keep_to_the_node_budget(self, monkeypatch):
+        # a 1000-cell sweep: no pass holds more Gauss nodes than one cell at
+        # the step cap does, 3 MAX_MAGNUS_STEPS
+        shapes = []
+        original = beammodes.hill._magnus_pass
+
+        def spy(batch, steps):
+            shapes.append((len(batch), steps))
+            return original(batch, steps)
+
+        monkeypatch.setattr(beammodes.hill, "_magnus_pass", spy)
+        energies = np.geomspace(0.1, 1e4, 1000).tolist()
+        cells = atlas.sweep(atlas.SweepSpec(P=0.0, modes=[(3, 7)], energy_grid=energies))
+        assert len(cells) == 1000 and all(cell.ok for cell in cells)
+        assert max(n * 3 * steps for n, steps in shapes) <= 3 * beammodes.hill.MAX_MAGNUS_STEPS
+        assert shapes[0] == (1000, 64)
+        assert sum(n for n, steps in shapes if steps == 128) == 1000
+        assert max(n for n, steps in shapes if steps == 128) == 512

@@ -92,6 +92,26 @@ def test_jacobi_limits_and_shapes():
     assert abs(float(cn)) < 1e-15 and float(dn) == pytest.approx(kp, rel=1e-13)
 
 
+def test_jacobi_kp_per_row_matches_scalar_calls():
+    """One call with a kp per row of u, whose ladders differ in depth, gives
+    each row's scalar call bit for bit, and 40-digit sn, cn, dn."""
+    mpmath = pytest.importorskip("mpmath")
+    kps = np.array([1e-8, 1e-3, 0.5, 1.0])
+    us = np.array([elliptic_k_from_complement(kp) * np.linspace(-1.0, 3.0, 41)
+                   for kp in kps])
+    rows = jacobi_sn_cn_dn(us, kps)
+    for row, (u, kp) in enumerate(zip(us, kps)):
+        for got, want in zip(rows, jacobi_sn_cn_dn(u, kp)):
+            assert got[row].tobytes() == want.tobytes(), kp
+        with mpmath.workdps(40):
+            m = 1 - mpmath.mpf(kp) ** 2
+            ref = np.array([[float(mpmath.ellipfun(f, mpmath.mpf(x), m=m))
+                             for f in ("sn", "cn", "dn")] for x in u])
+        assert np.max(np.abs(rows[0][row] - ref[:, 0])) < 2e-14
+        assert np.max(np.abs(rows[1][row] - ref[:, 1])) < 1e-14
+        assert np.max(np.abs(rows[2][row] / ref[:, 2] - 1.0)) < 1e-13
+
+
 @pytest.mark.parametrize("kp", [0.0, -0.1, 1.5, math.inf, math.nan])
 def test_jacobi_domain(kp):
     with pytest.raises(DomainError):
