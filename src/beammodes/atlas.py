@@ -116,15 +116,17 @@ def _mode_fields(entry) -> tuple[int, int, float]:
 def _verdicts(spec: SweepSpec, points: Sequence[tuple]) -> list:
     """The classified matrix of each cell at points = (entry, theta0, E): the
     (m, n) monodromy at energy E, or the large-energy limit of the entry's
-    gamma; a cell that cannot be classified gives its BeamModesError in
-    place of the result.  Every atlas verdict comes from here.  The Hill
-    cells of several points are one hill.classify_batch run; a single point,
-    as Brent's probes and the adaptive refinement ask for, is one
-    classify_stability call.  The classifiers are looked up as module
-    globals at call time."""
+    gamma, computed once per distinct gamma (the grid only echoes); a cell
+    that cannot be classified gives its BeamModesError in place of the
+    result.  Every atlas verdict comes from here.  The Hill cells of several
+    points are one hill.classify_batch run; a single point, as Brent's
+    probes and the adaptive refinement ask for, is one classify_stability
+    call.  The classifiers are looked up as module globals at call time."""
     if spec.verdict_source is VerdictSource.CAZENAVE_LIMIT:
-        return [attempt(cazenave_limit_classify, _mode_fields(entry)[2],
-                        tol_margin=spec.tol_margin) for entry, _, _ in points]
+        # keyed by repr, which keeps -0.0 apart from 0.0 as their errors do
+        limit = functools.cache(lambda key: attempt(
+            cazenave_limit_classify, float(key), tol_margin=spec.tol_margin))
+        return [limit(repr(_mode_fields(entry)[2])) for entry, _, _ in points]
     cells = [(*_mode_fields(entry)[:2], spec.P, E) for entry, _, E in points]
     if len(cells) == 1:
         reports = [attempt(classify_stability, *cells[0], config=spec.integrator,
@@ -195,8 +197,7 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> list[AtlasCell]:
     workers than there are cores, and each gets at least
     MIN_CELLS_PER_WORKER cells; below two workers no pool runs at all.
     """
-    if jobs < 1:
-        raise DomainError("jobs must be at least 1")
+    require_count("jobs", jobs, 1)
     points = _points(spec)
     workers = min(jobs, os.cpu_count() or 1, len(points) // MIN_CELLS_PER_WORKER)
     if workers < 2:

@@ -14,7 +14,10 @@ growth.  Two sufficient stability criteria and one sufficient instability
 criterion cross-check that verdict; whenever one of them applies, the
 monodromy verdict must agree.  The one pass that yields the monodromy
 also carries the coefficient integrals the Li-Zhang criterion needs, so a
-classified cell makes one pass over its orbit.
+classified cell makes one pass over its orbit.  All of it reads a
+HillProblem, the row (orbit, linear term, coupling) that build_hill alone
+computes from (m, n, P); the large-energy limit is the row along
+u'' + u^3 = 0 with linear term 0 and coupling gamma.
 
 Every orbit starts at a turning point, so a(t) is even, and the monodromy
 needs only half a coefficient period (Magnus & Winkler, Hill's Equation,
@@ -85,24 +88,17 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class HillProblem:
-    """Hill equation data for modes (m, n) at load P along a mode-m orbit."""
+    """The Hill equation xi'' + a(t) xi = 0 with a(t) = linear_term +
+    coupling theta(t)^2 along the orbit theta: one mode pair at one load
+    (build_hill), or the large-energy limit."""
 
-    m: int
-    n: int
-    P: float
     orbit: DuffingOrbit
+    linear_term: float
+    coupling: float
 
     @property
     def coeff_period(self) -> float:
         return self.orbit.coefficient_period
-
-    @property
-    def linear_term(self) -> float:
-        return float(self.n**2) * (float(self.n**2) - self.P)
-
-    @property
-    def coupling(self) -> float:
-        return float(self.m**2 * self.n**2)
 
     def coefficient(self, theta_sq: float) -> float:
         return self.linear_term + self.coupling * theta_sq
@@ -119,14 +115,16 @@ class HillProblem:
 
 
 def build_hill(m: int, n: int, P: float, E: float) -> HillProblem:
-    """Hill problem for the mode pair (m, n) at energy E of mode m.
+    """Hill problem for the mode pair (m, n) at energy E of mode m: linear
+    term n^2 (n^2 - P) and coupling m^2 n^2 along the mode-m orbit.
 
     E must be admissible for mode m; the exact well bottom yields the
     constant-coefficient problem around the constant solution, with the
     limiting period as coefficient period.
     """
     require_mode_pair(m, n, P)
-    return HillProblem(m=m, n=n, P=P, orbit=orbit_from_energy(ModeParams(k=m, P=P), E))
+    return HillProblem(orbit_from_energy(ModeParams(k=m, P=P), E),
+                       float(n**2) * (float(n**2) - P), float(m**2 * n**2))
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,19 @@ class TestSweep:
         singles = [cell for point in atlas._points(spec) for cell in atlas._cells(spec, [point])]
         assert cells_csv(sweep(spec)) == cells_csv(singles)
 
-    def test_jobs_validated(self):
+    def test_jobs_validated(self, monkeypatch):
         with pytest.raises(DomainError):
             sweep(SMALL, jobs=0)
+
+        def refuse(spec, points):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(atlas, "_verdicts", refuse)
+        for jobs in (math.nan, 1.5):
+            with pytest.raises(DomainError, match="jobs"):
+                sweep(SMALL, jobs=jobs)
+            with pytest.raises(DomainError, match="jobs"):
+                adaptive_amplitude_sweep(1, 2, 0.0, 5.0, 4, jobs=jobs)
 
     def test_workers_clamped_to_cells_and_cores(self, monkeypatch):
         """The pool starts every worker up front; it gets no more than
@@ -179,6 +189,25 @@ class TestSweep:
                                               Verdict.STABLE.value]
         assert all(c.m == 0 and c.n == 0 for c in cells)
         assert [c.gamma for c in cells] == [2.25, 4.0]
+
+    def test_limit_sweep_classifies_each_gamma_once(self, monkeypatch):
+        # the grid only echoes, and (1, 2), (2, 4) and 4.0 share gamma = 4
+        spec = SweepSpec(P=0.0, modes=[(1, 2), (2, 4), 4.0, (1, 3), 2.25],
+                         energy_grid=[float(E) for E in range(1, 21)],
+                         verdict_source=VerdictSource.CAZENAVE_LIMIT)
+        points = atlas._points(spec)
+        singles = [cell for point in points for cell in atlas._cells(spec, [point])]
+        calls = []
+        classify = atlas.cazenave_limit_classify
+
+        def counted(gamma, **kwargs):
+            calls.append(gamma)
+            return classify(gamma, **kwargs)
+
+        monkeypatch.setattr(atlas, "cazenave_limit_classify", counted)
+        cells = sweep(spec)
+        assert sorted(calls) == [2.25, 4.0, 9.0]
+        assert cells_csv(cells) == cells_csv(singles)
 
 
 class TestOneEvaluator:

@@ -643,7 +643,7 @@ class TestMagnusKernel:
         assert problem.coeff_min < 0.0 < problem.coeff_max
         square = monodromy(problem).coefficient_integrals[1]
         with mp.workdps(30):
-            a, half = mpmath_well_coefficient(mp, 1, 5, problem.P,
+            a, half = mpmath_well_coefficient(mp, 1, 5, problem.orbit.params.P,
                                               problem.orbit.energy.value)
             assert a(0) < 0 < a(half)
             root = mp.findroot(a, (0, half), solver="anderson")

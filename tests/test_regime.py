@@ -11,9 +11,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from beammodes import classify_stability, table_regime
+from beammodes.duffing import ModeParams, orbit_from_energy
 from beammodes.errors import DomainError
-from beammodes.hill import Verdict, classify_matrix
-from beammodes.integrate import find_zero_crossing, integrate
+from beammodes.hill import HillProblem, Verdict, classify_matrix, monodromy
+from beammodes.integrate import IntegratorConfig, find_zero_crossing, integrate
 from beammodes.regime import (
     _LIMIT_CONFIG,
     MAX_QUARTIC_N,
@@ -307,6 +308,29 @@ class TestLimitDichotomy:
         limit = cazenave_limit_classify(gamma)
         assert_allclose(limit.matrix, full, rtol=0.0, atol=1e-11)
         assert limit.verdict is classify_matrix(full).verdict
+
+    def test_the_limit_cell_is_a_hill_row(self):
+        # u'' + u^3 = 0 is mode 1 at load 1.  Its orbit at energy 1/2 starts
+        # at the turning point of the arch that the limit cell integrates,
+        # and gamma u^2 is even about the arch's zero and its peak, so the
+        # Hill row (orbit, 0, gamma) has a monodromy conjugate to the arch's
+        # fundamental matrix, which the limit cell negates.  The gammas: 15
+        # geometric in [0.3, 100], 40 in [0.5, 30], the interval endpoints
+        # 1 to 36, and gate 8's seven.
+        gammas = [*np.geomspace(0.3, 100.0, 15).tolist(),
+                  *np.linspace(0.5, 30.0, 40).tolist(),
+                  1.0, 3.0, 6.0, 10.0, 15.0, 21.0, 28.0, 36.0,
+                  1.5, 2.25, 4.0, 5.0, 5.44, 8.0, 12.0]
+        orbit = orbit_from_energy(ModeParams(k=1, P=1.0), 0.5)
+        config = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+        start = time.perf_counter()
+        rows = [monodromy(HillProblem(orbit, 0.0, gamma), config) for gamma in gammas]
+        assert time.perf_counter() - start < 1.0
+        for gamma, row in zip(gammas, rows):
+            limit = cazenave_limit_classify(gamma)
+            assert row.step_doubling is not None, gamma
+            assert row.verdict is limit.verdict, gamma
+            assert row.trace == pytest.approx(-limit.trace, rel=0.0, abs=1e-10), gamma
 
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (1, 3), (3, 7), (2, 1)])
     def test_hill_trace_tends_to_limit_trace(self, m, n):
