@@ -27,12 +27,11 @@ from typing import Sequence
 
 from .duffing import ModeParams, energy_from_initial_amplitude
 from .errors import (BeamModesError, DomainError, attempt, csv_text, require_count,
-                     require_finite, require_mode_pair, require_positive_finite,
-                     require_positive_int)
+                     require_finite, require_mode_pair, require_positive_finite)
 from .hill import (DEFAULT_TOL_MARGIN, Verdict, classify_batch, classify_stability,
                    require_tol_margin)
 from .integrate import IntegratorConfig
-from .regime import cazenave_limit_classify
+from .regime import cazenave_limit_classify, classify_gamma
 
 CSV_HEADER = "gamma,m,n,P,theta0,E,trace,verdict,quality"
 
@@ -80,8 +79,7 @@ class SweepSpec:
                 if self.verdict_source is VerdictSource.MONODROMY:
                     require_mode_pair(m, n, self.P)
                 else:                       # gamma = 1 is a valid limit ratio
-                    require_positive_int("m", m)
-                    require_positive_int("n", n)
+                    classify_gamma(m, n)
             elif self.verdict_source is not VerdictSource.CAZENAVE_LIMIT:
                 raise DomainError(
                     "bare gamma entries need the large-energy limit source"

@@ -20,7 +20,9 @@ is conserved and organizes the phase portrait:
   unstable rest point theta == 0; E > 0 orbits cross the hump.
 
 Every period is a closed elliptic-K form, evaluated by the AGM on
-whichever of the modulus or its complement has no cancellation.
+whichever of the modulus or its complement has no cancellation; every
+orbit, a cn orbit if it changes sign and a dn orbit if not, evaluates
+itself in closed form on special.jacobi_sn_cn_dn (DuffingOrbit.states).
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, require_finite, require_positive_int
-from .special import (elliptic_f, elliptic_k, elliptic_k_from_complement, jacobi_on_ladders,
-                      landen_ladders)
+from .errors import DomainError, require_finite, require_mode_gap, require_positive_int
+from .special import elliptic_f, elliptic_k, elliptic_k_from_complement, jacobi_sn_cn_dn
 
 # Regime classification tolerance; scales with the energy magnitude.
 _CLASSIFY_TOL = 1e-13
@@ -60,12 +61,7 @@ class ModeParams:
     def __post_init__(self):
         require_positive_int("mode number", self.k)
         require_finite("load P", self.P)
-        # the well depth and every period formula square P - k^2
-        try:
-            gap = self.P - self.k**2
-        except OverflowError:            # k^2 is past the float range
-            gap = math.inf
-        require_finite("(P - k^2)^2", gap * gap)
+        require_mode_gap("k", self.k, self.P)
 
     @property
     def stiffness(self) -> float:
@@ -175,6 +171,7 @@ class DuffingOrbit:
     sign-changing orbits, at the inner turning point +sqrt(sq_min) for well
     orbits, at the constant value for bottom-of-well solutions.  sign = -1
     selects the mirrored orbit -theta (only distinct for one-signed ones).
+    states and time_at_square read the (w, kp) of jacobi_scaling.
     """
 
     params: ModeParams
@@ -217,7 +214,8 @@ class DuffingOrbit:
         """Period of theta^2: half the orbit period iff the orbit changes sign."""
         return 0.5 * self.period if self.sign_changing else self.period
 
-    def _jacobi_scaling(self) -> tuple[float, float]:
+    @property
+    def jacobi_scaling(self) -> tuple[float, float]:
         """(w, kp) of the orbit: theta'^2 = (k^4/2)(hi - theta^2)(theta^2 - lo)
         is the cn equation at w = k^2 sqrt((hi - lo)/2), kp^2 = -lo/(hi - lo),
         and the dn one at w = k^2 sqrt(hi/2), kp^2 = lo/hi (1 at the bottom)."""
@@ -227,10 +225,22 @@ class DuffingOrbit:
         return k2 * math.sqrt(0.5 * hi), self.modulus
 
     def states(self, ts) -> np.ndarray:
-        """(theta, theta') at the times ts in closed form, shape (len(ts), 2),
-        as OrbitBatch.states gives them."""
-        ts = np.asarray(ts, dtype=float).reshape(1, -1)
-        return OrbitBatch.of([self]).states(ts)[0]
+        """(theta, theta') at the finite times ts in closed form, shape
+        (len(ts), 2): A cn(w t) on a sign-changing orbit, else
+        A kp / dn(w t) = A dn(w t + K), the dn orbit started at its inner
+        turning point as initial_state is; times sign."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(ts)):
+            raise DomainError("orbit times must be finite")
+        (omega, kp), A = self.jacobi_scaling, self.amplitude
+        sn, cn, dn = jacobi_sn_cn_dn(omega * ts, kp)
+        if self.sign_changing:
+            return self.sign * np.stack((A * cn, -A * omega * sn * dn), -1)
+        theta = A * kp / dn
+        # + 0.0 turns -0.0 into 0.0: at the well bottom (kp = 1) theta' is
+        # zero times sn cn and the sign, -0.0 where their product is negative
+        return self.sign * np.stack(
+            (theta, theta * omega * (1.0 - kp) * (1.0 + kp) * sn * cn / dn), -1) + 0.0
 
     def time_at_square(self, theta_sq: float) -> float:
         """The t in [0, T_c/2] where theta^2 = theta_sq, off the well bottom:
@@ -238,7 +248,7 @@ class DuffingOrbit:
         (theta^2 falls from sq_hi) and hi (theta_sq - lo) / (theta_sq (hi - lo))
         on a dn one (it rises from sq_lo); sn and cn take no difference of
         nearly equal numbers but those of the data."""
-        (omega, kp), lo, hi = self._jacobi_scaling(), self.sq_lo, self.sq_hi
+        (omega, kp), lo, hi = self.jacobi_scaling, self.sq_lo, self.sq_hi
         if self.sign_changing:
             sn2, cn2 = (hi - theta_sq) / hi, theta_sq / hi
         else:
@@ -246,69 +256,6 @@ class DuffingOrbit:
             sn2, cn2 = hi * (theta_sq - lo) / scale, lo * (hi - theta_sq) / scale
         t = float(elliptic_f(math.sqrt(max(sn2, 0.0)), math.sqrt(max(cn2, 0.0)), kp)) / omega
         return min(t, 0.5 * self.coefficient_period)
-
-
-def columns(rows: Sequence[tuple]) -> list[np.ndarray]:
-    """The columns of a table of rows of numbers, each shaped (rows, 1) to
-    broadcast against a row of values per table row; for a single row they
-    are 0-d, which numpy broadcasts on its fast path."""
-    table = np.array(rows, dtype=float)
-    return list(table.T.reshape(table.shape[1:] + ((-1, 1) if len(table) > 1 else ())))
-
-
-@dataclass(frozen=True)
-class OrbitBatch:
-    """The closed forms of several orbits, one row each, evaluated at a row of
-    times per orbit.  Each field is a column (see columns), except the Landen
-    ladders, which special.landen_ladders builds once for all rows."""
-
-    amplitude: np.ndarray
-    omega: np.ndarray
-    kp: np.ndarray
-    sign: np.ndarray
-    dn_orbit: np.ndarray     # True where the orbit is one-signed: the dn form
-    levels: np.ndarray
-    means: np.ndarray
-
-    @classmethod
-    def of(cls, orbits: Sequence[DuffingOrbit]) -> OrbitBatch:
-        amplitude, omega, kp, sign, dn_orbit = columns(
-            [(orbit.amplitude, *orbit._jacobi_scaling(), orbit.sign, not orbit.sign_changing)
-             for orbit in orbits])
-        return cls(amplitude, omega, kp, sign, dn_orbit > 0.0,
-                   *landen_ladders(kp.reshape(kp.shape[:1])))
-
-    def __getitem__(self, rows) -> OrbitBatch:
-        """The batch of the orbits at `rows` (a slice or an index array) of a
-        batch of several."""
-        return OrbitBatch(self.amplitude[rows], self.omega[rows], self.kp[rows],
-                          self.sign[rows], self.dn_orbit[rows], self.levels[..., rows],
-                          self.means[rows])
-
-    def _jacobi(self, ts) -> tuple:
-        """sn, cn, dn of w t at the times ts, a row per orbit."""
-        return jacobi_on_ladders(self.omega * ts, self.levels, self.means)
-
-    def theta(self, ts) -> np.ndarray:
-        """theta at the times ts, a row per orbit: A cn(w t) on a
-        sign-changing orbit, else A kp / dn(w t) = A dn(w t + K), the dn orbit
-        started at its inner turning point as initial_state is."""
-        _, cn, dn = self._jacobi(ts)
-        A, kp = self.amplitude, self.kp
-        return self.sign * np.where(self.dn_orbit, A * kp / dn, A * cn)
-
-    def states(self, ts) -> np.ndarray:
-        """(theta, theta') at the times ts, a row per orbit: shape ts.shape + (2,)."""
-        sn, cn, dn = self._jacobi(ts)
-        A, omega, kp = self.amplitude, self.omega, self.kp
-        theta = A * kp / dn
-        sign = self.sign[..., None]
-        # + 0.0 turns -0.0 into 0.0: at the well bottom (kp = 1) theta' is
-        # zero times sn cn and the sign, -0.0 where their product is negative
-        well = sign * np.stack(
-            (theta, theta * omega * (1.0 - kp) * (1.0 + kp) * sn * cn / dn), -1) + 0.0
-        swing = sign * np.stack((A * cn, -A * omega * sn * dn), -1)
-        return np.where(self.dn_orbit[..., None], well, swing)
 
 
 def duffing_rhs(params: ModeParams) -> Callable[[float, np.ndarray], np.ndarray]:

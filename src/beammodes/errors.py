@@ -3,9 +3,10 @@
 DomainError marks inputs outside an operation's mathematical domain,
 IntegrationError marks ODE driver failures, and NumericalQualityError marks
 results whose internal checks (determinant drift, residuals) failed even
-though the computation ran to completion.  Five helpers are the one check
+though the computation ran to completion.  Six helpers are the one check
 per kind of input: require_positive_int (mode numbers), require_finite
 (loads, energies), require_positive_finite (horizons, tolerances, ratios),
+require_mode_gap (a mode number whose (P - k^2)^2 is finite),
 require_mode_pair (distinct modes under a finite load) and require_count.
 Serializable is the one rule by which result dataclasses become JSON-ready
 dicts, and csv_text the one rule by which tables of results become CSV.
@@ -93,14 +94,27 @@ def require_count(label: str, n, minimum: int, maximum: int = MAX_COUNT) -> None
                           f"{maximum}, got {n!r}")
 
 
+def require_mode_gap(label: str, k, P) -> None:
+    """Raise DomainError unless (P - k^2)^2, which the well depth and every
+    period formula take, is finite for the mode number k under the load P."""
+    try:
+        gap = P - k**2
+    except OverflowError:            # k^2 is past the float range
+        gap = math.inf
+    require_finite(f"(P - {label}^2)^2", gap * gap)
+
+
 def require_mode_pair(m, n, P) -> None:
     """Raise DomainError unless m and n are distinct positive integers and
-    the load P is finite: the domain of every mode-pair quantity."""
+    the load P is finite, with (P - m^2)^2 and (P - n^2)^2 finite: the domain
+    of every mode-pair quantity."""
     require_positive_int("m", m)
     require_positive_int("n", n)
     if m == n:
         raise DomainError(f"modes m and n must be distinct, got m = n = {m!r}")
     require_finite("load P", P)
+    require_mode_gap("m", m, P)
+    require_mode_gap("n", n, P)
 
 
 class Serializable:

@@ -42,15 +42,16 @@ both Hill columns and the integrals together and is also the one pass of
 the large-energy limit cell.
 
 The kernel runs over a batch of cells (classify_batch; classify_stability
-is a batch of one).  Each pass evaluates every cell that has not converged
-on one (cells, 3 steps) node array, each cell with its own step, orbit,
-linear term and coupling, and the Landen ladders of the orbits are built
-once per batch.  A pass holds at most 3 MAX_MAGNUS_STEPS nodes, what one
-cell at the cap holds; a larger batch is passed in chunks.  A cell leaves
-the batch when its own doubling test passes and takes its own fallback, so
-its result is bit for bit that of the cell alone.  Both entries share the
-per-cell steps after the kernel: classify_matrix, criteria_report and the
-cross-check.
+is a batch of one), one table (_Batch) of each cell's half period, linear
+term, coupling and orbit frame (A, w, kp, cn or dn form), with no sign, as
+a(t) reads theta^2 alone, and its orbits' Landen ladders built once.  Each
+pass evaluates every cell that has not converged on one (cells, 3 steps)
+node array, each cell with its own step and row.  A pass holds at most
+3 MAX_MAGNUS_STEPS nodes, what one cell at the cap holds; a larger batch is
+passed in chunks.  A cell leaves the batch when its own doubling test
+passes and takes its own fallback, so its result is bit for bit that of
+the cell alone.  Both entries share the per-cell steps after the kernel:
+classify_matrix, criteria_report and the cross-check.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .duffing import DuffingOrbit, ModeParams, OrbitBatch, columns, orbit_from_energy
+from .duffing import DuffingOrbit, ModeParams, orbit_from_energy
 from .errors import (BeamModesError, ConsistencyError, DomainError, NumericalQualityError,
                      Serializable, attempt, require_mode_pair)
 from .integrate import IntegratorConfig, integrate
-from .special import sigma_constant
+from .special import jacobi_on_ladders, landen_ladders, sigma_constant
 
 # |trace| within this margin of 2 is reported Marginal rather than forced
 # into a side: Floquet boundaries are codimension one and grid sweeps must
@@ -253,20 +254,30 @@ _PASS_NODES = 3 * MAX_MAGNUS_STEPS
 
 @dataclass(frozen=True)
 class _Batch:
-    """The Hill problems of one kernel batch, one row each: half the
-    coefficient period, the linear term and the coupling as columns (see
-    duffing.columns), and the closed forms of their orbits."""
+    """The Hill problems of one kernel batch, one row each, as columns: half
+    the coefficient period, the linear term, the coupling and the orbit's
+    closed-form frame (A, w, kp, dn form), each shaped (rows, 1) against a
+    row of times per problem (0-d for one row, numpy's fast path); and the
+    kp column's Landen ladders (special.landen_ladders)."""
 
     half: np.ndarray
     linear: np.ndarray
     coupling: np.ndarray
-    orbits: OrbitBatch
+    amplitude: np.ndarray
+    omega: np.ndarray
+    kp: np.ndarray
+    dn_orbit: np.ndarray
+    levels: np.ndarray
+    means: np.ndarray
 
     @classmethod
     def of(cls, problems: Sequence[HillProblem]) -> _Batch:
-        return cls(*columns([(0.5 * p.coeff_period, p.linear_term, p.coupling)
-                             for p in problems]),
-                   OrbitBatch.of([p.orbit for p in problems]))
+        table = np.array([(0.5 * p.coeff_period, p.linear_term, p.coupling, p.orbit.amplitude,
+                           *p.orbit.jacobi_scaling, not p.orbit.sign_changing)
+                          for p in problems], dtype=float)
+        *columns, kp, dn_orbit = table.T.reshape(
+            table.shape[1:] + ((-1, 1) if len(table) > 1 else ()))
+        return cls(*columns, kp, dn_orbit > 0.0, *landen_ladders(kp.reshape(kp.shape[:1])))
 
     def __len__(self) -> int:
         return self.half.size
@@ -275,12 +286,15 @@ class _Batch:
         """The batch of the problems at `rows` (a slice or an index array) of
         a batch of several."""
         return _Batch(self.half[rows], self.linear[rows], self.coupling[rows],
-                      self.orbits[rows])
+                      self.amplitude[rows], self.omega[rows], self.kp[rows],
+                      self.dn_orbit[rows], self.levels[..., rows], self.means[rows])
 
     def coefficient(self, ts) -> np.ndarray:
-        """a(t) = linear + coupling theta(t)^2 at the times ts, a row of times
-        per problem."""
-        theta = self.orbits.theta(ts)
+        """a(t) = linear + coupling theta^2 at the times ts, a row per problem;
+        theta is that of DuffingOrbit.states but for its sign."""
+        _, cn, dn = jacobi_on_ladders(self.omega * ts, self.levels, self.means)
+        A = self.amplitude
+        theta = np.where(self.dn_orbit, A * self.kp / dn, A * cn)
         return self.linear + self.coupling * theta * theta
 
 

@@ -86,12 +86,17 @@ def _classify_ratio(num: int, den: int) -> tuple[GammaMembership, int]:
 
 
 def classify_gamma(m: int, n: int) -> FrequencyRatioClass:
-    """Exact interval membership of gamma = n^2 / m^2 for integer m, n >= 1."""
+    """Exact interval membership of gamma = n^2 / m^2 for integer m, n >= 1;
+    DomainError when gamma is past the float range."""
     require_positive_int("m", m)
     require_positive_int("n", n)
+    try:
+        gamma = (n * n) / (m * m)
+    except OverflowError:
+        raise DomainError(f"gamma = n^2 / m^2 must be a finite float, got m = {m!r}, "
+                          f"n = {n!r}") from None
     membership, k = _classify_ratio(int(n) * int(n), int(m) * int(m))
-    return FrequencyRatioClass(gamma=(n * n) / (m * m), membership=membership,
-                               k_index=k)
+    return FrequencyRatioClass(gamma=gamma, membership=membership, k_index=k)
 
 
 def classify_gamma_value(gamma: float) -> FrequencyRatioClass:

@@ -75,6 +75,11 @@ REFUSED = [
     # P = k^2 and E just below 0: the clamped discriminant is a double root
     # at 0, where the product-over-sum root divided by zero
     (["mode", "orbit", "--k", "1", "--P", "1", "--E=-1e-15"], "no period"),
+    # n^2 past the float range
+    (["hill", "classify", "--m", "1", "--n", str(10**200), "--P", "0", "--E", "1"],
+     "(P - n^2)^2"),
+    (["atlas", "sweep", "--m", "1", "--n", str(10**200), "--P", "0", "--grid-min", "0",
+      "--grid-max", "2", "--points", "8"], "(P - n^2)^2"),
 ]
 
 

@@ -330,6 +330,14 @@ class TestOrbits:
                 assert_allclose(orbit.states(0.0)[0], orbit.initial_state,
                                 rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_states_refuse_non_finite_times(self, bad):
+        # as homoclinic does: no silent NaN row, no warning from np.sin
+        orbit = orbit_from_energy(ModeParams(k=1, P=2.0), -0.2)
+        with pytest.raises(DomainError, match="^orbit times must be finite"):
+            orbit.states([0.0, bad])
+        assert orbit.states([]).shape == (0, 2)
+
     def test_negative_branch_orbit(self):
         orbit = orbit_from_energy(ModeParams(k=1, P=2.0), -0.2, sign=-1)
         assert orbit.initial_state[0] < 0.0

@@ -1,12 +1,17 @@
 """The input checks in errors: each refuses what its kind of input cannot
-be, with a DomainError that names the input, and accepts the rest."""
+be, with a DomainError that names the input, and accepts the rest; and
+every entry that takes a mode pair refuses one past the float range."""
 
 import math
 
 import pytest
 
+from beammodes.atlas import SweepSpec, VerdictSource, find_thresholds, sweep
 from beammodes.errors import (MAX_COUNT, DomainError, require_count, require_finite,
                               require_mode_pair, require_positive_finite)
+from beammodes.hill import classify_stability
+from beammodes.regime import classify_gamma, resonance_diagnostics, table_regime
+from beammodes.twomode import TwoModeConfig
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -35,6 +40,10 @@ def test_require_positive_finite(x):
     (1, -1, 0.0, "^n must be a positive integer"),
     (1.0, 2, 0.0, "^m must be a positive integer"),
     (2, 2, 0.0, "^modes m and n must be distinct"),
+    # n^2 past the float range, and n^2 within it but (P - n^2)^2 past it
+    (1, 10**200, 0.0, r"^\(P - n\^2\)\^2 must be finite"),
+    (1, 10**100, 0.0, r"^\(P - n\^2\)\^2 must be finite"),
+    (10**200, 1, 0.0, r"^\(P - m\^2\)\^2 must be finite"),
 ])
 def test_require_mode_pair(m, n, P, message):
     with pytest.raises(DomainError, match=message):
@@ -49,3 +58,26 @@ def test_require_count(n):
         require_count("budget", n, 4)
     for ok in (4, 5, MAX_COUNT):
         require_count("budget", ok, 4)
+
+
+# Every entry that takes a mode pair, at n = 10^200, whose square is past the
+# float range: each refuses it with a DomainError, not an OverflowError.
+HUGE = 10**200
+OVERFLOWING_PAIR = {
+    "classify_stability": lambda: classify_stability(1, HUGE, 0.0, 1.0),
+    "table_regime": lambda: table_regime(1, HUGE, 0.0),
+    "resonance_diagnostics": lambda: resonance_diagnostics(1, HUGE, 0.0),
+    "classify_gamma": lambda: classify_gamma(1, HUGE),
+    "TwoModeConfig": lambda: TwoModeConfig(m=1, n=HUGE, P=0.0, w0=1.0, w1=0.0,
+                                           z0=0.0, z1=0.0),
+    "find_thresholds": lambda: find_thresholds(1, HUGE, 0.0, [1.0, 2.0]),
+    "sweep monodromy": lambda: sweep(SweepSpec(P=0.0, modes=[(1, HUGE)], energy_grid=[1.0])),
+    "sweep limit": lambda: sweep(SweepSpec(P=0.0, modes=[(1, HUGE)], energy_grid=[1.0],
+                                           verdict_source=VerdictSource.CAZENAVE_LIMIT)),
+}
+
+
+@pytest.mark.parametrize("entry", list(OVERFLOWING_PAIR))
+def test_an_overflowing_mode_number_is_a_domain_error(entry):
+    with pytest.raises(DomainError, match=r"\(P - n\^2\)\^2|gamma = n\^2 / m\^2"):
+        OVERFLOWING_PAIR[entry]()

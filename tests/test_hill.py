@@ -10,7 +10,7 @@ from scipy import integrate as scipy_integrate
 
 import beammodes.hill
 from beammodes import ModeParams, atlas, classify_stability
-from beammodes.duffing import energy_from_initial_amplitude
+from beammodes.duffing import energy_from_initial_amplitude, orbit_from_energy
 from beammodes.errors import DomainError, NumericalQualityError
 from beammodes.hill import (Verdict, build_hill, classify_batch, classify_matrix,
                             criteria_report, li_zhang_criterion, monodromy,
@@ -530,6 +530,27 @@ class TestMagnusKernel:
                   if 2 * steps in errors]
         assert ratios and min(ratios) >= 40.0, errors
 
+    def test_coefficient_is_the_orbit_states(self):
+        """The kernel's a(t) and DuffingOrbit.states are two closed forms of
+        one orbit: a(t) is linear + coupling theta theta with theta the first
+        column of states, bit for bit, in a batch of one (0-d columns) and in
+        a mixed batch (padded ladders).  theta theta, not theta**2, which
+        rounds differently where the coupling (36, 9) is not a power of two."""
+        mirrored = build_hill(1, 3, 2.0, 0.5 * _FLOOR_2)
+        problems = [build_hill(2, 3, 0.0, 1.0), build_hill(1, 3, 2.0, 0.5 * _FLOOR_2),
+                    build_hill(1, 3, 2.0, _FLOOR_2), build_hill(1, 3, 2.0, -1e-11),
+                    replace(mirrored, orbit=orbit_from_energy(
+                        mirrored.orbit.params, 0.5 * _FLOOR_2, sign=-1))]
+        times = np.array([np.linspace(0.0, p.coeff_period, 41) for p in problems])
+        want = []
+        for problem, ts in zip(problems, times):
+            theta = problem.orbit.states(ts)[:, 0]
+            want.append(problem.linear_term + problem.coupling * theta * theta)
+        want = np.array(want)
+        for problem, ts, a in zip(problems, times, want):
+            assert beammodes.hill._Batch.of([problem]).coefficient(ts).tobytes() == a.tobytes()
+        assert beammodes.hill._Batch.of(problems).coefficient(times).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("cell", list(HALF_PERIOD_BATTERY.values()) + ROW_80,
                              ids=list(HALF_PERIOD_BATTERY) + [f"row80-{i}" for i in range(30)])
     def test_matches_dop853(self, cell):
@@ -702,6 +723,14 @@ class TestBatch:
         assert isinstance(batch[1], DomainError)
         assert batch[2].monodromy.step_doubling is None
         assert batch[0].monodromy.step_doubling is not None
+
+    def test_an_overflowing_mode_number_fails_alone(self):
+        # n^2 = 10^400 is past the float range: that cell gets its own
+        # DomainError, and the cell beside it the report it gets alone
+        good = HALF_PERIOD_BATTERY["sign-changing"]
+        bad, report = classify_batch([(1, 10**200, 0.0, 1.0), good])
+        assert isinstance(bad, DomainError) and "(P - n^2)^2" in str(bad)
+        assert cell_record(report) == per_cell_records([good])[0]
 
     def test_cells_do_not_depend_on_their_batch(self, monkeypatch):
         # with a node budget of one 64-step cell per pass, every pass is cut

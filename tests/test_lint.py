@@ -1,6 +1,7 @@
 """Static checks on the package source, in place of a linter: every name a
-module imports at module level is used in that module, and every private
-module-level function, class or constant is used somewhere in the package."""
+module imports at module level is used in that module, every private
+module-level function, class or constant is used somewhere in the package,
+and no module reads another's private name but the one listed."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,62 @@ def test_the_check_sees_an_unused_private_name():
     defining = "def _imported():\n    pass\ndef _attribute():\n    pass\n"
     assert unused_private_names([module, other, defining]) == {
         "_SPARE", "_ALONE", "_recursive"}
+
+
+def _private(name: str) -> bool:
+    """A single-underscore name, the bare _ aside."""
+    return len(name) > 1 and name[0] == "_" and name[1] != "_"
+
+
+def private_reads(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(reader, "owner._name") for every read, in module reader, of a private
+    name that module owner defines and reader does not: an attribute x._name
+    or a `from .owner import _name`.  A module defines every private name it
+    binds anywhere, as a def, a class, a variable or an attribute x._name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {}
+    for module, tree in trees.items():
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+        defined[module] = {name for name in names if _private(name)}
+    reads = set()
+    for reader, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr not in defined[reader]:
+                reads.update((reader, f"{owner}.{node.attr}") for owner in defined
+                             if node.attr in defined[owner])
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+                reads.update((reader, f"{node.module}.{alias.name}")
+                             for alias in node.names if _private(alias.name))
+    return reads
+
+
+def test_no_module_reads_another_modules_private_name():
+    # the limit cell's DOP853 pass is hill's; it moves onto a public path
+    # when the limit cell moves onto the kernel
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert private_reads(sources) == {("regime", "hill._half_period_pass")}
+
+
+def test_the_check_sees_a_private_read():
+    owner = ("class Orbit:\n"
+             "    _CACHE = {}\n"
+             "    def __init__(self):\n"
+             "        self._seen = 0\n"
+             "    def _frame(self):\n"
+             "        return self._seen, Orbit._CACHE\n"
+             "def _helper():\n"
+             "    pass\n")
+    reader = ("from .owner import Orbit, _helper\n"
+              "from . import owner\n"
+              "def frame(orbit):\n"
+              "    owner._helper()\n"
+              "    return orbit._frame(), orbit._seen, orbit.__class__, orbit._other\n")
+    assert private_reads({"owner": owner, "reader": reader}) == {
+        ("reader", "owner._helper"), ("reader", "owner._frame"), ("reader", "owner._seen")}
