@@ -5,12 +5,13 @@ one energy, or the large-energy limit of one gamma.  A sweep runs it over
 a grid of initial amplitudes theta0 (or energies) at fixed load, one cell
 per grid point, in deterministic row-major order (mode pairs outer, grid
 inner).  The Hill cells of a sweep are one batch of the Magnus kernel
-(hill.classify_batch), or one batch per chunk across worker processes; each
-cell's value is independent of the others.  A failing cell records the
-failure in its quality flag instead of aborting the sweep.  The adaptive
-amplitude sweep adds cells to a uniform backbone sweep where a verdict
-change may hide, and threshold finding solves |trace| = 2 between grid
-cells whose verdicts differ; the cells those two add are one at a time.
+(hill.classify_batch), its limit cells one batch of their distinct gammas,
+or one batch per chunk across worker processes; each cell's value is
+independent of the others.  A failing cell records the failure in its
+quality flag instead of aborting the sweep.  The adaptive amplitude sweep
+adds cells to a uniform backbone sweep where a verdict change may hide, and
+threshold finding solves |trace| = 2 between grid cells whose verdicts
+differ; the cells those two add are one at a time.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _mode_fields(entry) -> tuple[int, int, float]:
 def _verdicts(spec: SweepSpec, points: Sequence[tuple]) -> list:
     """The classified matrix of each cell at points = (entry, theta0, E): the
     (m, n) monodromy at energy E, or the large-energy limit of the entry's
-    gamma, computed once per distinct gamma (the grid only echoes); a cell
+    gamma, one batch of the distinct gammas (the grid only echoes); a cell
     that cannot be classified gives its BeamModesError in place of the
     result.  Every atlas verdict comes from here.  The Hill cells of several
     points are one hill.classify_batch run; a single point, as Brent's
@@ -122,9 +123,11 @@ def _verdicts(spec: SweepSpec, points: Sequence[tuple]) -> list:
     call.  The classifiers are looked up as module globals at call time."""
     if spec.verdict_source is VerdictSource.CAZENAVE_LIMIT:
         # keyed by repr, which keeps -0.0 apart from 0.0 as their errors do
-        limit = functools.cache(lambda key: attempt(
-            cazenave_limit_classify, float(key), tol_margin=spec.tol_margin))
-        return [limit(repr(_mode_fields(entry)[2])) for entry, _, _ in points]
+        keys = [repr(_mode_fields(entry)[2]) for entry, _, _ in points]
+        distinct = dict.fromkeys(keys)          # first-seen order
+        limit = dict(zip(distinct, cazenave_limit_classify(
+            [float(key) for key in distinct], tol_margin=spec.tol_margin)))
+        return [limit[key] for key in keys]
     cells = [(*_mode_fields(entry)[:2], spec.P, E) for entry, _, E in points]
     if len(cells) == 1:
         reports = [attempt(classify_stability, *cells[0], config=spec.integrator,

@@ -163,7 +163,9 @@ def _cmd_regime_resonance(args) -> dict:
 
 
 def _cmd_regime_cazenave(args) -> dict:
-    result = regime.cazenave_limit_classify(args.gamma, tol_margin=args.margin)
+    result, = regime.cazenave_limit_classify([args.gamma], tol_margin=args.margin)
+    if isinstance(result, BeamModesError):
+        raise result
     return {"gamma": args.gamma, **result.to_dict()}
 
 

@@ -6,7 +6,7 @@ results whose internal checks (determinant drift, residuals) failed even
 though the computation ran to completion.  Six helpers are the one check
 per kind of input: require_positive_int (mode numbers), require_finite
 (loads, energies), require_positive_finite (horizons, tolerances, ratios),
-require_mode_gap (a mode number whose (P - k^2)^2 is finite),
+require_mode_gap (a mode number whose k^4 and (P - k^2)^2 are finite),
 require_mode_pair (distinct modes under a finite load) and require_count.
 Serializable is the one rule by which result dataclasses become JSON-ready
 dicts, and csv_text the one rule by which tables of results become CSV.
@@ -96,18 +96,23 @@ def require_count(label: str, n, minimum: int, maximum: int = MAX_COUNT) -> None
 
 def require_mode_gap(label: str, k, P) -> None:
     """Raise DomainError unless (P - k^2)^2, which the well depth and every
-    period formula take, is finite for the mode number k under the load P."""
+    period formula take, and k^4, which the cubic term takes, are finite for
+    the mode number k under the load P."""
     try:
         gap = P - k**2
     except OverflowError:            # k^2 is past the float range
         gap = math.inf
     require_finite(f"(P - {label}^2)^2", gap * gap)
+    try:
+        float(k) ** 4                # raises past the float range
+    except OverflowError:
+        raise DomainError(f"{label}^4 must be finite, got inf") from None
 
 
 def require_mode_pair(m, n, P) -> None:
     """Raise DomainError unless m and n are distinct positive integers and
-    the load P is finite, with (P - m^2)^2 and (P - n^2)^2 finite: the domain
-    of every mode-pair quantity."""
+    the load P is finite, with (P - m^2)^2, (P - n^2)^2, m^4 and n^4 finite:
+    the domain of every mode-pair quantity."""
     require_positive_int("m", m)
     require_positive_int("n", n)
     if m == n:

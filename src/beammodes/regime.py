@@ -24,7 +24,7 @@ Three ingredients:
   the large-energy limit classifier: the monodromy of the normalized
   cubic oscillator's first arch, integrated up to the arch's peak and
   unfolded by time reversal, whose verdict decides the gamma-dependent
-  rows.
+  rows; a batch of gammas shares one search for that peak.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
+from typing import Sequence
 
 from . import hill
 from .duffing import ModeParams, duffing_rhs
-from .errors import (DomainError, Serializable, require_count, require_mode_pair,
-                     require_positive_finite, require_positive_int)
+from .errors import (BeamModesError, DomainError, Serializable, attempt, require_count,
+                     require_mode_pair, require_positive_finite, require_positive_int)
 from .hill import MonodromyResult, classify_matrix, DEFAULT_TOL_MARGIN
 from .integrate import IntegratorConfig, find_zero_crossing
 
@@ -87,14 +88,16 @@ def _classify_ratio(num: int, den: int) -> tuple[GammaMembership, int]:
 
 def classify_gamma(m: int, n: int) -> FrequencyRatioClass:
     """Exact interval membership of gamma = n^2 / m^2 for integer m, n >= 1;
-    DomainError when gamma is past the float range."""
+    DomainError when the float gamma overflows or underflows to 0."""
     require_positive_int("m", m)
     require_positive_int("n", n)
     try:
         gamma = (n * n) / (m * m)
     except OverflowError:
-        raise DomainError(f"gamma = n^2 / m^2 must be a finite float, got m = {m!r}, "
-                          f"n = {n!r}") from None
+        gamma = math.inf
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"gamma = n^2 / m^2 must be a positive finite float, "
+                          f"got m = {m!r}, n = {n!r}")
     membership, k = _classify_ratio(int(n) * int(n), int(m) * int(m))
     return FrequencyRatioClass(gamma=gamma, membership=membership, k_index=k)
 
@@ -307,24 +310,29 @@ def table_regime(m: int, n: int, P: float) -> RegimeReport:
 # 2^(5/4) sigma, with eta'' + gamma u^2 eta = 0 (linear term 0, coupling
 # gamma); the limit monodromy is minus the fundamental matrix at theta.
 # The arch is symmetric about its peak theta/2, where u' falls through zero,
-# so the search stops there and hill's half-period pass unfolds from it.
+# so one search per batch stops there; hill's half-period pass unfolds from it.
 _LIMIT_MODE = ModeParams(k=1, P=1.0)
 _LIMIT_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
-def cazenave_limit_classify(gamma: float,
-                            tol_margin: float = DEFAULT_TOL_MARGIN) -> MonodromyResult:
+def cazenave_limit_classify(gammas: Sequence[float], tol_margin: float = DEFAULT_TOL_MARGIN
+                            ) -> list[MonodromyResult | BeamModesError]:
     """Large-energy stability of the perturbation with frequency-ratio
-    square gamma: the verdict of the limit matrix described above.
-
-    Stable verdicts correspond to gamma interior to I_S, unstable ones to
-    gamma interior to I_U.
+    square gamma, for each gamma in order, after one peak search: the
+    verdict of the limit matrix described above, or the BeamModesError
+    raised in its place.  Stable verdicts correspond to gamma interior to
+    I_S, unstable ones to gamma interior to I_U.
     """
-    require_positive_finite("gamma", gamma)
-    peak = find_zero_crossing(
-        duffing_rhs(_LIMIT_MODE), (0.0, 1.0), component=1,
-        direction="falling", t_max=10.0, config=_LIMIT_CONFIG,
-    )
-    matrix, _ = hill._half_period_pass(_LIMIT_MODE, (0.0, 1.0), 0.0, gamma,
-                                       peak, _LIMIT_CONFIG)
-    return classify_matrix(-matrix, tol_margin)
+    peak = None                     # searched for at the first valid gamma
+
+    def limit(gamma):
+        nonlocal peak
+        require_positive_finite("gamma", gamma)
+        if peak is None:
+            peak = find_zero_crossing(duffing_rhs(_LIMIT_MODE), (0.0, 1.0), component=1,
+                                      direction="falling", t_max=10.0, config=_LIMIT_CONFIG)
+        matrix, _ = hill._half_period_pass(_LIMIT_MODE, (0.0, 1.0), 0.0, gamma,
+                                           peak, _LIMIT_CONFIG)
+        return classify_matrix(-matrix, tol_margin)
+
+    return [attempt(limit, gamma) for gamma in gammas]

@@ -74,6 +74,12 @@ class TestSweepSpec:
             with pytest.raises(DomainError, match=f"^{name} must be a positive integer"):
                 sweep(SweepSpec(P=0.0, modes=[(1, 2), pair], **grid))
 
+    def test_an_underflowing_gamma_is_refused_up_front(self):
+        # gamma = 1e-400 rounds to the float 0, which no limit cell can take
+        with pytest.raises(DomainError, match=r"^gamma = n\^2 / m\^2"):
+            SweepSpec(P=0.0, modes=[(2, 3), (10**200, 1)], energy_grid=[1.0],
+                      verdict_source=VerdictSource.CAZENAVE_LIMIT)
+
     def test_equal_modes_only_under_the_limit_source(self):
         # m = n has no Hill problem, but gamma = 1 is a valid limit ratio
         with pytest.raises(DomainError, match="distinct"):
@@ -200,13 +206,13 @@ class TestSweep:
         calls = []
         classify = atlas.cazenave_limit_classify
 
-        def counted(gamma, **kwargs):
-            calls.append(gamma)
-            return classify(gamma, **kwargs)
+        def counted(gammas, **kwargs):
+            calls.append(gammas)
+            return classify(gammas, **kwargs)
 
         monkeypatch.setattr(atlas, "cazenave_limit_classify", counted)
         cells = sweep(spec)
-        assert sorted(calls) == [2.25, 4.0, 9.0]
+        assert calls == [[4.0, 9.0, 2.25]]
         assert cells_csv(cells) == cells_csv(singles)
 
 

@@ -80,6 +80,9 @@ REFUSED = [
      "(P - n^2)^2"),
     (["atlas", "sweep", "--m", "1", "--n", str(10**200), "--P", "0", "--grid-min", "0",
       "--grid-max", "2", "--points", "8"], "(P - n^2)^2"),
+    # k^2 next to the load, so that (P - k^2)^2 is finite, but k^4 past the
+    # float range
+    (["mode", "period", "--k", str(10**150), "--P", "1e300", "--E", "1"], "k^4"),
 ]
 
 
@@ -573,7 +576,7 @@ JSON_COMMANDS = {
                      lambda: _gamma_class(classify_gamma_value(2.25))),
     "regime resonance": (["--m", "1", "--n", "3", "--P", "4"], _regime_resonance),
     "regime cazenave": (["--gamma", "2.25"], lambda: {
-        "gamma": 2.25, **_monodromy(cazenave_limit_classify(2.25))}),
+        "gamma": 2.25, **_monodromy(cazenave_limit_classify([2.25])[0])}),
     "scan quartic": (["--n-max", "30"], _scan_quartic),
     "stationary": (["--P", "5"], _stationary),
     "atlas thresholds": (["--m", "2", "--n", "1", "--P", "3", "--e-min", "4",

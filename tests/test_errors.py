@@ -1,12 +1,14 @@
 """The input checks in errors: each refuses what its kind of input cannot
 be, with a DomainError that names the input, and accepts the rest; and
-every entry that takes a mode pair refuses one past the float range."""
+every entry that takes a mode pair refuses one past the float range, and
+every entry that takes a mode one whose k^4 is past it."""
 
 import math
 
 import pytest
 
 from beammodes.atlas import SweepSpec, VerdictSource, find_thresholds, sweep
+from beammodes.duffing import ModeParams, period_of
 from beammodes.errors import (MAX_COUNT, DomainError, require_count, require_finite,
                               require_mode_pair, require_positive_finite)
 from beammodes.hill import classify_stability
@@ -44,6 +46,9 @@ def test_require_positive_finite(x):
     (1, 10**200, 0.0, r"^\(P - n\^2\)\^2 must be finite"),
     (1, 10**100, 0.0, r"^\(P - n\^2\)\^2 must be finite"),
     (10**200, 1, 0.0, r"^\(P - m\^2\)\^2 must be finite"),
+    # (P - k^2)^2 within the float range, k^4 past it
+    (10**150, 10**150 + 1, 1e300, r"^m\^4 must be finite"),
+    (1, 12 * 10**76, 1e154, r"^n\^4 must be finite"),
 ])
 def test_require_mode_pair(m, n, P, message):
     with pytest.raises(DomainError, match=message):
@@ -81,3 +86,18 @@ OVERFLOWING_PAIR = {
 def test_an_overflowing_mode_number_is_a_domain_error(entry):
     with pytest.raises(DomainError, match=r"\(P - n\^2\)\^2|gamma = n\^2 / m\^2"):
         OVERFLOWING_PAIR[entry]()
+
+
+# A mode number whose k^2 lies next to the load, so that (P - k^2)^2 is
+# finite, but whose k^4, which the cubic term takes, is past the float range.
+QUARTIC_OVERFLOW = {
+    "ModeParams": lambda: ModeParams(k=10**150, P=1e300),
+    "period_of": lambda: period_of(ModeParams(k=10**150, P=1e300), 1.0),
+    "classify_stability": lambda: classify_stability(10**150, 10**150 + 1, 1e300, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", list(QUARTIC_OVERFLOW))
+def test_a_mode_number_whose_fourth_power_overflows_is_a_domain_error(entry):
+    with pytest.raises(DomainError, match=r"^[km]\^4 must be finite"):
+        QUARTIC_OVERFLOW[entry]()

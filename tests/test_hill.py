@@ -498,7 +498,7 @@ class TestHalfPeriod:
             with pytest.raises(Reached, match="magnus"):
                 cell()
         with pytest.raises(Reached, match="dop853"):
-            cazenave_limit_classify(2.25)
+            cazenave_limit_classify([2.25])
         monkeypatch.setattr(beammodes.hill, "MAX_MAGNUS_STEPS", 8)
         with pytest.raises(Reached, match="dop853"):
             monodromy(problem)

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from beammodes import classify_stability, table_regime
+import beammodes
+from beammodes import classify_stability, regime, table_regime
 from beammodes.duffing import ModeParams, orbit_from_energy
 from beammodes.errors import DomainError
-from beammodes.hill import HillProblem, Verdict, classify_matrix, monodromy
+from beammodes.hill import HillProblem, MonodromyResult, Verdict, classify_matrix, monodromy
 from beammodes.integrate import IntegratorConfig, find_zero_crossing, integrate
 from beammodes.regime import (
     _LIMIT_CONFIG,
@@ -104,6 +105,14 @@ class TestGammaClassification:
             classify_gamma_value(0.0)
         with pytest.raises(DomainError):
             classify_gamma_value(-2.0)
+
+    def test_an_underflowing_gamma_is_refused(self):
+        # n^2 / m^2 = 1e-400 rounds to the float 0, which has no verdict;
+        # 1e-320 is subnormal but positive, and stays
+        with pytest.raises(DomainError, match=r"^gamma = n\^2 / m\^2 must be a positive "
+                                              r"finite float"):
+            classify_gamma(10**200, 1)
+        assert classify_gamma(10**160, 1).gamma == 1e-320
 
     def test_endpoints_and_neighbours_match_interval_walk(self):
         # every endpoint (k+1)(2k+1), (k+1)(2k+3) with k <= 50, and the
@@ -263,6 +272,13 @@ class TestTable:
 
 
 class TestLimitDichotomy:
+    # 15 gammas geometric in [0.3, 100], 40 in [0.5, 30], the interval
+    # endpoints 1 to 36, and gate 8's seven
+    ORACLE_GAMMAS = [*np.geomspace(0.3, 100.0, 15).tolist(),
+                     *np.linspace(0.5, 30.0, 40).tolist(),
+                     1.0, 3.0, 6.0, 10.0, 15.0, 21.0, 28.0, 36.0,
+                     1.5, 2.25, 4.0, 5.0, 5.44, 8.0, 12.0]
+
     @pytest.mark.parametrize("gamma,expected", [
         (2.25, Verdict.UNSTABLE),
         (4.0, Verdict.STABLE),
@@ -270,11 +286,13 @@ class TestLimitDichotomy:
         (12.0, Verdict.STABLE),
     ])
     def test_interior_points(self, gamma, expected):
-        assert cazenave_limit_classify(gamma).verdict is expected
+        limit, = cazenave_limit_classify([gamma])
+        assert limit.verdict is expected
 
     def test_agrees_with_membership(self):
-        for gamma in (1.5, 2.25, 4.0, 5.0, 5.44, 8.0, 12.0):
-            verdict = cazenave_limit_classify(gamma).verdict
+        gammas = (1.5, 2.25, 4.0, 5.0, 5.44, 8.0, 12.0)
+        for gamma, limit in zip(gammas, cazenave_limit_classify(gammas)):
+            verdict = limit.verdict
             member = classify_gamma_value(gamma).membership
             if member is GammaMembership.UNSTABLE_INTERVAL:
                 assert verdict is Verdict.UNSTABLE, gamma
@@ -282,10 +300,9 @@ class TestLimitDichotomy:
                 assert verdict is Verdict.STABLE, gamma
 
     def test_rejects_bad_gamma(self):
-        with pytest.raises(DomainError):
-            cazenave_limit_classify(0.0)
-        with pytest.raises(DomainError):
-            cazenave_limit_classify(math.inf)
+        zero, inf = cazenave_limit_classify([0.0, math.inf])
+        assert isinstance(zero, DomainError)
+        assert isinstance(inf, DomainError)
 
     @pytest.mark.parametrize("gamma", [1.5, 2.25, 4.0, 8.0, 12.0, 49.0 / 9.0])
     def test_matches_the_full_arch(self, gamma):
@@ -305,7 +322,7 @@ class TestLimitDichotomy:
         y = integrate(coupled, [0.0, 1.0, 1.0, 0.0, 0.0, 1.0], (0.0, theta),
                       _LIMIT_CONFIG).final_state
         full = -np.array([[y[2], y[4]], [y[3], y[5]]])
-        limit = cazenave_limit_classify(gamma)
+        limit, = cazenave_limit_classify([gamma])
         assert_allclose(limit.matrix, full, rtol=0.0, atol=1e-11)
         assert limit.verdict is classify_matrix(full).verdict
 
@@ -314,23 +331,69 @@ class TestLimitDichotomy:
         # at the turning point of the arch that the limit cell integrates,
         # and gamma u^2 is even about the arch's zero and its peak, so the
         # Hill row (orbit, 0, gamma) has a monodromy conjugate to the arch's
-        # fundamental matrix, which the limit cell negates.  The gammas: 15
-        # geometric in [0.3, 100], 40 in [0.5, 30], the interval endpoints
-        # 1 to 36, and gate 8's seven.
-        gammas = [*np.geomspace(0.3, 100.0, 15).tolist(),
-                  *np.linspace(0.5, 30.0, 40).tolist(),
-                  1.0, 3.0, 6.0, 10.0, 15.0, 21.0, 28.0, 36.0,
-                  1.5, 2.25, 4.0, 5.0, 5.44, 8.0, 12.0]
+        # fundamental matrix, which the limit cell negates.
+        gammas = self.ORACLE_GAMMAS
         orbit = orbit_from_energy(ModeParams(k=1, P=1.0), 0.5)
         config = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
         start = time.perf_counter()
         rows = [monodromy(HillProblem(orbit, 0.0, gamma), config) for gamma in gammas]
         assert time.perf_counter() - start < 1.0
-        for gamma, row in zip(gammas, rows):
-            limit = cazenave_limit_classify(gamma)
+        for gamma, row, limit in zip(gammas, rows, cazenave_limit_classify(gammas)):
             assert row.step_doubling is not None, gamma
             assert row.verdict is limit.verdict, gamma
             assert row.trace == pytest.approx(-limit.trace, rel=0.0, abs=1e-10), gamma
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts of the limit cell's peak searches and half-period passes."""
+        counts = {"search": 0, "pass": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(regime, "find_zero_crossing",
+                            counting("search", regime.find_zero_crossing))
+        monkeypatch.setattr(beammodes.hill, "_half_period_pass",
+                            counting("pass", beammodes.hill._half_period_pass))
+        return counts
+
+    def test_a_batch_searches_for_the_peak_once(self, counted):
+        gammas = [1.5, 2.25, 4.0, 8.0]
+        assert all(isinstance(r, MonodromyResult) for r in cazenave_limit_classify(gammas))
+        assert counted == {"search": 1, "pass": 4}
+        # nothing outlives the call: the next batch searches again
+        cazenave_limit_classify([12.0])
+        assert counted == {"search": 2, "pass": 5}
+
+    def test_a_batch_without_a_valid_gamma_makes_no_search(self, counted):
+        results = cazenave_limit_classify([0.0, math.nan, math.inf])
+        assert [type(r) for r in results] == [DomainError] * 3
+        assert [str(r) for r in results] == [
+            f"gamma must be positive and finite, got {g}" for g in ("0.0", "nan", "inf")]
+        assert cazenave_limit_classify([]) == []
+        assert counted == {"search": 0, "pass": 0}
+
+    def test_a_bad_gamma_fails_alone(self, counted):
+        good = [2.25, 4.0]
+        alone = [result.to_dict() for result in cazenave_limit_classify(good)]
+        bad, first, nan, second = cazenave_limit_classify([-1.0, 2.25, math.nan, 4.0])
+        assert str(bad) == "gamma must be positive and finite, got -1.0"
+        assert str(nan) == "gamma must be positive and finite, got nan"
+        assert [first.to_dict(), second.to_dict()] == alone
+        assert counted == {"search": 2, "pass": 4}
+
+    def test_a_batch_equals_its_gammas_alone(self):
+        batch = cazenave_limit_classify(self.ORACLE_GAMMAS)
+        assert len(batch) == len(self.ORACLE_GAMMAS)
+        for gamma, result in zip(self.ORACLE_GAMMAS, batch):
+            alone, = cazenave_limit_classify([gamma])
+            assert result.matrix.tobytes() == alone.matrix.tobytes(), gamma
+            assert (result.trace, result.det) == (alone.trace, alone.det), gamma
+            assert result.verdict is alone.verdict, gamma
+            assert result.to_dict() == alone.to_dict(), gamma
 
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (1, 3), (3, 7), (2, 1)])
     def test_hill_trace_tends_to_limit_trace(self, m, n):
@@ -339,5 +402,5 @@ class TestLimitDichotomy:
         # The measured gaps at E = 1e12 are 3e-5 or less, 9e-5 for (1, 3)
         # and 3.2e-4 for (3, 7); they grow 10x at E = 1e10.
         hill = classify_stability(m, n, 0.0, 1e12).monodromy.trace
-        limit = cazenave_limit_classify(n * n / (m * m)).trace
+        limit = cazenave_limit_classify([n * n / (m * m)])[0].trace
         assert hill == pytest.approx(-limit, abs=1e-3)
