@@ -259,13 +259,17 @@ class DuffingOrbit:
 
 
 def duffing_rhs(params: ModeParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Vector field of the mode oscillator on (theta, theta')."""
+    """Vector field of the mode oscillator on (theta, theta'), computed on
+    Python floats; an overflowing acceleration raises FloatingPointError."""
     stiffness = params.stiffness
     quartic = float(params.k) ** 4
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        theta = y[0]
-        return np.array([y[1], -(stiffness + quartic * theta * theta) * theta])
+        theta, velocity = y.tolist()
+        accel = -(stiffness + quartic * theta * theta) * theta
+        if not math.isfinite(accel):
+            raise FloatingPointError("overflow encountered in duffing_rhs")
+        return np.array([velocity, accel])
 
     return rhs
 

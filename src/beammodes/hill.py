@@ -202,14 +202,20 @@ def _coupled_rhs(params: ModeParams, linear: float,
     # Driving the Hill columns with the integrated orbit keeps coefficient
     # and solutions in phase to the integrator tolerance.  The orbit row is
     # duffing_rhs's expression, written out to save a call, slice and array.
+    # Like it, this computes on Python floats and checks each derivative;
+    # with a finite, a^2 is finite or raises OverflowError.
     stiffness = params.stiffness
     quartic = float(params.k) ** 4
+    isfinite = math.isfinite
 
     def coupled(t: float, y: np.ndarray) -> np.ndarray:
-        theta = y[0]
+        theta, v, x1, v1, x2, v2, _, _ = y.tolist()
         a = linear + coupling * theta * theta
-        return np.array([y[1], -(stiffness + quartic * theta * theta) * theta,
-                         y[3], -a * y[2], y[5], -a * y[4], a, max(a, 0.0) ** 2])
+        dy = [v, -(stiffness + quartic * theta * theta) * theta,
+              v1, -a * x1, v2, -a * x2, a, max(a, 0.0) ** 2]
+        if not (isfinite(dy[1]) and isfinite(dy[3]) and isfinite(dy[5]) and isfinite(a)):
+            raise FloatingPointError("overflow encountered in _coupled_rhs")
+        return np.array(dy)
 
     return coupled
 

@@ -7,6 +7,10 @@ records trajectories at the accepted step points; find_zero_crossing scans
 the same steps for a sign change of a state component and locates it on
 that step's dense interpolant with Brent's method.  scipy is imported on
 first use, so commands that never integrate do not pay for it.
+
+An RHS maps (t, y) to dy/dt, float64 arrays.  One that computes on Python
+floats, which overflow silently, raises FloatingPointError on a derivative
+entry that is not finite; an OverflowError (float **) counts the same.
 """
 
 from __future__ import annotations
@@ -91,28 +95,28 @@ def _accepted_steps(
     from t0 until it reaches t_bound.  Its consumers run it under
     np.errstate(over="raise", ...), so an overflow or an invalid operation
     in the initial-step probe or in a step ends the run with an
-    IntegrationError instead of a warning."""
+    IntegrationError instead of a warning, as does a float ** overflow."""
     from scipy.integrate import DOP853
 
+    solver = None
     try:
         solver = DOP853(system, t0, y0, t_bound,
                         rtol=config.rel_tol, atol=config.abs_tol)
-    except FloatingPointError as exc:
-        raise IntegrationError(f"floating-point failure: {exc}", time=t0)
-    steps = 0
-    while solver.status == "running":
-        try:
+        steps = 0
+        while solver.status == "running":
             message = solver.step()
-        except FloatingPointError as exc:
-            raise IntegrationError(f"floating-point failure: {exc}", time=solver.t)
-        if solver.status == "failed":
-            raise IntegrationError(
-                f"step failure: {message or 'step size underflow'}", time=solver.t
-            )
-        steps += 1
-        if steps > MAX_STEPS:
-            raise StepLimitError(f"exceeded {MAX_STEPS} steps", time=solver.t)
-        yield solver
+            if solver.status == "failed":
+                raise IntegrationError(
+                    f"step failure: {message or 'step size underflow'}", time=solver.t
+                )
+            steps += 1
+            if steps > MAX_STEPS:
+                raise StepLimitError(f"exceeded {MAX_STEPS} steps", time=solver.t)
+            yield solver
+    except (FloatingPointError, OverflowError) as exc:
+        detail = exc if isinstance(exc, FloatingPointError) else f"overflow {exc}"
+        raise IntegrationError(f"floating-point failure: {detail}",
+                               time=t0 if solver is None else solver.t)
 
 
 def integrate(

@@ -313,6 +313,9 @@ def table_regime(m: int, n: int, P: float) -> RegimeReport:
 # so one search per batch stops there; hill's half-period pass unfolds from it.
 _LIMIT_MODE = ModeParams(k=1, P=1.0)
 _LIMIT_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+# Largest gamma of the limit classifier: a pass costs like sqrt(gamma),
+# about 0.5 s at 1e6 and 29 s at 1e10, and overflows from about 1e150.
+MAX_LIMIT_GAMMA = 1e6
 
 
 def cazenave_limit_classify(gammas: Sequence[float], tol_margin: float = DEFAULT_TOL_MARGIN
@@ -320,14 +323,16 @@ def cazenave_limit_classify(gammas: Sequence[float], tol_margin: float = DEFAULT
     """Large-energy stability of the perturbation with frequency-ratio
     square gamma, for each gamma in order, after one peak search: the
     verdict of the limit matrix described above, or the BeamModesError
-    raised in its place.  Stable verdicts correspond to gamma interior to
-    I_S, unstable ones to gamma interior to I_U.
+    raised in its place (DomainError past MAX_LIMIT_GAMMA).  Stable verdicts
+    correspond to gamma interior to I_S, unstable ones to gamma interior to I_U.
     """
     peak = None                     # searched for at the first valid gamma
 
     def limit(gamma):
         nonlocal peak
         require_positive_finite("gamma", gamma)
+        if gamma > MAX_LIMIT_GAMMA:
+            raise DomainError(f"gamma must be at most {MAX_LIMIT_GAMMA:g}, got {gamma!r}")
         if peak is None:
             peak = find_zero_crossing(duffing_rhs(_LIMIT_MODE), (0.0, 1.0), component=1,
                                       direction="falling", t_max=10.0, config=_LIMIT_CONFIG)

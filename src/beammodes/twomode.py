@@ -65,16 +65,20 @@ class TwoModeConfig:
 
 
 def two_mode_rhs(config: TwoModeConfig):
+    """Vector field of the two-mode system on (w, w', z, z'), computed on
+    Python floats; an overflowing acceleration raises FloatingPointError."""
     m2 = float(config.m**2)
     n2 = float(config.n**2)
     km = m2 * (m2 - config.P)
     kn = n2 * (n2 - config.P)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        w, wd, z, zd = y
+        w, wd, z, zd = y.tolist()
         shared = m2 * w * w + n2 * z * z
-        return np.array([wd, -(km + m2 * shared) * w,
-                         zd, -(kn + n2 * shared) * z])
+        wdd, zdd = -(km + m2 * shared) * w, -(kn + n2 * shared) * z
+        if not (math.isfinite(wdd) and math.isfinite(zdd)):
+            raise FloatingPointError("overflow encountered in two_mode_rhs")
+        return np.array([wd, wdd, zd, zdd])
 
     return rhs
 

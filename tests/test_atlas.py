@@ -196,6 +196,14 @@ class TestSweep:
         assert all(c.m == 0 and c.n == 0 for c in cells)
         assert [c.gamma for c in cells] == [2.25, 4.0]
 
+    def test_limit_cell_past_the_gamma_bound_records_its_error(self):
+        spec = SweepSpec(P=0.0, modes=[2.25, 1e7], energy_grid=[1.0],
+                         verdict_source=VerdictSource.CAZENAVE_LIMIT)
+        good, bad = sweep(spec)
+        assert good.ok and good.verdict == Verdict.UNSTABLE.value
+        assert bad.quality == "error:DomainError: gamma must be at most 1e+06, got 10000000.0"
+        assert bad.verdict == "none" and math.isnan(bad.trace)
+
     def test_limit_sweep_classifies_each_gamma_once(self, monkeypatch):
         # the grid only echoes, and (1, 2), (2, 4) and 4.0 share gamma = 4
         spec = SweepSpec(P=0.0, modes=[(1, 2), (2, 4), 4.0, (1, 3), 2.25],

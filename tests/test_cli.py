@@ -44,6 +44,7 @@ REFUSED = [
       "--e-max", "-1", "--points", "3", "--spacing", "log"], "grid end"),
     (["twomode", "simulate", "--m", "2", "--n", "1", "--P", "3", "--w0", "1e70",
       "--z1", "1e-4", "--t-end", "1"], "overflow"),
+    (["regime", "cazenave", "--gamma", "1e7"], "gamma must be at most"),
     *[(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0", "--grid-min", start,
         "--grid-max", "2", "--points", "8", "--adaptive"], "theta0_min")
       for start in ("nan", "-1")],

@@ -11,7 +11,7 @@ from scipy import integrate as scipy_integrate
 import beammodes.hill
 from beammodes import ModeParams, atlas, classify_stability
 from beammodes.duffing import energy_from_initial_amplitude, orbit_from_energy
-from beammodes.errors import DomainError, NumericalQualityError
+from beammodes.errors import DomainError, IntegrationError, NumericalQualityError
 from beammodes.hill import (Verdict, build_hill, classify_batch, classify_matrix,
                             criteria_report, li_zhang_criterion, monodromy,
                             negative_coefficient_criterion, zhukovskii_criterion)
@@ -477,6 +477,13 @@ class TestHalfPeriod:
         det_half = y[2] * y[5] - y[4] * y[3]
         assert classify_matrix(dop853_pass(problem)[0]).det == pytest.approx(
             det_half**2, rel=1e-14)
+
+    def test_an_overflowing_pass_is_an_integration_error(self):
+        # the limit arch at coupling 1e200, past regime.MAX_LIMIT_GAMMA:
+        # (coupling theta^2)^2 overflows a float ** early in the pass
+        with pytest.raises(IntegrationError, match="overflow"):
+            beammodes.hill._half_period_pass(ModeParams(k=1, P=1.0), (0.0, 1.0), 0.0,
+                                             1e200, 0.5, IntegratorConfig())
 
     def test_both_cell_kinds_run_the_one_pass(self, monkeypatch):
         # a converged Hill cell runs the Magnus kernel alone; the large-energy

@@ -304,6 +304,19 @@ class TestLimitDichotomy:
         assert isinstance(zero, DomainError)
         assert isinstance(inf, DomainError)
 
+    def test_a_gamma_past_the_bound_fails_alone(self):
+        low, high, same = cazenave_limit_classify([2.25, regime.MAX_LIMIT_GAMMA * 10, 4.0])
+        assert isinstance(high, DomainError) and "at most" in str(high)
+        alone = cazenave_limit_classify([2.25]) + cazenave_limit_classify([4.0])
+        assert [low.matrix.tobytes(), same.matrix.tobytes()] == \
+            [r.matrix.tobytes() for r in alone]
+
+    def test_the_bound_itself_is_served(self, monkeypatch):
+        monkeypatch.setattr(regime, "MAX_LIMIT_GAMMA", 4.0)
+        at, past, huge = cazenave_limit_classify([4.0, math.nextafter(4.0, math.inf), 1e200])
+        assert at.verdict is Verdict.STABLE
+        assert isinstance(past, DomainError) and isinstance(huge, DomainError)
+
     @pytest.mark.parametrize("gamma", [1.5, 2.25, 4.0, 8.0, 12.0, 49.0 / 9.0])
     def test_matches_the_full_arch(self, gamma):
         # oracle: the search runs to the arch's end, the zero of u, and the

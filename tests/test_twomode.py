@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from beammodes import ModeParams
 from beammodes.duffing import turning_roots
-from beammodes.errors import DomainError
+from beammodes.errors import DomainError, IntegrationError
 from beammodes.hill import build_hill, monodromy
 from beammodes.integrate import IntegratorConfig, integrate
 from beammodes.twomode import (
@@ -71,6 +71,12 @@ class TestSetup:
         # a finite total energy is left to the integrator's step budget
         cfg = TwoModeConfig(m=2, n=1, P=3.0, w0=1e70, w1=0.0, z0=0.0, z1=1e-4)
         assert math.isfinite(total_energy(cfg))
+
+    def test_huge_finite_energy_overflows_in_the_integrator(self):
+        # the same data fail in the initial-step probe, as the CLI reports
+        cfg = TwoModeConfig(m=2, n=1, P=3.0, w0=1e70, w1=0.0, z0=0.0, z1=1e-4)
+        with pytest.raises(IntegrationError, match="overflow"):
+            simulate(cfg, 1.0)
 
     def test_rhs_signs(self):
         cfg = TwoModeConfig(m=1, n=2, P=0.0, w0=1.0, w1=0.0, z0=0.5, z1=0.0)
