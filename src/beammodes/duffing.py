@@ -258,18 +258,18 @@ class DuffingOrbit:
         return min(t, 0.5 * self.coefficient_period)
 
 
-def duffing_rhs(params: ModeParams) -> Callable[[float, np.ndarray], np.ndarray]:
+def duffing_rhs(params: ModeParams) -> Callable[[float, list], list]:
     """Vector field of the mode oscillator on (theta, theta'), computed on
     Python floats; an overflowing acceleration raises FloatingPointError."""
     stiffness = params.stiffness
     quartic = float(params.k) ** 4
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        theta, velocity = y.tolist()
+    def rhs(t: float, y: list[float]) -> list[float]:
+        theta, velocity = y
         accel = -(stiffness + quartic * theta * theta) * theta
         if not math.isfinite(accel):
             raise FloatingPointError("overflow encountered in duffing_rhs")
-        return np.array([velocity, accel])
+        return [velocity, accel]
 
     return rhs
 

@@ -52,6 +52,11 @@ passed in chunks.  A cell leaves the batch when its own doubling test
 passes and takes its own fallback, so its result is bit for bit that of
 the cell alone.  Both entries share the per-cell steps after the kernel:
 classify_matrix, criteria_report and the cross-check.
+
+A cell is a point (gamma = n^2/m^2, P/m^2, E/m^4): the mode equation and
+a(t) are invariant under (m, n, P, E, t) -> (cm, cn, c^2 P, c^4 E, t/c^2).
+The kernel's rules hold no absolute scale (the DOP853 fallback's abs_tol
+is one), so for c a power of two it gives the same bits.
 """
 
 from __future__ import annotations
@@ -195,7 +200,7 @@ def classify_matrix(matrix: np.ndarray, tol_margin: float = DEFAULT_TOL_MARGIN) 
 
 
 def _coupled_rhs(params: ModeParams, linear: float,
-                 coupling: float) -> Callable[[float, np.ndarray], np.ndarray]:
+                 coupling: float) -> Callable[[float, list], list]:
     # One pass integrates the orbit, both fundamental Hill solutions and the
     # two coefficient quadratures of the Li-Zhang criterion:
     # y = (theta, theta', xi1, xi1', xi2, xi2', int a, int (a^+)^2).
@@ -208,14 +213,14 @@ def _coupled_rhs(params: ModeParams, linear: float,
     quartic = float(params.k) ** 4
     isfinite = math.isfinite
 
-    def coupled(t: float, y: np.ndarray) -> np.ndarray:
-        theta, v, x1, v1, x2, v2, _, _ = y.tolist()
+    def coupled(t: float, y: list[float]) -> list[float]:
+        theta, v, x1, v1, x2, v2, _, _ = y
         a = linear + coupling * theta * theta
         dy = [v, -(stiffness + quartic * theta * theta) * theta,
               v1, -a * x1, v2, -a * x2, a, max(a, 0.0) ** 2]
         if not (isfinite(dy[1]) and isfinite(dy[3]) and isfinite(dy[5]) and isfinite(a)):
             raise FloatingPointError("overflow encountered in _coupled_rhs")
-        return np.array(dy)
+        return dy
 
     return coupled
 

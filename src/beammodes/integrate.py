@@ -1,41 +1,42 @@
 """Adaptive integration of smooth low-dimensional ODE systems.
 
-A thin driver around scipy's 8th-order Dormand-Prince stepper (DOP853),
-which runs in one place: a generator that yields the solver after each
-accepted step and owns the failure and step-budget checks.  integrate
-records trajectories at the accepted step points; find_zero_crossing scans
-the same steps for a sign change of a state component and locates it on
-that step's dense interpolant with Brent's method.  scipy is imported on
-first use, so commands that never integrate do not pay for it.
+One DOP853 step loop on Python floats, with scipy's initial-step probe,
+step-size control and error norm (Hairer, Norsett & Wanner, Solving ODEs I,
+2nd ed., II.4 and II.10).  The tableau comes from the public
+scipy.integrate.DOP853 class, imported on first use.  integrate records
+the accepted steps; find_zero_crossing locates a component's sign change
+on that step's DOP853 interpolant with Brent's method.
 
-An RHS maps (t, y) to dy/dt, float64 arrays.  One that computes on Python
-floats, which overflow silently, raises FloatingPointError on a derivative
-entry that is not finite; an OverflowError (float **) counts the same.
+An RHS maps (t, y), y a list of floats, to dy/dt, a sequence of floats.
+Floats overflow silently, so an RHS raises FloatingPointError on a
+derivative entry that is not finite (a float ** raises OverflowError), and
+the loop does on a non-finite norm or accepted state; each ends the run
+with an IntegrationError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    IntegrationError,
-    NoCrossingError,
-    StepLimitError,
-    require_positive_finite,
-)
+from .errors import (DomainError, IntegrationError, NoCrossingError, StepLimitError,
+                     require_positive_finite)
 
-RHS = Callable[[float, np.ndarray], np.ndarray]
+RHS = Callable[[float, list], Sequence[float]]
 
 # Accepted steps one run may take before the driver gives up.
 MAX_STEPS = 1_000_000
 
-# DOP853's floor on rel_tol: scipy raises a smaller one to it, with a warning.
+# DOP853's floor on rel_tol, scipy's; IntegratorConfig refuses a smaller one.
 MIN_REL_TOL = 100 * float(np.finfo(float).eps)
+
+# scipy's step-size control: safety factor, bounds on the change of h per
+# step, and the exponent -1/(q + 1) of the 7th-order error estimate.
+SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
 
 @dataclass(frozen=True)
@@ -77,46 +78,134 @@ class Trajectory:
         return self.states[-1]
 
 
-def _state_vector(initial_state) -> np.ndarray:
+def _state_vector(initial_state) -> list[float]:
     y0 = np.asarray(initial_state, dtype=float)
     if y0.ndim != 1 or y0.size == 0:
         raise DomainError("initial_state must be a non-empty 1-d vector")
-    return y0
+    return y0.tolist()
 
 
-def _accepted_steps(
-    system: RHS,
-    y0: np.ndarray,
-    t0: float,
-    t_bound: float,
-    config: IntegratorConfig,
-) -> Iterator:
-    """The one DOP853 loop: yields the solver after each accepted step
-    from t0 until it reaches t_bound.  Its consumers run it under
-    np.errstate(over="raise", ...), so an overflow or an invalid operation
-    in the initial-step probe or in a step ends the run with an
-    IntegrationError instead of a warning, as does a float ** overflow."""
-    from scipy.integrate import DOP853
+def _unrolled(row, lead: str, template: str) -> str:
+    """Source of a list comprehension over the components that fills template
+    with sum_j row[j] * k_j, unrolled over the nonzero row[j]; lead is x_."""
+    used = [j for j, a in enumerate(row) if a]
+    total = " + ".join(f"{float(row[j])!r} * k{j}_" for j in used)
+    names, stages = "".join(f", k{j}_" for j in used), "".join(f", k{j}" for j in used)
+    return f"[{template.format(total)} for x_{names} in zip({lead}{stages})]"
 
-    solver = None
+
+@cache
+def _dop853():
+    """(attempt, extra, D) from DOP853's tableau, the stage sums unrolled.
+    attempt is scipy's rk_step with k0 = fun(t, y): 12 RHS calls, returning
+    y_new, the error vectors e5 and e3 over scale and the stages k0..k12;
+    extra gives the interpolant's 3 further stages, and D's rows combine all 16."""
+    from scipy.integrate import DOP853 as tableau
+
+    n, step = tableau.n_stages, "x_ + ({}) * h"
+    extra = range(n + 1, n + 1 + len(tableau.C_EXTRA))
+    stages = ", ".join(f"k{j}" for j in range(n + 1))
+    lines = ["def attempt(fun, t, y, k0, h, atol, rtol):"]
+    lines += [f"k{s} = fun(t + {float(c)!r} * h, {_unrolled(row[:s], 'y', step)})"
+              for s, row, c in zip(range(1, n), tableau.A[1:], tableau.C[1:])]
+    lines += [f"y_new = {_unrolled(tableau.B, 'y', step)}", f"k{n} = fun(t + h, y_new)",
+              "scale = [atol + max(abs(x_), abs(z_)) * rtol for x_, z_ in zip(y, y_new)]",
+              f"e5 = {_unrolled(tableau.E5, 'scale', '({}) / x_')}",
+              f"e3 = {_unrolled(tableau.E3, 'scale', '({}) / x_')}",
+              f"return y_new, e5, e3, ({stages})", f"def extra(fun, t, y, h, {stages}):"]
+    lines += [f"k{s} = fun(t + {float(c)!r} * h, {_unrolled(row[:s], 'y', step)})"
+              for s, row, c in zip(extra, tableau.A_EXTRA, tableau.C_EXTRA)]
+    lines.append("return " + ", ".join(f"k{s}" for s in extra))
+    namespace = {}
+    exec("\n".join(line if line.startswith("def ") else "    " + line for line in lines),
+         namespace)
+    return namespace["attempt"], namespace["extra"], tableau.D.tolist()
+
+
+def _mean_square(values: list) -> float:
+    """fsum: the order of the components does not matter.  Like numpy's raise
+    mode, a sum that is not finite raises."""
+    total = math.fsum([v * v for v in values])
+    if not total < math.inf:
+        kind = "overflow" if total == math.inf else "invalid value"
+        raise FloatingPointError(f"{kind} encountered in a step-size norm")
+    return total / len(values)
+
+
+def _initial_step(fun: RHS, t0: float, y0: list, f0, t_bound: float,
+                  config: IntegratorConfig) -> float:
+    """scipy's select_initial_step: a first h from the norms of y0, f0 and,
+    with one more RHS call, of a difference quotient of f."""
+    interval = t_bound - t0
+    scale = [config.abs_tol + abs(y) * config.rel_tol for y in y0]
+    d0 = math.sqrt(_mean_square([y / s for y, s in zip(y0, scale)]))
+    d1 = math.sqrt(_mean_square([f / s for f, s in zip(f0, scale)]))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    f1 = fun(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
+    d2 = math.sqrt(_mean_square([(b - a) / s for a, b, s in zip(f0, f1, scale)])) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        return min(100 * h0, max(1e-6, h0 * 1e-3), interval)
+    return min(100 * h0, (0.01 / max(d1, d2)) ** -ERROR_EXPONENT, interval)
+
+
+def _accepted_steps(system: RHS, y0: list, t0: float, t_bound: float,
+                    config: IntegratorConfig) -> Iterator[tuple[float, list, tuple]]:
+    """The one DOP853 loop: yields (t, y, stages k0..k12) after each accepted
+    step from t0 to t_bound.  As in scipy, h >= 10 ulp(t), and a step after a
+    rejection does not grow.  A non-finite value ends it with an IntegrationError."""
+    attempt = _dop853()[0]
+    t, y, atol, rtol = t0, y0, config.abs_tol, config.rel_tol
     try:
-        solver = DOP853(system, t0, y0, t_bound,
-                        rtol=config.rel_tol, atol=config.abs_tol)
+        f = system(t, y)
+        h_abs = _initial_step(system, t, y, f, t_bound, config)
         steps = 0
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(
-                    f"step failure: {message or 'step size underflow'}", time=solver.t
-                )
+        while t < t_bound:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs, rejected = max(h_abs, min_step), False
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationError("step failure: step size underflow", time=t)
+                t_new = min(t + h_abs, t_bound)
+                h = h_abs = t_new - t
+                y_new, e5, e3, stages = attempt(system, t, y, f, h, atol, rtol)
+                norm5, norm3 = _mean_square(e5), _mean_square(e3)
+                error = h * norm5 / math.sqrt(norm5 + 0.01 * norm3) if norm5 else 0.0
+                factor = min(MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT) if error else MAX_FACTOR
+                if error < 1.0:
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs *= max(MIN_FACTOR, factor)
+                rejected = True
+            if not all(map(math.isfinite, y_new)):
+                raise FloatingPointError("overflow encountered in an accepted state")
+            t, y, f = t_new, y_new, stages[-1]
             steps += 1
             if steps > MAX_STEPS:
-                raise StepLimitError(f"exceeded {MAX_STEPS} steps", time=solver.t)
-            yield solver
+                raise StepLimitError(f"exceeded {MAX_STEPS} steps", time=t)
+            yield t, y, stages
     except (FloatingPointError, OverflowError) as exc:
         detail = exc if isinstance(exc, FloatingPointError) else f"overflow {exc}"
-        raise IntegrationError(f"floating-point failure: {detail}",
-                               time=t0 if solver is None else solver.t)
+        raise IntegrationError(f"floating-point failure: {detail}", time=t)
+
+
+def _interpolant(system: RHS, t_old: float, y_old: list, t: float, y: list,
+                 stages: tuple, i: int) -> Callable[[float], float]:
+    """Component i of DOP853's interpolant over the step (t_old, t], formed
+    as scipy's Dop853DenseOutput forms it."""
+    _, extra, coefficients = _dop853()
+    h, dy = t - t_old, y[i] - y_old[i]
+    k = [kj[i] for kj in (*stages, *extra(system, t_old, y_old, h, *stages))]
+    rows = [dy, h * k[0] - dy, 2 * dy - h * (stages[-1][i] + k[0]),
+            *(h * sum(d * kj for d, kj in zip(row, k)) for row in coefficients)]
+
+    def value(s: float) -> float:
+        x = (s - t_old) / h
+        v = 0.0
+        for j, row in enumerate(reversed(rows)):
+            v = (v + row) * (x if j % 2 == 0 else 1 - x)
+        return v + y_old[i]
+
+    return value
 
 
 def integrate(
@@ -131,13 +220,11 @@ def integrate(
         raise DomainError(f"t_span must satisfy t0 < t1, got {t_span!r}")
     y0 = _state_vector(initial_state)
 
-    times = [t0]
-    states = [y0.copy()]
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for solver in _accepted_steps(system, y0, t0, t1, config):
-            times.append(solver.t)
-            states.append(solver.y.copy())
-    return Trajectory(np.asarray(times), np.asarray(states))
+    times, states = [t0], [y0]
+    for t, y, _ in _accepted_steps(system, y0, t0, t1, config):
+        times.append(t)
+        states.append(y)
+    return Trajectory(np.array(times), np.array(states, dtype=float))
 
 
 def find_zero_crossing(
@@ -164,31 +251,29 @@ def find_zero_crossing(
     if direction not in ("rising", "falling", "any"):
         raise DomainError(f"unknown direction {direction!r}")
     y0 = _state_vector(initial_state)
-    if not 0 <= component < y0.size:
-        raise DomainError(f"component {component} out of range for state size {y0.size}")
+    if not 0 <= component < len(y0):
+        raise DomainError(f"component {component} out of range for state size {len(y0)}")
     t_bound = math.inf if t_max is None else float(t_max)
     if t_bound <= t_start:
         raise DomainError("t_max must exceed t_start")
 
-    t_prev, g_prev = float(t_start), float(y0[component])
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for solver in _accepted_steps(system, y0, t_prev, t_bound, config):
-            g_new = float(solver.y[component])
-            crossed = (
-                (direction == "rising" and g_prev < 0.0 <= g_new)
-                or (direction == "falling" and g_prev > 0.0 >= g_new)
-                or (direction == "any" and g_prev != 0.0 and g_prev * g_new <= 0.0)
-            )
-            if crossed:
-                # The bracket ends on the step's own value g_new: an exact
-                # zero there is returned as is, and the interpolant's end
-                # value, which may round to the other side of a tiny g_new,
-                # is never used.
-                segment = solver.dense_output()
-                t_new = solver.t
-                return brentq(lambda t: segment(t)[component] if t < t_new else g_new,
-                              t_prev, t_new, xtol=math.ulp(t_new))
-            t_prev, g_prev = solver.t, g_new
+    t_prev, y_prev, g_prev = float(t_start), y0, y0[component]
+    for t_new, y_new, stages in _accepted_steps(system, y0, t_prev, t_bound, config):
+        g_new = float(y_new[component])
+        crossed = (
+            (direction == "rising" and g_prev < 0.0 <= g_new)
+            or (direction == "falling" and g_prev > 0.0 >= g_new)
+            or (direction == "any" and g_prev != 0.0 and g_prev * g_new <= 0.0)
+        )
+        if crossed:
+            # The bracket ends on the step's own value g_new: an exact
+            # zero there is returned as is, and the interpolant's end
+            # value, which may round to the other side of a tiny g_new,
+            # is never used.
+            segment = _interpolant(system, t_prev, y_prev, t_new, y_new, stages, component)
+            return brentq(lambda t: segment(t) if t < t_new else g_new,
+                          t_prev, t_new, xtol=math.ulp(t_new))
+        t_prev, y_prev, g_prev = t_new, y_new, g_new
 
     raise NoCrossingError(
         f"no {direction} crossing of component {component} in "

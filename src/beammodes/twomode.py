@@ -72,13 +72,13 @@ def two_mode_rhs(config: TwoModeConfig):
     km = m2 * (m2 - config.P)
     kn = n2 * (n2 - config.P)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        w, wd, z, zd = y.tolist()
+    def rhs(t: float, y: list[float]) -> list[float]:
+        w, wd, z, zd = y
         shared = m2 * w * w + n2 * z * z
         wdd, zdd = -(km + m2 * shared) * w, -(kn + n2 * shared) * z
         if not (math.isfinite(wdd) and math.isfinite(zdd)):
             raise FloatingPointError("overflow encountered in two_mode_rhs")
-        return np.array([wd, wdd, zd, zdd])
+        return [wd, wdd, zd, zdd]
 
     return rhs
 

@@ -1,0 +1,186 @@
+"""scipy's DOP853 solver object is the oracle of the float step loop: the
+same step control and the same RHS count, with only the summation order of
+the stage sums between them.  Each test steps scipy's solver itself."""
+
+import math
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
+
+from beammodes import integrate as integrate_mod
+from beammodes.duffing import ModeParams, duffing_rhs, orbit_from_energy, turning_roots
+from beammodes.errors import IntegrationError
+from beammodes.integrate import IntegratorConfig, find_zero_crossing, integrate
+from beammodes.twomode import (EnergyChannels, TwoModeConfig, channel_energies, simulate,
+                               total_energy, transfer_report, two_mode_rhs)
+from test_duffing import DOP853_CASES
+
+# gate 9's tolerance and its two cases: (2, 1) at P = 3 transfers, at P = 0
+# it does not
+GATE9 = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+# Past its growth phase the unstable case trades energy back and forth, and
+# a 1-ulp change of w0 moves scipy's own step count over t <= 1000 by up to
+# 5 per 1000 and its peak ratio by 1.4%.  Step by step the runs are compared
+# to t = 50, where they still follow one another.
+HORIZON = 50.0
+
+
+def gate9_config(P):
+    w0 = math.sqrt(turning_roots(ModeParams(k=2, P=P), 1.0).hi)
+    return TwoModeConfig(m=2, n=1, P=P, w0=w0, w1=0.0, z0=0.0, z1=math.sqrt(2.0e-8))
+
+
+def harmonic(t, y):
+    return [y[1], -y[0]]
+
+
+def scipy_solver(rhs, y0, t_end, config):
+    return DOP853(lambda t, y: rhs(t, y.tolist()), 0.0, np.array(y0, dtype=float),
+                  t_end, rtol=config.rel_tol, atol=config.abs_tol)
+
+
+def scipy_run(rhs, y0, t_end, config):
+    """(times, states, nfev) of scipy's solver stepped to t_end."""
+    solver = scipy_solver(rhs, y0, t_end, config)
+    times, states = [0.0], [np.array(y0, dtype=float)]
+    while solver.status == "running":
+        solver.step()
+        times.append(solver.t)
+        states.append(solver.y.copy())
+    return np.array(times), np.array(states), solver.nfev
+
+
+def counted(rhs):
+    calls = [0]
+
+    def wrapped(t, y):
+        calls[0] += 1
+        return rhs(t, y)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("P", [3.0, 0.0])
+def test_gate9_runs_follow_scipy(P):
+    config = gate9_config(P)
+    ours = simulate(config, HORIZON, GATE9)
+    times, states, _ = scipy_run(two_mode_rhs(config), config.initial_state(), HORIZON, GATE9)
+    steps = len(ours.trajectory.times) - 1
+    assert abs(steps - (len(times) - 1)) <= (len(times) - 1) / 1000
+    assert_allclose(ours.trajectory.final_state, states[-1],
+                    rtol=0, atol=1e-9 * np.max(np.abs(states[-1])))
+    e_w, e_z, e_wz = channel_energies(config, states)
+    theirs = EnergyChannels(times, e_w, e_z, e_wz, total_energy(config))
+    assert transfer_report(ours.channels).verdict is transfer_report(theirs).verdict
+
+
+def test_harmonic_oscillator_follows_scipy():
+    traj = integrate(harmonic, [1.0, 0.0], (0.0, 50.0), GATE9)
+    times, states, _ = scipy_run(harmonic, [1.0, 0.0], 50.0, GATE9)
+    assert len(traj.times) == len(times)
+    assert_allclose(traj.final_state, states[-1], rtol=0, atol=1e-9)
+
+
+def zero(t, y):
+    return [0.0]
+
+
+def power(t, y):
+    return [t ** 20]
+
+
+@pytest.mark.parametrize("rhs", [zero, power])
+def test_step_control_follows_scipy(rhs):
+    """A vanishing derivative takes the initial-step probe's last branch,
+    and its steps, of zero error, grow by MAX_FACTOR; under t^20 the steps
+    grow until the error jumps far past 1 and h shrinks by MIN_FACTOR."""
+    counting, calls = counted(rhs)
+    traj = integrate(counting, [0.0], (0.0, 2.0))
+    times, _, nfev = scipy_run(rhs, [0.0], 2.0, IntegratorConfig())
+    # the error estimates differ in their rounding, and the steps by it
+    assert_allclose(traj.times, times, rtol=1e-8, atol=0)
+    assert calls[0] == nfev
+
+
+def test_a_blow_up_fails_where_scipy_fails():
+    """y' = y^2 from y = 1 blows up at t = 1: the step shrinks by up to
+    MIN_FACTOR per rejection until it falls below 10 ulp(t)."""
+    def square(t, y):
+        return [y[0] * y[0]]
+
+    rhs, calls = counted(square)
+    with pytest.raises(IntegrationError, match="step size underflow") as failure:
+        integrate(rhs, [1.0], (0.0, 2.0))
+    solver = scipy_solver(square, [1.0], 2.0, IntegratorConfig())
+    while solver.status == "running":
+        solver.step()
+    assert solver.status == "failed"
+    assert failure.value.time == pytest.approx(solver.t, rel=1e-14, abs=0)
+    assert calls[0] == solver.nfev
+
+
+class TestRhsCount:
+    def test_two_calls_to_start_and_twelve_per_attempt(self, monkeypatch):
+        """perfbench/tracing.py counts rejected steps from the RHS calls with
+        this rule; the unstable gate-9 case rejects steps."""
+        attempt, extra, coefficients = integrate_mod._dop853()
+        attempts = [0]
+
+        def counting(*args):
+            attempts[0] += 1
+            return attempt(*args)
+
+        monkeypatch.setattr(integrate_mod, "_dop853", lambda: (counting, extra, coefficients))
+        config = gate9_config(3.0)
+        rhs, calls = counted(two_mode_rhs(config))
+        steps = len(integrate(rhs, config.initial_state(), (0.0, HORIZON), GATE9).times) - 1
+        assert attempts[0] > steps
+        assert calls[0] == 2 + 12 * attempts[0]
+
+    @pytest.mark.parametrize("P", [3.0, 0.0])
+    def test_calls_equal_scipys_nfev(self, P):
+        config = gate9_config(P)
+        rhs, calls = counted(two_mode_rhs(config))
+        traj = integrate(rhs, config.initial_state(), (0.0, HORIZON), GATE9)
+        times, _, nfev = scipy_run(two_mode_rhs(config), config.initial_state(), HORIZON, GATE9)
+        assert len(traj.times) == len(times)
+        assert calls[0] == nfev
+
+
+@pytest.mark.parametrize("k,P,E", DOP853_CASES)
+def test_crossing_is_scipys(k, P, E):
+    """On the step where theta' changes sign, Brent's method on the loop's
+    interpolant, built from that step's stages, finds the root that it
+    finds on scipy's dense_output() to a few ulps.  The loop's own search
+    meets the crossing contract against that root: where the first steps
+    are taken on rounding noise, as at E = 1e6, the two runs part there."""
+    params = ModeParams(k=k, P=P)
+    orbit = orbit_from_energy(params, E)
+    rhs = duffing_rhs(params)
+    solver = scipy_solver(rhs, orbit.initial_state, 3.0 * orbit.period, IntegratorConfig())
+    g_prev = float(orbit.initial_state[1])
+    while True:
+        solver.step()
+        if g_prev != 0.0 and g_prev * solver.y[1] <= 0.0:
+            break
+        g_prev = float(solver.y[1])
+    t_old, t_new, g_new = solver.t_old, solver.t, float(solver.y[1])
+    ours = integrate_mod._interpolant(rhs, t_old, solver.y_old.tolist(), t_new,
+                                      solver.y.tolist(), tuple(solver.K.tolist()), 1)
+    theirs = solver.dense_output()
+
+    def root(segment):
+        return brentq(lambda t: segment(t) if t < t_new else g_new, t_old, t_new,
+                      xtol=math.ulp(t_new))
+
+    reference = root(lambda t: theirs(t)[1])
+    assert abs(root(ours) - reference) <= 4 * math.ulp(t_new)
+    searched = find_zero_crossing(rhs, orbit.initial_state, component=1,
+                                  t_max=3.0 * orbit.period)
+    assert searched == pytest.approx(reference, rel=1e-10, abs=0)
+    for x in np.linspace(0.0, 1.0, 9):
+        t = t_old + x * (t_new - t_old)
+        assert ours(t) == pytest.approx(theirs(t)[1], rel=1e-14, abs=1e-14 * abs(g_prev))

@@ -67,16 +67,58 @@ def test_step_budget_exhaustion(monkeypatch):
 
 
 def test_overflow_is_an_integration_error():
-    """Both step loops run in numpy's raise mode, which ends with them: an
-    overflow in the RHS fails the run, and the caller's error state is left
-    as it was, also after a crossing search returns mid-integration."""
+    """An overflow in the RHS fails the run of either step loop, and the
+    caller's numpy error state is left as it was, also after a crossing
+    search returns mid-integration."""
     before = np.geterr()
     with pytest.raises(IntegrationError, match="overflow"):
-        integrate(lambda t, y: y ** 8, [1e40], (0.0, 1.0))
+        integrate(lambda t, y: [y[0] ** 8], [1e40], (0.0, 1.0))
     with pytest.raises(IntegrationError, match="overflow"):
-        find_zero_crossing(lambda t, y: y ** 8, [1e40], component=0)
+        find_zero_crossing(lambda t, y: [y[0] ** 8], [1e40], component=0)
     assert find_zero_crossing(harmonic, [1.0, 0.0], component=0) > 0.0
     assert np.geterr() == before
+
+
+class TestFloatingPointFailure:
+    """The loop computes on Python floats, which neither raise nor warn where
+    numpy's raise mode did; its own checks end such a run with an
+    IntegrationError, in both entry points, and leave numpy's error state
+    as it was."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_error_state_kept(self):
+        before = np.geterr()
+        yield
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("search", [False, True])
+    def test_zero_division_in_the_initial_step_probe(self, search):
+        # |f0| / atol squares past the float range: the probe's first h
+        # would be 0, and its difference quotient would divide by it
+        with pytest.raises(IntegrationError, match="floating-point failure: overflow"):
+            if search:
+                find_zero_crossing(lambda t, y: [1e200], [0.0], component=0)
+            else:
+                integrate(lambda t, y: [1e200], [0.0], (0.0, 1.0))
+
+    @pytest.mark.parametrize("derivative,t_end,where", [
+        (1e308, 1.0, "norm"),         # the stage sums overflow in the first attempt
+        (1e300, 1e9, "accepted state"),  # the error stays 0 as y_new overflows
+    ])
+    def test_a_stage_sum_that_overflows(self, derivative, t_end, where):
+        with pytest.raises(IntegrationError, match=f"floating-point failure: .* {where}"):
+            integrate(lambda t, y: [derivative], [1.7e308], (0.0, t_end))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("late", [False, True])
+    def test_an_unchecked_non_finite_rhs_entry(self, bad, late):
+        """From the start, or only past t = 0.5, where the error estimate is
+        the first to see it."""
+        def rhs(t, y):
+            return [y[1], bad if t > 0.5 or not late else -y[0]]
+
+        with pytest.raises(IntegrationError, match="floating-point failure"):
+            integrate(rhs, [1.0, 0.0], (0.0, 2.0))
 
 
 def test_trajectory_records_endpoints():

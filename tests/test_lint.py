@@ -1,7 +1,8 @@
 """Static checks on the package source, in place of a linter: every name a
 module imports at module level is used in that module, every private
 module-level function, class or constant is used somewhere in the package,
-and no module reads another's private name but the one listed."""
+no module reads another's private name but the one listed, and none
+imports a private scipy module."""
 
 import ast
 from pathlib import Path
@@ -149,3 +150,36 @@ def test_the_check_sees_a_private_read():
               "    return orbit._frame(), orbit._seen, orbit.__class__, orbit._other\n")
     assert private_reads({"owner": owner, "reader": reader}) == {
         ("reader", "owner._helper"), ("reader", "owner._frame"), ("reader", "owner._seen")}
+
+
+def private_scipy_imports(source: str) -> set[str]:
+    """Every scipy import, at any depth of the module, that names a private
+    module or member, scipy.*._*, as a dotted path."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(path for path in paths if path.split(".")[0] == "scipy"
+                     and any(part.startswith("_") for part in path.split(".")))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_scipy_import(module):
+    # the DOP853 tableau comes from the public scipy.integrate.DOP853 class
+    assert private_scipy_imports((SRC / module).read_text()) == set()
+
+
+def test_the_check_sees_a_private_scipy_import():
+    source = ("import scipy.integrate._ivp.rk\n"
+              "from scipy.integrate import DOP853, _ivp\n"
+              "from .special import _ladder\n"
+              "def step():\n"
+              "    from scipy.integrate._ivp.rk import SAFETY\n"
+              "    from scipy.optimize import brentq\n")
+    assert private_scipy_imports(source) == {
+        "scipy.integrate._ivp.rk", "scipy.integrate._ivp", "scipy.integrate._ivp.rk.SAFETY"}

@@ -1,9 +1,9 @@
-"""The three DOP853 right-hand sides compute on Python floats.  Their oracle
-is the numpy-scalar form each one replaced, kept here as written: on every
-state both give the same bytes, or both fail on overflow.  This pins the
-order of rounding, so the integrated trajectories stay bit for bit what the
-numpy forms gave.  A float overflows to inf without a word, so each RHS
-checks its derivative entries one by one and raises FloatingPointError."""
+"""The three DOP853 right-hand sides compute on Python floats, from the list
+the step loop passes them.  Their oracle is the numpy-scalar form each one
+replaced, kept here as written: on every state both give the same bytes, or
+both fail on overflow.  This pins the order of rounding of every derivative
+entry.  A float overflows to inf without a word, so each RHS checks its
+derivative entries one by one and raises FloatingPointError."""
 
 import math
 
@@ -64,10 +64,12 @@ def numpy_duffing_rhs(params):
 
 
 def outcome(rhs, y):
-    """The bytes of rhs(0, y) in the integrator's error mode, or "overflow"."""
+    """The bytes of rhs(0, y) in numpy's raise mode, or "overflow".  A float
+    form takes y as the integrator passes it, a list of floats; a numpy form
+    takes an array, so that it computes on numpy scalars."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            return rhs(0.0, y).tobytes()
+            return np.array(rhs(0.0, y)).tobytes()
         except OVERFLOW:
             return "overflow"
 
@@ -94,7 +96,7 @@ def test_two_mode_rhs_matches_its_numpy_form(m, n, P, y):
     if m == n:
         n = m + 1
     config = TwoModeConfig(m=m, n=n, P=P, w0=1.0, w1=0.0, z0=0.0, z1=1e-4)
-    assert outcome(two_mode_rhs(config), state(y)) == \
+    assert outcome(two_mode_rhs(config), y) == \
         outcome(numpy_two_mode_rhs(config), state(y))
 
 
@@ -102,7 +104,7 @@ def test_two_mode_rhs_matches_its_numpy_form(m, n, P, y):
 @given(modes, loads, entries, entries, st.lists(entries, min_size=8, max_size=8))
 def test_coupled_rhs_matches_its_numpy_form(k, P, linear, coupling, y):
     params = ModeParams(k=k, P=P)
-    assert outcome(beammodes.hill._coupled_rhs(params, linear, coupling), state(y)) == \
+    assert outcome(beammodes.hill._coupled_rhs(params, linear, coupling), y) == \
         outcome(numpy_coupled_rhs(params, linear, coupling), state(y))
 
 
@@ -110,7 +112,7 @@ def test_coupled_rhs_matches_its_numpy_form(k, P, linear, coupling, y):
 @given(modes, loads, st.lists(entries, min_size=2, max_size=2))
 def test_duffing_rhs_matches_its_numpy_form(k, P, y):
     params = ModeParams(k=k, P=P)
-    assert outcome(duffing_rhs(params), state(y)) == outcome(numpy_duffing_rhs(params), state(y))
+    assert outcome(duffing_rhs(params), y) == outcome(numpy_duffing_rhs(params), state(y))
 
 
 class TestEntryByEntry:
@@ -120,21 +122,21 @@ class TestEntryByEntry:
         # w'' = +inf and z'' = -inf: each entry overflows, and their sum is
         # no overflow but NaN
         with pytest.raises(FloatingPointError, match="overflow"):
-            two_mode_rhs(self.CONFIG)(0.0, state([-1e110, 0.0, 1e110, 0.0]))
+            two_mode_rhs(self.CONFIG)(0.0, [-1e110, 0.0, 1e110, 0.0])
 
     @pytest.mark.parametrize("y", [[1e110, 0.0, 0.0, 0.0], [0.0, 0.0, 1e110, 0.0]])
     def test_one_overflowing_entry_is_refused(self, y):
         with pytest.raises(FloatingPointError, match="overflow"):
-            two_mode_rhs(self.CONFIG)(0.0, state(y))
+            two_mode_rhs(self.CONFIG)(0.0, y)
 
     def test_finite_entries_whose_sum_overflows_are_served(self):
         # w = 4z puts w'' and z'' both near -1e308: their sum overflows,
         # no entry does
         w = (8e307) ** (1.0 / 3.0)
-        y = state([w, 0.0, w / 4.0, 0.0])
+        y = [w, 0.0, w / 4.0, 0.0]
         dy = two_mode_rhs(self.CONFIG)(0.0, y)
-        assert np.isfinite(dy).all() and math.isinf(float(dy[1]) + float(dy[3]))
-        assert dy.tobytes() == outcome(numpy_two_mode_rhs(self.CONFIG), y)
+        assert np.isfinite(dy).all() and math.isinf(dy[1] + dy[3])
+        assert np.array(dy).tobytes() == outcome(numpy_two_mode_rhs(self.CONFIG), state(y))
 
     @pytest.mark.parametrize("linear,coupling,y,error", [
         (0.0, 0.0, [1e110, 0, 0, 0, 0, 0, 0, 0], FloatingPointError),   # theta''
@@ -146,15 +148,15 @@ class TestEntryByEntry:
     def test_each_coupled_entry_is_checked(self, linear, coupling, y, error):
         rhs = beammodes.hill._coupled_rhs(ModeParams(k=1, P=1.0), linear, coupling)
         with pytest.raises(error):
-            rhs(0.0, state(y))
+            rhs(0.0, [float(v) for v in y])
 
     def test_duffing_acceleration_is_checked(self):
         with pytest.raises(FloatingPointError, match="overflow"):
-            duffing_rhs(ModeParams(k=1, P=1.0))(0.0, state([1e110, 0.0]))
+            duffing_rhs(ModeParams(k=1, P=1.0))(0.0, [1e110, 0.0])
 
 
 def test_a_float_power_overflow_is_an_integration_error():
     """An RHS whose float ** overflows fails the run as numpy's raise mode
     would, with an IntegrationError that names the overflow."""
     with pytest.raises(IntegrationError, match="overflow"):
-        integrate(lambda t, y: np.array([y.tolist()[0] ** 8]), [1e40], (0.0, 1.0))
+        integrate(lambda t, y: [y[0] ** 8], [1e40], (0.0, 1.0))
