@@ -7,11 +7,11 @@ scipy.integrate.DOP853 class, imported on first use.  integrate records
 the accepted steps; find_zero_crossing locates a component's sign change
 on that step's DOP853 interpolant with Brent's method.
 
-An RHS maps (t, y), y a list of floats, to dy/dt, a sequence of floats.
-Floats overflow silently, so an RHS raises FloatingPointError on a
-derivative entry that is not finite (a float ** raises OverflowError), and
-the loop does on a non-finite norm or accepted state; each ends the run
-with an IntegrationError.
+An RHS maps (t, y), y a list of floats, to dy/dt, a sequence of as many
+floats (DomainError otherwise).  Floats overflow silently, so an RHS raises
+FloatingPointError on a derivative entry that is not finite (a float **
+raises OverflowError), and the loop does on a non-finite norm or accepted
+state; each ends the run with an IntegrationError.
 """
 
 from __future__ import annotations
@@ -85,64 +85,69 @@ def _state_vector(initial_state) -> list[float]:
     return y0.tolist()
 
 
-def _unrolled(row, lead: str, template: str) -> str:
-    """Source of a list comprehension over the components that fills template
-    with sum_j row[j] * k_j, unrolled over the nonzero row[j]; lead is x_."""
-    used = [j for j, a in enumerate(row) if a]
-    total = " + ".join(f"{float(row[j])!r} * k{j}_" for j in used)
-    names, stages = "".join(f", k{j}_" for j in used), "".join(f", k{j}" for j in used)
-    return f"[{template.format(total)} for x_{names} in zip({lead}{stages})]"
-
-
 @cache
-def _dop853():
-    """(attempt, extra, D) from DOP853's tableau, the stage sums unrolled.
+def _dop853(n: int):
+    """(attempt, extra, D) from DOP853's tableau for states of size n, each
+    stage sum unrolled over the components and the nonzero tableau entries.
     attempt is scipy's rk_step with k0 = fun(t, y): 12 RHS calls, returning
-    y_new, the error vectors e5 and e3 over scale and the stages k0..k12;
-    extra gives the interpolant's 3 further stages, and D's rows combine all 16."""
+    y_new, the squares of the error terms e5 and e3 over scale and the stages
+    k0..k12; extra gives the interpolant's 3 further stages, and D's rows
+    combine all 16.  Component i of stage j is the scalar kj_i."""
     from scipy.integrate import DOP853 as tableau
 
-    n, step = tableau.n_stages, "x_ + ({}) * h"
-    extra = range(n + 1, n + 1 + len(tableau.C_EXTRA))
-    stages = ", ".join(f"k{j}" for j in range(n + 1))
-    lines = ["def attempt(fun, t, y, k0, h, atol, rtol):"]
-    lines += [f"k{s} = fun(t + {float(c)!r} * h, {_unrolled(row[:s], 'y', step)})"
-              for s, row, c in zip(range(1, n), tableau.A[1:], tableau.C[1:])]
-    lines += [f"y_new = {_unrolled(tableau.B, 'y', step)}", f"k{n} = fun(t + h, y_new)",
-              "scale = [atol + max(abs(x_), abs(z_)) * rtol for x_, z_ in zip(y, y_new)]",
-              f"e5 = {_unrolled(tableau.E5, 'scale', '({}) / x_')}",
-              f"e3 = {_unrolled(tableau.E3, 'scale', '({}) / x_')}",
-              f"return y_new, e5, e3, ({stages})", f"def extra(fun, t, y, h, {stages}):"]
-    lines += [f"k{s} = fun(t + {float(c)!r} * h, {_unrolled(row[:s], 'y', step)})"
-              for s, row, c in zip(extra, tableau.A_EXTRA, tableau.C_EXTRA)]
-    lines.append("return " + ", ".join(f"k{s}" for s in extra))
+    def each(template, row=()):
+        """template for the components # = 0..n-1, comma-separated; its {} is
+        sum_j row[j] * kj_# over the nonzero row[j]."""
+        total = " + ".join(f"{float(a)!r} * k{j}_#" for j, a in enumerate(row) if a)
+        return ", ".join(template.format(total).replace("#", str(i)) for i in range(n))
+
+    def stage(s, row, c):
+        return (f"k{s} = {each(f'k{s}_#')}, = "
+                f"fun(t + {float(c)!r} * h, [{each('y_# + ({}) * h', row[:s])}])")
+
+    ks = ", ".join(f"k{j}" for j in range(13))
+    lines = ["def attempt(fun, t, y, k0, h, atol, rtol):", f"{each('y_#')}, = y",
+             f"{each('k0_#')}, = k0", *map(stage, range(1, 12), tableau.A[1:], tableau.C[1:]),
+             f"y_new = {each('z_#')}, = [{each('y_# + ({}) * h', tableau.B)}]",
+             "k12 = fun(t + h, y_new)",
+             f"{each('sc_#')}, = {each('atol + max(abs(y_#), abs(z_#)) * rtol')},",
+             f"{each('e5_#')}, = {each('({}) / sc_#', tableau.E5)},",
+             f"{each('e3_#')}, = {each('({}) / sc_#', tableau.E3)},",
+             f"return y_new, [{each('e5_# * e5_#')}], [{each('e3_# * e3_#')}], ({ks})",
+             f"def extra(fun, t, y, h, {ks}):", f"{each('y_#')}, = y",
+             *(f"{each(f'k{j}_#')}, = k{j}" for j in range(13)),
+             *map(stage, range(13, 16), tableau.A_EXTRA, tableau.C_EXTRA),
+             "return k13, k14, k15"]
     namespace = {}
     exec("\n".join(line if line.startswith("def ") else "    " + line for line in lines),
          namespace)
     return namespace["attempt"], namespace["extra"], tableau.D.tolist()
 
 
-def _mean_square(values: list) -> float:
+def _mean_square(squares: list) -> float:
     """fsum: the order of the components does not matter.  Like numpy's raise
     mode, a sum that is not finite raises."""
-    total = math.fsum([v * v for v in values])
+    total = math.fsum(squares)
     if not total < math.inf:
         kind = "overflow" if total == math.inf else "invalid value"
         raise FloatingPointError(f"{kind} encountered in a step-size norm")
-    return total / len(values)
+    return total / len(squares)
 
 
 def _initial_step(fun: RHS, t0: float, y0: list, f0, t_bound: float,
                   config: IntegratorConfig) -> float:
     """scipy's select_initial_step: a first h from the norms of y0, f0 and,
     with one more RHS call, of a difference quotient of f."""
+    def rms(values):
+        return math.sqrt(_mean_square([v * v for v in values]))
+
     interval = t_bound - t0
     scale = [config.abs_tol + abs(y) * config.rel_tol for y in y0]
-    d0 = math.sqrt(_mean_square([y / s for y, s in zip(y0, scale)]))
-    d1 = math.sqrt(_mean_square([f / s for f, s in zip(f0, scale)]))
+    d0 = rms(y / s for y, s in zip(y0, scale))
+    d1 = rms(f / s for f, s in zip(f0, scale))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
     f1 = fun(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
-    d2 = math.sqrt(_mean_square([(b - a) / s for a, b, s in zip(f0, f1, scale)])) / h0
+    d2 = rms((b - a) / s for a, b, s in zip(f0, f1, scale)) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         return min(100 * h0, max(1e-6, h0 * 1e-3), interval)
     return min(100 * h0, (0.01 / max(d1, d2)) ** -ERROR_EXPONENT, interval)
@@ -153,10 +158,12 @@ def _accepted_steps(system: RHS, y0: list, t0: float, t_bound: float,
     """The one DOP853 loop: yields (t, y, stages k0..k12) after each accepted
     step from t0 to t_bound.  As in scipy, h >= 10 ulp(t), and a step after a
     rejection does not grow.  A non-finite value ends it with an IntegrationError."""
-    attempt = _dop853()[0]
+    attempt = _dop853(len(y0))[0]
     t, y, atol, rtol = t0, y0, config.abs_tol, config.rel_tol
     try:
         f = system(t, y)
+        if len(f) != len(y):
+            raise DomainError(f"the RHS returned {len(f)} entries for a state of size {len(y)}")
         h_abs = _initial_step(system, t, y, f, t_bound, config)
         steps = 0
         while t < t_bound:
@@ -192,7 +199,7 @@ def _interpolant(system: RHS, t_old: float, y_old: list, t: float, y: list,
                  stages: tuple, i: int) -> Callable[[float], float]:
     """Component i of DOP853's interpolant over the step (t_old, t], formed
     as scipy's Dop853DenseOutput forms it."""
-    _, extra, coefficients = _dop853()
+    _, extra, coefficients = _dop853(len(y))
     h, dy = t - t_old, y[i] - y_old[i]
     k = [kj[i] for kj in (*stages, *extra(system, t_old, y_old, h, *stages))]
     rows = [dy, h * k[0] - dy, 2 * dy - h * (stages[-1][i] + k[0]),
@@ -242,9 +249,11 @@ def find_zero_crossing(
     direction selects "rising" (- to +), "falling" (+ to -) or "any" strict
     sign change.  A component that starts exactly at zero does not count as
     its own crossing.  The crossing time is the root of the step's dense
-    output, found by Brent's method to a few units in the last place, well
-    inside the 1e-10 contract.  Without t_max the search ends at the step budget
-    (StepLimitError).
+    output, found by Brent's method to a few units in the last place.  A
+    search from a turning point, the component exactly 0, takes its first
+    steps on rounding noise at the abs_tol scale, so it meets scipy's DOP853
+    to the 1e-10 contract, not to a few ulps.  Without t_max the search ends
+    at the step budget (StepLimitError).
     """
     from scipy.optimize import brentq
 

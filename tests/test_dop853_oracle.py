@@ -1,11 +1,18 @@
 """scipy's DOP853 solver object is the oracle of the float step loop: the
 same step control and the same RHS count, with only the summation order of
-the stage sums between them.  Each test steps scipy's solver itself."""
+the stage sums between them.  Each test steps scipy's solver itself.
+
+The stage sums' earlier form, one list comprehension per sum over
+zip(y, k0, ...), is the oracle of the form unrolled over the components:
+the two compute the same expressions in the same order, so their outputs
+are bit-identical."""
 
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
@@ -126,14 +133,15 @@ class TestRhsCount:
     def test_two_calls_to_start_and_twelve_per_attempt(self, monkeypatch):
         """perfbench/tracing.py counts rejected steps from the RHS calls with
         this rule; the unstable gate-9 case rejects steps."""
-        attempt, extra, coefficients = integrate_mod._dop853()
+        attempt, extra, coefficients = integrate_mod._dop853(4)
         attempts = [0]
 
         def counting(*args):
             attempts[0] += 1
             return attempt(*args)
 
-        monkeypatch.setattr(integrate_mod, "_dop853", lambda: (counting, extra, coefficients))
+        monkeypatch.setattr(integrate_mod, "_dop853",
+                            lambda n: (counting, extra, coefficients))
         config = gate9_config(3.0)
         rhs, calls = counted(two_mode_rhs(config))
         steps = len(integrate(rhs, config.initial_state(), (0.0, HORIZON), GATE9).times) - 1
@@ -184,3 +192,106 @@ def test_crossing_is_scipys(k, P, E):
     for x in np.linspace(0.0, 1.0, 9):
         t = t_old + x * (t_new - t_old)
         assert ours(t) == pytest.approx(theirs(t)[1], rel=1e-14, abs=1e-14 * abs(g_prev))
+
+
+def _unrolled(row, lead: str, template: str) -> str:
+    """Source of a list comprehension over the components that fills template
+    with sum_j row[j] * k_j, unrolled over the nonzero row[j]; lead is x_."""
+    used = [j for j, a in enumerate(row) if a]
+    total = " + ".join(f"{float(row[j])!r} * k{j}_" for j in used)
+    names, stages = "".join(f", k{j}_" for j in used), "".join(f", k{j}" for j in used)
+    return f"[{template.format(total)} for x_{names} in zip({lead}{stages})]"
+
+
+@cache
+def comprehension_form():
+    """(attempt, extra) with one list comprehension per stage sum, for any
+    state size; attempt returns the error terms e5 and e3, not their squares."""
+    n, step = DOP853.n_stages, "x_ + ({}) * h"
+    extra = range(n + 1, n + 1 + len(DOP853.C_EXTRA))
+    stages = ", ".join(f"k{j}" for j in range(n + 1))
+    lines = ["def attempt(fun, t, y, k0, h, atol, rtol):"]
+    lines += [f"k{s} = fun(t + {float(c)!r} * h, {_unrolled(row[:s], 'y', step)})"
+              for s, row, c in zip(range(1, n), DOP853.A[1:], DOP853.C[1:])]
+    lines += [f"y_new = {_unrolled(DOP853.B, 'y', step)}", f"k{n} = fun(t + h, y_new)",
+              "scale = [atol + max(abs(x_), abs(z_)) * rtol for x_, z_ in zip(y, y_new)]",
+              f"e5 = {_unrolled(DOP853.E5, 'scale', '({}) / x_')}",
+              f"e3 = {_unrolled(DOP853.E3, 'scale', '({}) / x_')}",
+              f"return y_new, e5, e3, ({stages})", f"def extra(fun, t, y, h, {stages}):"]
+    lines += [f"k{s} = fun(t + {float(c)!r} * h, {_unrolled(row[:s], 'y', step)})"
+              for s, row, c in zip(extra, DOP853.A_EXTRA, DOP853.C_EXTRA)]
+    lines.append("return " + ", ".join(f"k{s}" for s in extra))
+    namespace = {}
+    exec("\n".join(line if line.startswith("def ") else "    " + line for line in lines),
+         namespace)
+    return namespace["attempt"], namespace["extra"]
+
+
+def raw(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def replay(stages, calls):
+    """An RHS that records the bits of each (t, y) it is called with and
+    returns the next of the given stages."""
+    supply = iter(stages)
+
+    def fun(t, y):
+        calls.append(raw([t, *y]))
+        return next(supply)
+
+    return fun
+
+
+# Mostly moderate entries, some anywhere in the float range, where the
+# sums overflow to inf and nan in both forms alike.
+entries = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_unrolled_sums_are_the_comprehension_form(n, data):
+    """attempt and extra call the RHS with the same bits and return the same
+    bits as the comprehension form; attempt's squared error terms are the
+    squares of its e5 and e3."""
+    vector = st.lists(entries, min_size=n, max_size=n)
+    y, stages = data.draw(vector), data.draw(st.lists(vector, min_size=16, max_size=16))
+    t, h = data.draw(st.floats(-1e3, 1e3)), data.draw(st.floats(1e-9, 10.0))
+    atol, rtol = data.draw(st.floats(1e-16, 1e-3)), data.draw(st.floats(1e-14, 1e-3))
+    attempt, extra, _ = integrate_mod._dop853(n)
+    old_attempt, old_extra = comprehension_form()
+    ours, theirs = [], []
+    y_new, e5, e3, ks = attempt(replay(stages[1:13], ours), t, y, stages[0], h, atol, rtol)
+    old_y_new, old_e5, old_e3, old_ks = old_attempt(replay(stages[1:13], theirs), t, y,
+                                                    stages[0], h, atol, rtol)
+    assert ours == theirs
+    assert raw(y_new) == raw(old_y_new)
+    assert raw(e5) == raw([v * v for v in old_e5])
+    assert raw(e3) == raw([v * v for v in old_e3])
+    assert raw(ks) == raw(old_ks) == raw(stages[:13])
+    ours, theirs = [], []
+    assert (raw(extra(replay(stages[13:], ours), t, y, h, *stages[:13]))
+            == raw(old_extra(replay(stages[13:], theirs), t, y, h, *stages[:13])))
+    assert ours == theirs and len(ours) == 3
+
+
+def test_compiled_once_per_state_size(monkeypatch):
+    """Runs on states of sizes 2 and 1, each twice and through both entry
+    points, compile the stage sums twice: once per size."""
+    sources = []
+
+    def counting_exec(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    integrate_mod._dop853.cache_clear()
+    monkeypatch.setattr(integrate_mod, "exec", counting_exec, raising=False)
+    for _ in range(2):
+        integrate(harmonic, [1.0, 0.0], (0.0, 5.0))
+        find_zero_crossing(harmonic, [1.0, 0.0], component=0)
+        integrate(lambda t, y: [-y[0]], [1.0], (0.0, 5.0))
+        find_zero_crossing(lambda t, y: [-1.0], [1.0], component=0)
+    assert len(sources) == 2
+    assert integrate_mod._dop853(2) is integrate_mod._dop853(2)

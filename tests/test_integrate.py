@@ -129,6 +129,33 @@ def test_trajectory_records_endpoints():
     assert traj.sol is None
 
 
+class TestRhsLength:
+    """An RHS that returns more or fewer entries than the state has is
+    refused at its first call, in both entry points, with both lengths
+    named; before any step is taken, so no entry is dropped silently."""
+
+    @pytest.mark.parametrize("rhs,size", [
+        (lambda t, y: [y[1], -y[0], 5.0], 3),
+        (lambda t, y: [y[1]], 1),
+        (lambda t, y: np.array([y[1], -y[0], 0.0, 0.0]), 4),
+    ])
+    @pytest.mark.parametrize("search", [False, True])
+    def test_refused_at_the_first_call(self, rhs, size, search):
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        match = f"returned {size} entries for a state of size 2"
+        with pytest.raises(DomainError, match=match):
+            if search:
+                find_zero_crossing(counted, [1.0, 0.0], component=0)
+            else:
+                integrate(counted, [1.0, 0.0], (0.0, 1.0))
+        assert calls == [0.0]
+
+
 @pytest.mark.parametrize("bad", [
     dict(rel_tol=0.0), dict(abs_tol=-1e-9),
     dict(rel_tol=math.nan), dict(abs_tol=math.nan),
