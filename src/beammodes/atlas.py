@@ -31,7 +31,7 @@ from .errors import (BeamModesError, DomainError, attempt, csv_text, require_cou
                      require_finite, require_mode_pair, require_positive_finite)
 from .hill import (DEFAULT_TOL_MARGIN, Verdict, classify_batch, classify_stability,
                    require_tol_margin)
-from .integrate import IntegratorConfig
+from .integrate import IntegratorConfig, brentq
 from .regime import cazenave_limit_classify, classify_gamma
 
 CSV_HEADER = "gamma,m,n,P,theta0,E,trace,verdict,quality"
@@ -342,8 +342,6 @@ def find_thresholds(
     cells' own values.  A Marginal grid verdict is already the transition
     locus and is returned as such.
     """
-    from scipy.optimize import brentq
-
     energies = [float(E) for E in energies]
     if len(energies) < 2:
         raise DomainError("threshold search needs at least two grid energies")

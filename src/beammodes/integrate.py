@@ -2,10 +2,10 @@
 
 One DOP853 step loop on Python floats, with scipy's initial-step probe,
 step-size control and error norm (Hairer, Norsett & Wanner, Solving ODEs I,
-2nd ed., II.4 and II.10).  The tableau comes from the public
-scipy.integrate.DOP853 class, imported on first use.  integrate records
-the accepted steps; find_zero_crossing locates a component's sign change
-on that step's DOP853 interpolant with Brent's method.
+2nd ed., II.4 and II.10); the tableau is module data that the tests check
+against scipy's bit for bit.  integrate records the accepted steps;
+find_zero_crossing locates a component's sign change on that step's DOP853
+interpolant with brentq, scipy's brentq step for step.  No scipy import.
 
 An RHS maps (t, y), y a list of floats, to dy/dt, a sequence of as many
 floats (DomainError otherwise).  Floats overflow silently, so an RHS raises
@@ -17,6 +17,7 @@ state; each ends the run with an IntegrationError.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator, Sequence
@@ -37,6 +38,57 @@ MIN_REL_TOL = 100 * float(np.finfo(float).eps)
 # scipy's step-size control: safety factor, bounds on the change of h per
 # step, and the exponent -1/(q + 1) of the 7th-order error estimate.
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
+
+BRENT_RTOL, BRENT_MAXITER = 4 * float(np.finfo(float).eps), 100  # scipy brentq's rtol, maxiter
+
+# scipy.integrate.DOP853's tableau as float reprs; rows of A and A_EXTRA stop at the diagonal.
+_C = [0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+      0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+      1.0]
+_A = [[], [0.05260015195876773], [0.0197250569845379, 0.0591751709536137], [0.02958758547680685,
+      0.0, 0.08876275643042054], [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+      [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242], [0.037109375,
+      0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125], [0.03709200011850479, 0.0,
+      0.0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402, 0.008273789163814023],
+      [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+      20.154067550477894, -43.48988418106996], [0.47766253643826434, 0.0, 0.0, -2.4881146199716677,
+      -0.590290826836843, 21.230051448181193, 15.279233632882423, -33.28821096898486,
+      -0.020331201708508627], [-0.9371424300859873, 0.0, 0.0, 5.186372428844064,
+      1.0914373489967295, -8.149787010746927, -18.52006565999696, 22.739487099350505,
+      2.4936055526796523, -3.0467644718982196], [2.273310147516538, 0.0, 0.0, -10.53449546673725,
+      -2.0008720582248625, -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+      -8.87285693353063, 12.360567175794303, 0.6433927460157636]]
+_B = [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+      -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+      0.04471061572777259]
+_E5 = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+       1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+       -0.022355307863886294, 0.0]
+_E3 = [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+       -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+       0.02265179219836082, 0.0]
+_C_EXTRA = [0.1, 0.2, 0.7777777777777778]
+_A_EXTRA = [[0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+            -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+            0.007567897660545699, -0.008298], [0.03183464816350214, 0.0, 0.0, 0.0, 0.0,
+            0.028300909672366776, 0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+            -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+            0.1413124436746325], [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+            7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+            -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]]
+_D = [[-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+      2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+      0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+      -4.436036387594894], [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+      165.20045171727028, -374.5467547226902, -22.113666853125306, 7.733432668472264,
+      -30.674084731089398, -9.332130526430229, 15.697238121770845, -31.139403219565178,
+      -9.35292435884448, 35.81684148639408], [19.985053242002433, 0.0, 0.0, 0.0, 0.0,
+      -387.0373087493518, -189.17813819516758, 527.8081592054236, -11.57390253995963,
+      6.8812326946963, -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+      -60.19669523126412, 84.32040550667716, 11.99229113618279], [-25.69393346270375, 0.0, 0.0,
+      0.0, 0.0, -154.18974869023643, -231.5293791760455, 357.6391179106141, 93.40532418362432,
+      -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+      96.32455395918828, -39.17726167561544, -149.72683625798564]]
 
 
 @dataclass(frozen=True)
@@ -87,14 +139,12 @@ def _state_vector(initial_state) -> list[float]:
 
 @cache
 def _dop853(n: int):
-    """(attempt, extra, D) from DOP853's tableau for states of size n, each
-    stage sum unrolled over the components and the nonzero tableau entries.
-    attempt is scipy's rk_step with k0 = fun(t, y): 12 RHS calls, returning
-    y_new, the squares of the error terms e5 and e3 over scale and the stages
-    k0..k12; extra gives the interpolant's 3 further stages, and D's rows
-    combine all 16.  Component i of stage j is the scalar kj_i."""
-    from scipy.integrate import DOP853 as tableau
-
+    """(attempt, extra, D) from the tableau above, scipy's bit for bit, for
+    states of size n, each stage sum unrolled over the components and the
+    nonzero tableau entries.  attempt is scipy's rk_step with k0 = fun(t, y):
+    12 RHS calls, returning y_new, the squares of the error terms e5 and e3
+    over scale and the stages k0..k12; extra gives the interpolant's 3 further
+    stages, and D's rows combine all 16.  Component i of stage j is kj_i."""
     def each(template, row=()):
         """template for the components # = 0..n-1, comma-separated; its {} is
         sum_j row[j] * kj_# over the nonzero row[j]."""
@@ -103,25 +153,25 @@ def _dop853(n: int):
 
     def stage(s, row, c):
         return (f"k{s} = {each(f'k{s}_#')}, = "
-                f"fun(t + {float(c)!r} * h, [{each('y_# + ({}) * h', row[:s])}])")
+                f"fun(t + {float(c)!r} * h, [{each('y_# + ({}) * h', row)}])")
 
     ks = ", ".join(f"k{j}" for j in range(13))
     lines = ["def attempt(fun, t, y, k0, h, atol, rtol):", f"{each('y_#')}, = y",
-             f"{each('k0_#')}, = k0", *map(stage, range(1, 12), tableau.A[1:], tableau.C[1:]),
-             f"y_new = {each('z_#')}, = [{each('y_# + ({}) * h', tableau.B)}]",
+             f"{each('k0_#')}, = k0", *map(stage, range(1, 12), _A[1:], _C[1:]),
+             f"y_new = {each('z_#')}, = [{each('y_# + ({}) * h', _B)}]",
              "k12 = fun(t + h, y_new)",
              f"{each('sc_#')}, = {each('atol + max(abs(y_#), abs(z_#)) * rtol')},",
-             f"{each('e5_#')}, = {each('({}) / sc_#', tableau.E5)},",
-             f"{each('e3_#')}, = {each('({}) / sc_#', tableau.E3)},",
+             f"{each('e5_#')}, = {each('({}) / sc_#', _E5)},",
+             f"{each('e3_#')}, = {each('({}) / sc_#', _E3)},",
              f"return y_new, [{each('e5_# * e5_#')}], [{each('e3_# * e3_#')}], ({ks})",
              f"def extra(fun, t, y, h, {ks}):", f"{each('y_#')}, = y",
              *(f"{each(f'k{j}_#')}, = k{j}" for j in range(13)),
-             *map(stage, range(13, 16), tableau.A_EXTRA, tableau.C_EXTRA),
+             *map(stage, range(13, 16), _A_EXTRA, _C_EXTRA),
              "return k13, k14, k15"]
     namespace = {}
     exec("\n".join(line if line.startswith("def ") else "    " + line for line in lines),
          namespace)
-    return namespace["attempt"], namespace["extra"], tableau.D.tolist()
+    return namespace["attempt"], namespace["extra"], _D
 
 
 def _mean_square(squares: list) -> float:
@@ -234,8 +284,51 @@ def integrate(
     return Trajectory(np.array(times), np.array(states, dtype=float))
 
 
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b] to within xtol + BRENT_RTOL |root|: scipy's brentq
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4) step
+    for step, the same probes and the same float.  As in scipy, ValueError for
+    ends of one sign or a NaN value, RuntimeError after BRENT_MAXITER steps."""
+    def value(x: float) -> float:
+        if math.isnan(fx := float(f(x))):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (xtol + BRENT_RTOL * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # a bisection, unless an interpolation step is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            with suppress(ZeroDivisionError):  # C's inf or NaN: no short step either
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
+
+
 def find_zero_crossing(
     system: RHS,
+
     initial_state: Sequence[float] | np.ndarray,
     component: int,
     *,
@@ -255,8 +348,6 @@ def find_zero_crossing(
     to the 1e-10 contract, not to a few ulps.  Without t_max the search ends
     at the step budget (StepLimitError).
     """
-    from scipy.optimize import brentq
-
     if direction not in ("rising", "falling", "any"):
         raise DomainError(f"unknown direction {direction!r}")
     y0 = _state_vector(initial_state)

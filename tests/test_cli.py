@@ -170,6 +170,44 @@ class TestModeCommands:
         assert [float(v) for v in lines[3].split(",")] == [0.0, math.sqrt(2.0)]
 
 
+SWEEP = ["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0", "--grid-min", "0.5",
+         "--grid-max", "5", "--points", "40"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["hill", "classify", "--m", "2", "--n", "1", "--P", "3", "--E", "1"],
+                 id="classify"),
+    pytest.param(["hill", "criteria", "--m", "2", "--n", "1", "--P", "3", "--E", "1"],
+                 id="criteria"),
+    pytest.param(["twomode", "simulate", "--m", "2", "--n", "1", "--P", "3", "--w0", "1.06",
+                  "--z1", "1.4e-4", "--t-end", "100"], id="twomode-simulate"),
+    pytest.param(["regime", "cazenave", "--gamma", "2.25"], id="regime-cazenave"),
+    pytest.param(["atlas", "thresholds", "--m", "2", "--n", "1", "--P", "3", "--e-min", "4",
+                  "--e-max", "8", "--points", "2"], id="atlas-thresholds"),
+    pytest.param([*SWEEP, "--source", "monodromy"], id="sweep-monodromy"),
+    pytest.param([*SWEEP, "--source", "cazenave"], id="sweep-cazenave"),
+])
+def test_command_runs_with_scipy_refused(argv):
+    """A fresh interpreter whose sys.meta_path refuses every scipy module:
+    the README's integrating commands exit 0 and load no scipy module,
+    which would otherwise be most of their cold start."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'{name} refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from beammodes.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, any(name.split('.')[0] == 'scipy' for name in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1:] == ["0 False"], done.stderr
+
+
 class TestHillCommands:
     def test_classify(self, capsys):
         payload = run_json(capsys, "hill", "classify", "--m", "2", "--n", "1",
@@ -182,21 +220,6 @@ class TestHillCommands:
                            "--P", "3", "--E", "1")
         assert payload["coeff_period"] > 0.0
         assert payload["negative_coefficient"]["applies"] is True
-
-    @pytest.mark.parametrize("command", ["classify", "criteria"])
-    def test_converged_cell_leaves_scipy_integrate_unimported(self, command):
-        """A fresh interpreter: the Magnus kernel integrates the cell, so the
-        command never loads scipy.integrate, most of its cold start."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        code = ("import sys; from beammodes.cli import main; "
-                f"code = main(['hill', '{command}', '--m', '2', '--n', '1', "
-                "'--P', '3', '--E', '1']); "
-                "print(code, 'scipy.integrate' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
 
 class TestTwomodeCommand:

@@ -1,6 +1,7 @@
 """scipy's DOP853 solver object is the oracle of the float step loop: the
 same step control and the same RHS count, with only the summation order of
-the stage sums between them.  Each test steps scipy's solver itself.
+the stage sums between them.  Each test steps scipy's solver itself, and
+the tableau in integrate's source is scipy's, bit for bit.
 
 The stage sums' earlier form, one list comprehension per sum over
 zip(y, k0, ...), is the oracle of the form unrolled over the components:
@@ -68,6 +69,31 @@ def counted(rhs):
         return rhs(t, y)
 
     return wrapped, calls
+
+
+def padded(rows, width):
+    """The rows, which stop at the diagonal, as a full array."""
+    full = np.zeros((len(rows), width))
+    for s, row in enumerate(rows):
+        full[s, :len(row)] = row
+    return full
+
+
+def source_tableau():
+    """Each array _dop853 reads, by its name in scipy.integrate.DOP853."""
+    m = integrate_mod
+    assert [len(row) for row in m._A] == list(range(DOP853.n_stages))
+    assert [len(row) for row in m._A_EXTRA] == [13, 14, 15]
+    return {"C": m._C, "A": padded(m._A, 12), "B": m._B, "E5": m._E5, "E3": m._E3,
+            "C_EXTRA": m._C_EXTRA, "A_EXTRA": padded(m._A_EXTRA, 16), "D": m._D}
+
+
+@pytest.mark.parametrize("name", ["C", "A", "B", "E5", "E3", "C_EXTRA", "A_EXTRA", "D"])
+def test_tableau_is_scipys(name):
+    """Shapes and bits, signed zeros included: an entry 1 ulp off fails."""
+    ours, theirs = np.array(source_tableau()[name], dtype=float), getattr(DOP853, name)
+    assert ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
 
 
 @pytest.mark.parametrize("P", [3.0, 0.0])

@@ -1,4 +1,4 @@
-"""Integrator contract: accuracy, events, budgets, lazy scipy import."""
+"""Integrator contract: accuracy, events, budgets, no scipy import."""
 
 import math
 import os
@@ -174,8 +174,8 @@ def test_config_validation(bad):
     ["mode", "period", "--k", "1", "--P", "0", "--E", "0.5"],
 ])
 def test_commands_without_integration_do_not_import_scipy_integrate(argv):
-    """scipy.integrate is imported on first use, so commands that never
-    integrate start without paying for it."""
+    """Commands that never integrate load no scipy.integrate either;
+    test_cli runs the integrating ones with scipy refused."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = ("import sys\n"
               "from beammodes.cli import main\n"

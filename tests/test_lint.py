@@ -152,9 +152,9 @@ def test_the_check_sees_a_private_read():
         ("reader", "owner._helper"), ("reader", "owner._frame"), ("reader", "owner._seen")}
 
 
-def private_scipy_imports(source: str) -> set[str]:
-    """Every scipy import, at any depth of the module, that names a private
-    module or member, scipy.*._*, as a dotted path."""
+def scipy_imports(source: str) -> set[str]:
+    """Every scipy import, public or private, at any depth of the module,
+    as a dotted path."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -163,23 +163,24 @@ def private_scipy_imports(source: str) -> set[str]:
             paths = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        found.update(path for path in paths if path.split(".")[0] == "scipy"
-                     and any(part.startswith("_") for part in path.split(".")))
+        found.update(path for path in paths if path.split(".")[0] == "scipy")
     return found
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_scipy_import(module):
-    # the DOP853 tableau comes from the public scipy.integrate.DOP853 class
-    assert private_scipy_imports((SRC / module).read_text()) == set()
+    # no scipy import at all: scipy is the tests' oracle, not a dependency
+    assert scipy_imports((SRC / module).read_text()) == set()
 
 
 def test_the_check_sees_a_private_scipy_import():
     source = ("import scipy.integrate._ivp.rk\n"
               "from scipy.integrate import DOP853, _ivp\n"
               "from .special import _ladder\n"
+              "import scipy\n"
               "def step():\n"
               "    from scipy.integrate._ivp.rk import SAFETY\n"
               "    from scipy.optimize import brentq\n")
-    assert private_scipy_imports(source) == {
-        "scipy.integrate._ivp.rk", "scipy.integrate._ivp", "scipy.integrate._ivp.rk.SAFETY"}
+    assert scipy_imports(source) == {
+        "scipy.integrate._ivp.rk", "scipy.integrate.DOP853", "scipy.integrate._ivp", "scipy",
+        "scipy.integrate._ivp.rk.SAFETY", "scipy.optimize.brentq"}
