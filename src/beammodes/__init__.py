@@ -5,7 +5,8 @@ of mode pairs, two-mode energy transfer, parameter-regime classification,
 stationary profiles, and stability atlases over amplitude/energy grids.
 
 The root holds the entry points the README documents; everything else is
-imported from the module that defines it.
+imported from the module that defines it.  numpy loads on the first array
+operation, not at import: periods and regime membership run without it.
 """
 
 from . import atlas, duffing, errors, hill, integrate, regime, special, stationary, twomode

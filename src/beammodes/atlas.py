@@ -20,7 +20,6 @@ import functools
 import heapq
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -205,6 +204,7 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> list[AtlasCell]:
         return _cells(spec, points)
     size = -(-len(points) // (4 * workers))
     chunks = [points[i:i + size] for i in range(0, len(points), size)]
+    from concurrent.futures import ProcessPoolExecutor     # imports multiprocessing
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [cell for cells in pool.map(functools.partial(_cells, spec), chunks)
                 for cell in cells]

@@ -26,10 +26,9 @@ import sys
 from contextlib import nullcontext
 from operator import attrgetter
 
-import numpy as np
-
 from . import atlas as atlas_mod
 from . import duffing, hill, regime, stationary, twomode
+from ._lazy import np
 from .errors import (
     BeamModesError,
     ConsistencyError,

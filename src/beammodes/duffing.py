@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, require_finite, require_mode_gap, require_positive_int
 from .special import elliptic_f, elliptic_k, elliptic_k_from_complement, jacobi_sn_cn_dn
 
@@ -358,12 +357,13 @@ def homoclinic(params: ModeParams, t):
         raise DomainError(
             f"homoclinic orbit requires k^2 < P, got k={params.k}, P={params.P}"
         )
-    if not np.all(np.isfinite(t)):
+    scalar = isinstance(t, (int, float)) or np.ndim(t) == 0    # no numpy for a float
+    if not (math.isfinite(t) if scalar else np.all(np.isfinite(t))):
         raise DomainError("homoclinic times must be finite")
     rate = params.k * math.sqrt(params.P - params.k**2)
     peak = math.sqrt(2.0) * math.sqrt(params.P - params.k**2) / params.k
-    return peak / np.cosh(rate * np.asarray(t, dtype=float)) if np.ndim(t) else \
-        peak / math.cosh(rate * t)
+    return peak / math.cosh(rate * t) if scalar else \
+        peak / np.cosh(rate * np.asarray(t, dtype=float))
 
 
 def energy_from_initial_amplitude(params: ModeParams, theta0: float) -> float:

@@ -12,6 +12,8 @@ Serializable is the one rule by which result dataclasses become JSON-ready
 dicts, and csv_text the one rule by which tables of results become CSV.
 """
 
+from __future__ import annotations
+
 import csv
 import math
 from collections.abc import Iterable, Sequence

@@ -67,8 +67,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .duffing import DuffingOrbit, ModeParams, orbit_from_energy
 from .errors import (BeamModesError, ConsistencyError, DomainError, NumericalQualityError,
                      Serializable, attempt, require_mode_pair)

@@ -17,13 +17,13 @@ state; each ends the run with an IntegrationError.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (DomainError, IntegrationError, NoCrossingError, StepLimitError,
                      require_positive_finite)
 
@@ -33,13 +33,13 @@ RHS = Callable[[float, list], Sequence[float]]
 MAX_STEPS = 1_000_000
 
 # DOP853's floor on rel_tol, scipy's; IntegratorConfig refuses a smaller one.
-MIN_REL_TOL = 100 * float(np.finfo(float).eps)
+MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 # scipy's step-size control: safety factor, bounds on the change of h per
 # step, and the exponent -1/(q + 1) of the 7th-order error estimate.
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
-BRENT_RTOL, BRENT_MAXITER = 4 * float(np.finfo(float).eps), 100  # scipy brentq's rtol, maxiter
+BRENT_RTOL, BRENT_MAXITER = 4 * sys.float_info.epsilon, 100  # scipy brentq's rtol, maxiter
 
 # scipy.integrate.DOP853's tableau as float reprs; rows of A and A_EXTRA stop at the diagonal.
 _C = [0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,

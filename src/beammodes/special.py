@@ -6,10 +6,11 @@ constant sigma = K(1/sqrt(2))/sqrt(2) ~ 1.311; the mode orbits themselves
 are Jacobi functions on the same arithmetic-geometric mean.
 """
 
+from __future__ import annotations
+
 import math
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError
 
 # AGM converges quadratically; this stops after ~5 iterations in double

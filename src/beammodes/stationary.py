@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, Serializable, require_positive_finite
 
 # Largest mode count k a catalog is built for (loads up to 100001^2, about

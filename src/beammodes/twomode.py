@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (DomainError, Serializable, csv_text, require_mode_pair,
                      require_positive_finite)
 from .integrate import IntegratorConfig, Trajectory, integrate

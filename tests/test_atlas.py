@@ -1,5 +1,6 @@
 """Atlas sweeps: grids of verdicts, CSV output, thresholds, adaptive budget."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -166,7 +167,7 @@ class TestSweep:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(atlas, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(atlas.os, "cpu_count", lambda: 2)
         one = SweepSpec(P=0.0, modes=[(2, 1)], theta0_grid=[0.3])
         assert sweep(one, jobs=64) == sweep(one)

@@ -444,6 +444,20 @@ class TestHomoclinic:
         with pytest.raises(DomainError):
             homoclinic(ModeParams(k=1, P=0.5), 0.0)
 
+    def test_scalar_forms_take_the_math_path(self):
+        # a Python float, a numpy scalar and a 0-d array all give the
+        # float that math.cosh gives, and a non-finite one is refused
+        params = ModeParams(k=2, P=7.0)
+        value = homoclinic(params, 0.37)
+        assert type(value) is float
+        assert value == math.sqrt(2.0) * math.sqrt(3.0) / 2 / math.cosh(
+            2 * math.sqrt(3.0) * 0.37)
+        for t in (np.float64(0.37), np.array(0.37)):
+            assert homoclinic(params, t) == value
+        for bad in (math.nan, -math.inf, np.float64(math.inf), np.array(math.nan)):
+            with pytest.raises(DomainError, match="finite"):
+                homoclinic(params, bad)
+
 
 class TestDerivedQuantities:
     def test_scaled_energy_example(self):

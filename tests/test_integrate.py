@@ -167,6 +167,12 @@ def test_config_validation(bad):
         IntegratorConfig(**bad)
 
 
+def test_tolerance_constants_are_numpy_eps():
+    # set from sys.float_info, so that importing integrate loads no numpy
+    assert integrate_mod.MIN_REL_TOL == 100 * np.finfo(float).eps
+    assert integrate_mod.BRENT_RTOL == 4 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("argv", [
     ["regime", "gamma", "--gamma", "2.25"],
     ["scan", "quartic", "--n-max", "50"],
