@@ -358,7 +358,11 @@ def homoclinic(params: ModeParams, t):
             f"homoclinic orbit requires k^2 < P, got k={params.k}, P={params.P}"
         )
     scalar = isinstance(t, (int, float)) or np.ndim(t) == 0    # no numpy for a float
-    if not (math.isfinite(t) if scalar else np.all(np.isfinite(t))):
+    try:
+        finite = math.isfinite(t) if scalar else np.all(np.isfinite(t))
+    except OverflowError:                                       # an int past the float range
+        finite = False
+    if not finite:
         raise DomainError("homoclinic times must be finite")
     rate = params.k * math.sqrt(params.P - params.k**2)
     peak = math.sqrt(2.0) * math.sqrt(params.P - params.k**2) / params.k

@@ -4,8 +4,9 @@ One DOP853 step loop on Python floats, with scipy's initial-step probe,
 step-size control and error norm (Hairer, Norsett & Wanner, Solving ODEs I,
 2nd ed., II.4 and II.10); the tableau is module data that the tests check
 against scipy's bit for bit.  integrate records the accepted steps;
-find_zero_crossing locates a component's sign change on that step's DOP853
-interpolant with brentq, scipy's brentq step for step.  No scipy import.
+find_zero_crossing takes the step on which a component changes sign again,
+at the lengths brentq (scipy's brentq step for step) asks for, and meets
+scipy's dense-output root to 1e-10 relative.  No scipy import.
 
 An RHS maps (t, y), y a list of floats, to dy/dt, a sequence of as many
 floats (DomainError otherwise).  Floats overflow silently, so an RHS raises
@@ -25,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 from ._lazy import np
 from .errors import (DomainError, IntegrationError, NoCrossingError, StepLimitError,
-                     require_positive_finite)
+                     require_count, require_positive_finite)
 
 RHS = Callable[[float, list], Sequence[float]]
 
@@ -41,7 +42,7 @@ SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
 BRENT_RTOL, BRENT_MAXITER = 4 * sys.float_info.epsilon, 100  # scipy brentq's rtol, maxiter
 
-# scipy.integrate.DOP853's tableau as float reprs; rows of A and A_EXTRA stop at the diagonal.
+# scipy.integrate.DOP853's tableau as float reprs; rows of A stop at the diagonal.
 _C = [0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
       0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
       1.0]
@@ -67,28 +68,6 @@ _E5 = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.49575894
 _E3 = [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
        -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
        0.02265179219836082, 0.0]
-_C_EXTRA = [0.1, 0.2, 0.7777777777777778]
-_A_EXTRA = [[0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
-            -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
-            0.007567897660545699, -0.008298], [0.03183464816350214, 0.0, 0.0, 0.0, 0.0,
-            0.028300909672366776, 0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
-            -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
-            0.1413124436746325], [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
-            7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
-            -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]]
-_D = [[-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
-      2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
-      0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
-      -4.436036387594894], [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
-      165.20045171727028, -374.5467547226902, -22.113666853125306, 7.733432668472264,
-      -30.674084731089398, -9.332130526430229, 15.697238121770845, -31.139403219565178,
-      -9.35292435884448, 35.81684148639408], [19.985053242002433, 0.0, 0.0, 0.0, 0.0,
-      -387.0373087493518, -189.17813819516758, 527.8081592054236, -11.57390253995963,
-      6.8812326946963, -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
-      -60.19669523126412, 84.32040550667716, 11.99229113618279], [-25.69393346270375, 0.0, 0.0,
-      0.0, 0.0, -154.18974869023643, -231.5293791760455, 357.6391179106141, 93.40532418362432,
-      -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
-      96.32455395918828, -39.17726167561544, -149.72683625798564]]
 
 
 @dataclass(frozen=True)
@@ -139,12 +118,12 @@ def _state_vector(initial_state) -> list[float]:
 
 @cache
 def _dop853(n: int):
-    """(attempt, extra, D) from the tableau above, scipy's bit for bit, for
-    states of size n, each stage sum unrolled over the components and the
-    nonzero tableau entries.  attempt is scipy's rk_step with k0 = fun(t, y):
-    12 RHS calls, returning y_new, the squares of the error terms e5 and e3
-    over scale and the stages k0..k12; extra gives the interpolant's 3 further
-    stages, and D's rows combine all 16.  Component i of stage j is kj_i."""
+    """attempt from the tableau above, scipy's bit for bit, for states of
+    size n, each stage sum unrolled over the components and the nonzero
+    tableau entries.  attempt is scipy's rk_step with k0 = fun(t, y): 12 RHS
+    calls, returning y_new, the squares of the error terms e5 and e3 over
+    scale, and k12 = fun(t + h, y_new); find_zero_crossing re-takes a step
+    with it, at shorter lengths.  Component i of stage j is kj_i."""
     def each(template, row=()):
         """template for the components # = 0..n-1, comma-separated; its {} is
         sum_j row[j] * kj_# over the nonzero row[j]."""
@@ -155,7 +134,6 @@ def _dop853(n: int):
         return (f"k{s} = {each(f'k{s}_#')}, = "
                 f"fun(t + {float(c)!r} * h, [{each('y_# + ({}) * h', row)}])")
 
-    ks = ", ".join(f"k{j}" for j in range(13))
     lines = ["def attempt(fun, t, y, k0, h, atol, rtol):", f"{each('y_#')}, = y",
              f"{each('k0_#')}, = k0", *map(stage, range(1, 12), _A[1:], _C[1:]),
              f"y_new = {each('z_#')}, = [{each('y_# + ({}) * h', _B)}]",
@@ -163,15 +141,11 @@ def _dop853(n: int):
              f"{each('sc_#')}, = {each('atol + max(abs(y_#), abs(z_#)) * rtol')},",
              f"{each('e5_#')}, = {each('({}) / sc_#', _E5)},",
              f"{each('e3_#')}, = {each('({}) / sc_#', _E3)},",
-             f"return y_new, [{each('e5_# * e5_#')}], [{each('e3_# * e3_#')}], ({ks})",
-             f"def extra(fun, t, y, h, {ks}):", f"{each('y_#')}, = y",
-             *(f"{each(f'k{j}_#')}, = k{j}" for j in range(13)),
-             *map(stage, range(13, 16), _A_EXTRA, _C_EXTRA),
-             "return k13, k14, k15"]
+             f"return y_new, [{each('e5_# * e5_#')}], [{each('e3_# * e3_#')}], k12"]
     namespace = {}
     exec("\n".join(line if line.startswith("def ") else "    " + line for line in lines),
          namespace)
-    return namespace["attempt"], namespace["extra"], _D
+    return namespace["attempt"]
 
 
 def _mean_square(squares: list) -> float:
@@ -204,17 +178,19 @@ def _initial_step(fun: RHS, t0: float, y0: list, f0, t_bound: float,
 
 
 def _accepted_steps(system: RHS, y0: list, t0: float, t_bound: float,
-                    config: IntegratorConfig) -> Iterator[tuple[float, list, tuple]]:
-    """The one DOP853 loop: yields (t, y, stages k0..k12) after each accepted
-    step from t0 to t_bound.  As in scipy, h >= 10 ulp(t), and a step after a
-    rejection does not grow.  A non-finite value ends it with an IntegrationError."""
-    attempt = _dop853(len(y0))[0]
+                    config: IntegratorConfig) -> Iterator[tuple[float, list, list]]:
+    """The one DOP853 loop: yields (t, y, k0 = system(t, y)) at t0 and after
+    each accepted step to t_bound.  As in scipy, h >= 10 ulp(t), and a step
+    after a rejection does not grow.  A non-finite value ends it with an
+    IntegrationError."""
+    attempt = _dop853(len(y0))
     t, y, atol, rtol = t0, y0, config.abs_tol, config.rel_tol
     try:
         f = system(t, y)
         if len(f) != len(y):
             raise DomainError(f"the RHS returned {len(f)} entries for a state of size {len(y)}")
         h_abs = _initial_step(system, t, y, f, t_bound, config)
+        yield t, y, f
         steps = 0
         while t < t_bound:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -224,7 +200,7 @@ def _accepted_steps(system: RHS, y0: list, t0: float, t_bound: float,
                     raise IntegrationError("step failure: step size underflow", time=t)
                 t_new = min(t + h_abs, t_bound)
                 h = h_abs = t_new - t
-                y_new, e5, e3, stages = attempt(system, t, y, f, h, atol, rtol)
+                y_new, e5, e3, f_new = attempt(system, t, y, f, h, atol, rtol)
                 norm5, norm3 = _mean_square(e5), _mean_square(e3)
                 error = h * norm5 / math.sqrt(norm5 + 0.01 * norm3) if norm5 else 0.0
                 factor = min(MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT) if error else MAX_FACTOR
@@ -235,34 +211,14 @@ def _accepted_steps(system: RHS, y0: list, t0: float, t_bound: float,
                 rejected = True
             if not all(map(math.isfinite, y_new)):
                 raise FloatingPointError("overflow encountered in an accepted state")
-            t, y, f = t_new, y_new, stages[-1]
+            t, y, f = t_new, y_new, f_new
             steps += 1
             if steps > MAX_STEPS:
                 raise StepLimitError(f"exceeded {MAX_STEPS} steps", time=t)
-            yield t, y, stages
+            yield t, y, f
     except (FloatingPointError, OverflowError) as exc:
         detail = exc if isinstance(exc, FloatingPointError) else f"overflow {exc}"
         raise IntegrationError(f"floating-point failure: {detail}", time=t)
-
-
-def _interpolant(system: RHS, t_old: float, y_old: list, t: float, y: list,
-                 stages: tuple, i: int) -> Callable[[float], float]:
-    """Component i of DOP853's interpolant over the step (t_old, t], formed
-    as scipy's Dop853DenseOutput forms it."""
-    _, extra, coefficients = _dop853(len(y))
-    h, dy = t - t_old, y[i] - y_old[i]
-    k = [kj[i] for kj in (*stages, *extra(system, t_old, y_old, h, *stages))]
-    rows = [dy, h * k[0] - dy, 2 * dy - h * (stages[-1][i] + k[0]),
-            *(h * sum(d * kj for d, kj in zip(row, k)) for row in coefficients)]
-
-    def value(s: float) -> float:
-        x = (s - t_old) / h
-        v = 0.0
-        for j, row in enumerate(reversed(rows)):
-            v = (v + row) * (x if j % 2 == 0 else 1 - x)
-        return v + y_old[i]
-
-    return value
 
 
 def integrate(
@@ -277,7 +233,7 @@ def integrate(
         raise DomainError(f"t_span must satisfy t0 < t1, got {t_span!r}")
     y0 = _state_vector(initial_state)
 
-    times, states = [t0], [y0]
+    times, states = [], []
     for t, y, _ in _accepted_steps(system, y0, t0, t1, config):
         times.append(t)
         states.append(y)
@@ -328,55 +284,53 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> floa
 
 def find_zero_crossing(
     system: RHS,
-
     initial_state: Sequence[float] | np.ndarray,
     component: int,
     *,
     direction: str = "any",
-    t_start: float = 0.0,
     t_max: float | None = None,
     config: IntegratorConfig = IntegratorConfig(),
 ) -> float:
-    """First time t > t_start at which state[component] crosses zero.
+    """First time t > 0 at which state[component] crosses zero.
 
     direction selects "rising" (- to +), "falling" (+ to -) or "any" strict
     sign change.  A component that starts exactly at zero does not count as
-    its own crossing.  The crossing time is the root of the step's dense
-    output, found by Brent's method to a few units in the last place.  A
-    search from a turning point, the component exactly 0, takes its first
-    steps on rounding noise at the abs_tol scale, so it meets scipy's DOP853
-    to the 1e-10 contract, not to a few ulps.  Without t_max the search ends
-    at the step budget (StepLimitError).
+    its own crossing.  On the accepted step (t_prev, t_new] where the sign
+    changes, Brent's method finds to a few ulps the root of the component
+    after the step re-taken from t_prev with length t - t_prev.  That meets
+    the root of scipy's DOP853 dense output to 1e-10 relative (where the
+    first steps from a turning point are taken on rounding noise, the two
+    runs part).  Without t_max the search ends at the step budget
+    (StepLimitError).
     """
     if direction not in ("rising", "falling", "any"):
         raise DomainError(f"unknown direction {direction!r}")
     y0 = _state_vector(initial_state)
-    if not 0 <= component < len(y0):
-        raise DomainError(f"component {component} out of range for state size {len(y0)}")
+    require_count("component", component, 0, len(y0) - 1)
     t_bound = math.inf if t_max is None else float(t_max)
-    if t_bound <= t_start:
-        raise DomainError("t_max must exceed t_start")
+    if not t_bound > 0.0:
+        raise DomainError(f"t_max must be positive, got {t_max!r}")
 
-    t_prev, y_prev, g_prev = float(t_start), y0, y0[component]
-    for t_new, y_new, stages in _accepted_steps(system, y0, t_prev, t_bound, config):
-        g_new = float(y_new[component])
+    attempt = _dop853(len(y0))
+    steps = _accepted_steps(system, y0, 0.0, t_bound, config)
+    t_prev, y_prev, k_prev = next(steps)
+    for t_new, y_new, k_new in steps:
+        g_prev, g_new = y_prev[component], float(y_new[component])
         crossed = (
             (direction == "rising" and g_prev < 0.0 <= g_new)
             or (direction == "falling" and g_prev > 0.0 >= g_new)
             or (direction == "any" and g_prev != 0.0 and g_prev * g_new <= 0.0)
         )
         if crossed:
-            # The bracket ends on the step's own value g_new: an exact
-            # zero there is returned as is, and the interpolant's end
-            # value, which may round to the other side of a tiny g_new,
-            # is never used.
-            segment = _interpolant(system, t_prev, y_prev, t_new, y_new, stages, component)
-            return brentq(lambda t: segment(t) if t < t_new else g_new,
-                          t_prev, t_new, xtol=math.ulp(t_new))
-        t_prev, y_prev, g_prev = t_new, y_new, g_new
+            # Below t_new, Brent's function is the component after one attempt
+            # of length t - t_prev from the step's start; the bracket ends on
+            # the step's own g_new, so an exact zero there is returned as is.
+            def value(t: float) -> float:
+                return attempt(system, t_prev, y_prev, k_prev, t - t_prev, config.abs_tol,
+                               config.rel_tol)[0][component] if t < t_new else g_new
 
-    raise NoCrossingError(
-        f"no {direction} crossing of component {component} in "
-        f"({t_start}, {t_bound})",
-        time=t_bound,
-    )
+            return brentq(value, t_prev, t_new, xtol=math.ulp(t_new))
+        t_prev, y_prev, k_prev = t_new, y_new, k_new
+
+    raise NoCrossingError(f"no {direction} crossing of component {component} in (0, {t_bound})",
+                          time=t_bound)

@@ -83,12 +83,10 @@ def source_tableau():
     """Each array _dop853 reads, by its name in scipy.integrate.DOP853."""
     m = integrate_mod
     assert [len(row) for row in m._A] == list(range(DOP853.n_stages))
-    assert [len(row) for row in m._A_EXTRA] == [13, 14, 15]
-    return {"C": m._C, "A": padded(m._A, 12), "B": m._B, "E5": m._E5, "E3": m._E3,
-            "C_EXTRA": m._C_EXTRA, "A_EXTRA": padded(m._A_EXTRA, 16), "D": m._D}
+    return {"C": m._C, "A": padded(m._A, 12), "B": m._B, "E5": m._E5, "E3": m._E3}
 
 
-@pytest.mark.parametrize("name", ["C", "A", "B", "E5", "E3", "C_EXTRA", "A_EXTRA", "D"])
+@pytest.mark.parametrize("name", ["C", "A", "B", "E5", "E3"])
 def test_tableau_is_scipys(name):
     """Shapes and bits, signed zeros included: an entry 1 ulp off fails."""
     ours, theirs = np.array(source_tableau()[name], dtype=float), getattr(DOP853, name)
@@ -159,15 +157,14 @@ class TestRhsCount:
     def test_two_calls_to_start_and_twelve_per_attempt(self, monkeypatch):
         """perfbench/tracing.py counts rejected steps from the RHS calls with
         this rule; the unstable gate-9 case rejects steps."""
-        attempt, extra, coefficients = integrate_mod._dop853(4)
+        attempt = integrate_mod._dop853(4)
         attempts = [0]
 
         def counting(*args):
             attempts[0] += 1
             return attempt(*args)
 
-        monkeypatch.setattr(integrate_mod, "_dop853",
-                            lambda n: (counting, extra, coefficients))
+        monkeypatch.setattr(integrate_mod, "_dop853", lambda n: counting)
         config = gate9_config(3.0)
         rhs, calls = counted(two_mode_rhs(config))
         steps = len(integrate(rhs, config.initial_state(), (0.0, HORIZON), GATE9).times) - 1
@@ -186,11 +183,10 @@ class TestRhsCount:
 
 @pytest.mark.parametrize("k,P,E", DOP853_CASES)
 def test_crossing_is_scipys(k, P, E):
-    """On the step where theta' changes sign, Brent's method on the loop's
-    interpolant, built from that step's stages, finds the root that it
-    finds on scipy's dense_output() to a few ulps.  The loop's own search
-    meets the crossing contract against that root: where the first steps
-    are taken on rounding noise, as at E = 1e6, the two runs part there."""
+    """The search, which re-takes the step where theta' changes sign, meets
+    the crossing contract against the root that Brent's method finds on
+    scipy's dense_output() over that step: where the first steps are taken
+    on rounding noise, as at E = 1e6, the two runs part there."""
     params = ModeParams(k=k, P=P)
     orbit = orbit_from_energy(params, E)
     rhs = duffing_rhs(params)
@@ -201,23 +197,12 @@ def test_crossing_is_scipys(k, P, E):
         if g_prev != 0.0 and g_prev * solver.y[1] <= 0.0:
             break
         g_prev = float(solver.y[1])
-    t_old, t_new, g_new = solver.t_old, solver.t, float(solver.y[1])
-    ours = integrate_mod._interpolant(rhs, t_old, solver.y_old.tolist(), t_new,
-                                      solver.y.tolist(), tuple(solver.K.tolist()), 1)
-    theirs = solver.dense_output()
-
-    def root(segment):
-        return brentq(lambda t: segment(t) if t < t_new else g_new, t_old, t_new,
-                      xtol=math.ulp(t_new))
-
-    reference = root(lambda t: theirs(t)[1])
-    assert abs(root(ours) - reference) <= 4 * math.ulp(t_new)
+    t_new, g_new, theirs = solver.t, float(solver.y[1]), solver.dense_output()
+    reference = brentq(lambda t: theirs(t)[1] if t < t_new else g_new, solver.t_old, t_new,
+                       xtol=math.ulp(t_new))
     searched = find_zero_crossing(rhs, orbit.initial_state, component=1,
                                   t_max=3.0 * orbit.period)
     assert searched == pytest.approx(reference, rel=1e-10, abs=0)
-    for x in np.linspace(0.0, 1.0, 9):
-        t = t_old + x * (t_new - t_old)
-        assert ours(t) == pytest.approx(theirs(t)[1], rel=1e-14, abs=1e-14 * abs(g_prev))
 
 
 def _unrolled(row, lead: str, template: str) -> str:
@@ -231,11 +216,9 @@ def _unrolled(row, lead: str, template: str) -> str:
 
 @cache
 def comprehension_form():
-    """(attempt, extra) with one list comprehension per stage sum, for any
-    state size; attempt returns the error terms e5 and e3, not their squares."""
+    """attempt with one list comprehension per stage sum, for any state size;
+    it returns the error terms e5 and e3, not their squares."""
     n, step = DOP853.n_stages, "x_ + ({}) * h"
-    extra = range(n + 1, n + 1 + len(DOP853.C_EXTRA))
-    stages = ", ".join(f"k{j}" for j in range(n + 1))
     lines = ["def attempt(fun, t, y, k0, h, atol, rtol):"]
     lines += [f"k{s} = fun(t + {float(c)!r} * h, {_unrolled(row[:s], 'y', step)})"
               for s, row, c in zip(range(1, n), DOP853.A[1:], DOP853.C[1:])]
@@ -243,14 +226,11 @@ def comprehension_form():
               "scale = [atol + max(abs(x_), abs(z_)) * rtol for x_, z_ in zip(y, y_new)]",
               f"e5 = {_unrolled(DOP853.E5, 'scale', '({}) / x_')}",
               f"e3 = {_unrolled(DOP853.E3, 'scale', '({}) / x_')}",
-              f"return y_new, e5, e3, ({stages})", f"def extra(fun, t, y, h, {stages}):"]
-    lines += [f"k{s} = fun(t + {float(c)!r} * h, {_unrolled(row[:s], 'y', step)})"
-              for s, row, c in zip(extra, DOP853.A_EXTRA, DOP853.C_EXTRA)]
-    lines.append("return " + ", ".join(f"k{s}" for s in extra))
+              f"return y_new, e5, e3, k{n}"]
     namespace = {}
     exec("\n".join(line if line.startswith("def ") else "    " + line for line in lines),
          namespace)
-    return namespace["attempt"], namespace["extra"]
+    return namespace["attempt"]
 
 
 def raw(values):
@@ -279,28 +259,23 @@ entries = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_unrolled_sums_are_the_comprehension_form(n, data):
-    """attempt and extra call the RHS with the same bits and return the same
-    bits as the comprehension form; attempt's squared error terms are the
-    squares of its e5 and e3."""
+    """attempt calls the RHS with the same bits and returns the same bits as
+    the comprehension form; its squared error terms are the squares of the
+    form's e5 and e3, and its k12 is the last RHS value."""
     vector = st.lists(entries, min_size=n, max_size=n)
-    y, stages = data.draw(vector), data.draw(st.lists(vector, min_size=16, max_size=16))
+    y, stages = data.draw(vector), data.draw(st.lists(vector, min_size=13, max_size=13))
     t, h = data.draw(st.floats(-1e3, 1e3)), data.draw(st.floats(1e-9, 10.0))
     atol, rtol = data.draw(st.floats(1e-16, 1e-3)), data.draw(st.floats(1e-14, 1e-3))
-    attempt, extra, _ = integrate_mod._dop853(n)
-    old_attempt, old_extra = comprehension_form()
     ours, theirs = [], []
-    y_new, e5, e3, ks = attempt(replay(stages[1:13], ours), t, y, stages[0], h, atol, rtol)
-    old_y_new, old_e5, old_e3, old_ks = old_attempt(replay(stages[1:13], theirs), t, y,
-                                                    stages[0], h, atol, rtol)
-    assert ours == theirs
+    y_new, e5, e3, k12 = integrate_mod._dop853(n)(replay(stages[1:], ours), t, y, stages[0],
+                                                  h, atol, rtol)
+    old_y_new, old_e5, old_e3, old_k12 = comprehension_form()(replay(stages[1:], theirs), t, y,
+                                                              stages[0], h, atol, rtol)
+    assert ours == theirs and len(ours) == 12
     assert raw(y_new) == raw(old_y_new)
     assert raw(e5) == raw([v * v for v in old_e5])
     assert raw(e3) == raw([v * v for v in old_e3])
-    assert raw(ks) == raw(old_ks) == raw(stages[:13])
-    ours, theirs = [], []
-    assert (raw(extra(replay(stages[13:], ours), t, y, h, *stages[:13]))
-            == raw(old_extra(replay(stages[13:], theirs), t, y, h, *stages[:13])))
-    assert ours == theirs and len(ours) == 3
+    assert raw(k12) == raw(old_k12) == raw(stages[12])
 
 
 def test_compiled_once_per_state_size(monkeypatch):

@@ -168,6 +168,16 @@ class TestPeriod:
         assert period_of(params, E) == pytest.approx(ode_period(params, E),
                                                      rel=1e-9)
 
+    @pytest.mark.parametrize("k,P,E", DOP853_CASES)
+    def test_velocity_crossing_is_half_the_period(self, k, P, E):
+        """The crossing search at the default config against the closed
+        form: from the turning point, theta' next vanishes at T/2."""
+        params = ModeParams(k=k, P=P)
+        orbit = orbit_from_energy(params, E)
+        t_half = find_zero_crossing(duffing_rhs(params), orbit.initial_state, component=1,
+                                    t_max=3.0 * orbit.period)
+        assert t_half == pytest.approx(period_of(params, E) / 2, rel=1e-10, abs=0)
+
     def test_small_energy_limit_no_well(self):
         # harmonic limit 2 pi / (k sqrt(k^2 - P))
         params = ModeParams(k=1, P=0.0)
@@ -457,6 +467,11 @@ class TestHomoclinic:
         for bad in (math.nan, -math.inf, np.float64(math.inf), np.array(math.nan)):
             with pytest.raises(DomainError, match="finite"):
                 homoclinic(params, bad)
+
+    @pytest.mark.parametrize("t", [10**400, -10**400])
+    def test_an_int_past_the_float_range_is_refused(self, t):
+        with pytest.raises(DomainError, match="homoclinic times must be finite"):
+            homoclinic(ModeParams(k=1, P=2.0), t)
 
 
 class TestDerivedQuantities:

@@ -228,11 +228,6 @@ class TestZeroCrossing:
             find_zero_crossing(harmonic, [1.0, 0.0], component=0,
                                direction="rising", t_max=4.0)
 
-    def test_t_start_offset(self):
-        t = find_zero_crossing(harmonic, [1.0, 0.0], component=0,
-                               direction="falling", t_start=2.0)
-        assert t == pytest.approx(2.0 + math.pi / 2, abs=1e-10)
-
     def test_tight_config_sharpens_crossing(self):
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
         t = find_zero_crossing(harmonic, [1.0, 0.0], component=0,
@@ -250,6 +245,16 @@ class TestZeroCrossing:
         with pytest.raises(StepLimitError):
             find_zero_crossing(harmonic, [1.0, 0.0], component=0,
                                direction="falling", config=cfg)
+
+    @pytest.mark.parametrize("component", [0.5, 1.0, -1, 2, "0"])
+    def test_bad_component(self, component):
+        with pytest.raises(DomainError, match="component must be an integer from 0 to 1"):
+            find_zero_crossing(harmonic, [1.0, 0.0], component=component)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan])
+    def test_t_max_must_be_positive(self, t_max):
+        with pytest.raises(DomainError, match="t_max must be positive"):
+            find_zero_crossing(harmonic, [1.0, 0.0], component=0, t_max=t_max)
 
     def test_bad_direction(self):
         with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import beammodes
 from beammodes import classify_stability, regime, table_regime
-from beammodes.duffing import ModeParams, orbit_from_energy
+from beammodes.duffing import ModeParams, duffing_rhs, orbit_from_energy
 from beammodes.errors import DomainError
 from beammodes.hill import HillProblem, MonodromyResult, Verdict, classify_matrix, monodromy
 from beammodes.integrate import IntegratorConfig, find_zero_crossing, integrate
@@ -33,6 +33,7 @@ from beammodes.regime import (
     resonance_quartic,
     resonance_quartic_scan,
 )
+from beammodes.special import sigma_constant
 
 
 def oracle_membership(gamma: Fraction):
@@ -338,6 +339,13 @@ class TestLimitDichotomy:
         limit, = cazenave_limit_classify([gamma])
         assert_allclose(limit.matrix, full, rtol=0.0, atol=1e-11)
         assert limit.verdict is classify_matrix(full).verdict
+
+    def test_the_peak_is_the_closed_form_quarter_period(self):
+        # u'' + u^3 = 0 from (0, 1) has energy 1/2 and amplitude 2^(1/4), so
+        # its peak comes at 2^(1/4) int_0^1 dx / sqrt(1 - x^4) = 2^(1/4) sigma
+        peak = find_zero_crossing(duffing_rhs(ModeParams(k=1, P=1.0)), (0.0, 1.0), component=1,
+                                  direction="falling", t_max=10.0, config=_LIMIT_CONFIG)
+        assert peak == pytest.approx(2 ** 0.25 * sigma_constant(), rel=1e-11, abs=0)
 
     def test_the_limit_cell_is_a_hill_row(self):
         # u'' + u^3 = 0 is mode 1 at load 1.  Its orbit at energy 1/2 starts
