@@ -94,11 +94,15 @@ def energy_of(params: ModeParams, alpha: float, beta: float) -> EnergyLevel:
     """Energy and regime of the orbit through theta = alpha, theta' = beta.
 
     Exact rest is TRIVIAL on every mode; any other state takes the regime
-    classify_energy gives its energy.
+    classify_energy gives its energy, which refuses one that is not finite.
     """
     k2 = params.k**2
+    try:
+        quartic = alpha**4
+    except OverflowError:                   # an infinite E, which classify_energy refuses
+        quartic = math.inf
     E = 0.5 * beta * beta + 0.5 * k2 * (k2 - params.P) * alpha * alpha \
-        + 0.25 * k2 * k2 * alpha**4
+        + 0.25 * k2 * k2 * quartic
     if alpha == 0.0 and beta == 0.0:
         return EnergyLevel(E, EnergyRegime.TRIVIAL)
     return EnergyLevel(E, classify_energy(params, E))
@@ -351,7 +355,8 @@ def orbit_from_energy(params: ModeParams, E: float, sign: int = 1) -> DuffingOrb
 def homoclinic(params: ModeParams, t):
     """The separatrix orbit sqrt(2) sqrt(P - k^2) / (k cosh(k sqrt(P - k^2) t)).
 
-    Defined only for k^2 < P; accepts finite scalar or array times.
+    Defined only for k^2 < P; accepts finite scalar or array times, and is
+    0.0 where the sech underflows, past k sqrt(P - k^2) |t| of about 710.
     """
     if not params.has_well:
         raise DomainError(
@@ -366,8 +371,13 @@ def homoclinic(params: ModeParams, t):
         raise DomainError("homoclinic times must be finite")
     rate = params.k * math.sqrt(params.P - params.k**2)
     peak = math.sqrt(2.0) * math.sqrt(params.P - params.k**2) / params.k
-    return peak / math.cosh(rate * t) if scalar else \
-        peak / np.cosh(rate * np.asarray(t, dtype=float))
+    if scalar:
+        try:
+            return peak / math.cosh(rate * t)
+        except OverflowError:                                   # cosh past the float range
+            return 0.0
+    with np.errstate(over="ignore"):                            # cosh = inf gives 0.0
+        return peak / np.cosh(rate * np.asarray(t, dtype=float))
 
 
 def energy_from_initial_amplitude(params: ModeParams, theta0: float) -> float:

@@ -43,15 +43,16 @@ the large-energy limit cell.
 
 The kernel runs over a batch of cells (classify_batch; classify_stability
 is a batch of one), one table (_Batch) of each cell's half period, linear
-term, coupling and orbit frame (A, w, kp, cn or dn form), with no sign, as
-a(t) reads theta^2 alone, and its orbits' Landen ladders built once.  Each
-pass evaluates every cell that has not converged on one (cells, 3 steps)
-node array, each cell with its own step and row.  A pass holds at most
-3 MAX_MAGNUS_STEPS nodes, what one cell at the cap holds; a larger batch is
-passed in chunks.  A cell leaves the batch when its own doubling test
-passes and takes its own fallback, so its result is bit for bit that of
-the cell alone.  Both entries share the per-cell steps after the kernel:
-classify_matrix, criteria_report and the cross-check.
+term, coupling, kink (the root of a, NaN where a keeps its sign) and orbit
+frame (A, w, kp, cn or dn form), with no sign, as a(t) reads theta^2 alone,
+and its orbits' Landen ladders, built once; past _Batch.of the kernel reads
+no HillProblem.  Each pass evaluates every cell that has not converged
+on one (cells, 3 steps) node array, each cell with its own step and row.
+A pass holds at most 3 MAX_MAGNUS_STEPS nodes, what one cell at the cap
+holds; a larger batch is passed in chunks.  A cell leaves the batch when
+its own doubling test passes and takes its own fallback, so its result is
+bit for bit that of the cell alone.  Both entries share the per-cell steps
+after the kernel: classify_matrix, criteria_report and the cross-check.
 
 A cell is a point (gamma = n^2/m^2, P/m^2, E/m^4): the mode equation and
 a(t) are invariant under (m, n, P, E, t) -> (cm, cn, c^2 P, c^4 E, t/c^2).
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -265,7 +266,8 @@ _PASS_NODES = 3 * MAX_MAGNUS_STEPS
 @dataclass(frozen=True)
 class _Batch:
     """The Hill problems of one kernel batch, one row each, as columns: half
-    the coefficient period, the linear term, the coupling and the orbit's
+    the coefficient period, the linear term, the coupling, the kink (the t* in
+    (0, T/2) where a changes sign, NaN where a keeps its sign) and the orbit's
     closed-form frame (A, w, kp, dn form), each shaped (rows, 1) against a
     row of times per problem (0-d for one row, numpy's fast path); and the
     kp column's Landen ladders (special.landen_ladders)."""
@@ -273,6 +275,7 @@ class _Batch:
     half: np.ndarray
     linear: np.ndarray
     coupling: np.ndarray
+    kink: np.ndarray
     amplitude: np.ndarray
     omega: np.ndarray
     kp: np.ndarray
@@ -282,8 +285,10 @@ class _Batch:
 
     @classmethod
     def of(cls, problems: Sequence[HillProblem]) -> _Batch:
-        table = np.array([(0.5 * p.coeff_period, p.linear_term, p.coupling, p.orbit.amplitude,
-                           *p.orbit.jacobi_scaling, not p.orbit.sign_changing)
+        table = np.array([(0.5 * p.coeff_period, p.linear_term, p.coupling,
+                           p.orbit.time_at_square(-p.linear_term / p.coupling)
+                           if p.coeff_min < 0.0 < p.coeff_max else math.nan,
+                           p.orbit.amplitude, *p.orbit.jacobi_scaling, not p.orbit.sign_changing)
                           for p in problems], dtype=float)
         *columns, kp, dn_orbit = table.T.reshape(
             table.shape[1:] + ((-1, 1) if len(table) > 1 else ()))
@@ -294,10 +299,9 @@ class _Batch:
 
     def __getitem__(self, rows) -> _Batch:
         """The batch of the problems at `rows` (a slice or an index array) of
-        a batch of several."""
-        return _Batch(self.half[rows], self.linear[rows], self.coupling[rows],
-                      self.amplitude[rows], self.omega[rows], self.kp[rows],
-                      self.dn_orbit[rows], self.levels[..., rows], self.means[rows])
+        a batch of several: those rows of every field, the last axis of levels."""
+        return _Batch(*(getattr(self, f.name)[(..., rows) if f.name == "levels" else rows]
+                        for f in fields(self)))
 
     def coefficient(self, ts) -> np.ndarray:
         """a(t) = linear + coupling theta^2 at the times ts, a row per problem;
@@ -371,34 +375,29 @@ def _magnus_pass(batch: _Batch, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return _unfold(a, b, c, d), coefficient
 
 
-def _coefficient_integrals(problems: Sequence[HillProblem], batch: _Batch,
-                           coefficient: np.ndarray) -> list[tuple]:
+def _coefficient_integrals(batch: _Batch, coefficient: np.ndarray) -> list[tuple]:
     """(int_0^T a, int_0^T (a^+)^2) of each problem of the batch from a pass's
     samples a(t) at the Gauss nodes, shape (cells, 3, steps): the Gauss sums
     over (0, T/2), doubled.  a is monotone on (0, T/2), as theta^2 is, so it
-    changes sign at most once, at the t* where theta^2 = -linear/coupling, in
-    closed form; on the step that holds t*, (a^+)^2 is integrated by Gauss
-    over its positive side alone, past the kink that the plain Gauss sum
-    misses."""
+    changes sign at most once, at the batch's kink t*; on the step that holds
+    t*, (a^+)^2 is integrated by Gauss over its positive side alone, past the
+    kink that the plain Gauss sum misses."""
     steps = coefficient.shape[2]
     hs = (batch.half / steps).reshape(-1)
     positive = np.maximum(coefficient, 0.0)
     shares = _gauss_sum(positive * positive)
-    kinks = [i for i, p in enumerate(problems) if p.coeff_min < 0.0 < p.coeff_max]
-    if kinks:
-        ends = []
-        for i in kinks:
-            # a > 0 before t* on a cn orbit, after it on a dn one
-            problem, h = problems[i], float(hs[i])
-            root = problem.orbit.time_at_square(-problem.linear_term / problem.coupling)
-            kink = min(int(root / h), steps - 1)
-            ends.append((kink, *((kink * h, root) if problem.orbit.sign_changing
-                                 else (root, (kink + 1) * h))))
-        kink, start, end = (np.array(column) for column in zip(*ends))
-        width = (end - start)[:, None]
-        kinked = batch if len(kinks) == len(problems) else batch[kinks]
+    roots = batch.kink.reshape(-1)
+    kinks = np.flatnonzero(~np.isnan(roots))
+    if kinks.size:
+        root, h = roots[kinks], hs[kinks]
+        kink = np.minimum((root / h).astype(int), steps - 1)
+        # a > 0 before t* on a cn orbit, after it on a dn one
+        dn_orbit = batch.dn_orbit.reshape(-1)[kinks]
+        start = np.where(dn_orbit, root, kink * h)
+        width = (np.where(dn_orbit, (kink + 1) * h, root) - start)[:, None]
+        kinked = batch if kinks.size == len(batch) else batch[kinks]
         side = kinked.coefficient(_gauss_times(start[:, None], width)).reshape(-1, 3, 1)
-        shares[kinks, kink] = width[:, 0] / hs[kinks] * _gauss_sum(side * side)[:, 0]
+        shares[kinks, kink] = width[:, 0] / h * _gauss_sum(side * side)[:, 0]
     means = _gauss_sum(coefficient)
     return [(2.0 * h * float(np.sum(mean)), 2.0 * h * float(np.sum(share)))
             for h, mean, share in zip(hs.tolist(), means, shares)]
@@ -437,9 +436,8 @@ def _magnus_kernel(problems: Sequence[HillProblem], rel_tol: float) -> list:
                 if passed:
                     rows = [row for row, _, _ in passed]
                     whole = len(rows) == len(chunk)
-                    integrals = _coefficient_integrals(
-                        [problems[i] for _, i, _ in passed], chunk if whole else chunk[rows],
-                        coefficient if whole else coefficient[rows])
+                    integrals = _coefficient_integrals(chunk if whole else chunk[rows],
+                                                       coefficient if whole else coefficient[rows])
                     for (row, i, gap), pair in zip(passed, integrals):
                         results[i] = (matrices[row].copy(), pair, (steps, gap))
             if left and len(left) < len(active):

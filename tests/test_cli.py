@@ -85,6 +85,10 @@ REFUSED = [
     (["mode", "period", "--k", str(10**150), "--P", "1e300", "--E", "1"], "k^4"),
     # gamma past the bound of the limit classifier
     (["regime", "cazenave", "--gamma", "1e7"], "gamma must be at most"),
+    # an amplitude whose energy, theta0^4 / 4 at P = 0, is past the float range
+    *[(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0", "--grid-min", "0",
+        "--grid-max", "1e300", "--points", points, *extra], "energy must be finite")
+      for points, extra in (("3", []), ("4", ["--adaptive"]))],
 ]
 
 
@@ -159,6 +163,15 @@ class TestModeCommands:
         payload = run_json(capsys, "mode", "homoclinic",
                            "--k", "1", "--P", "2", "--t", "0")
         assert payload["theta"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    def test_homoclinic_past_the_float_range_of_cosh(self, capsys):
+        # sech underflows to 0.0 there: no OverflowError, no numpy warning
+        payload = run_json(capsys, "mode", "homoclinic", "--k", "1", "--P", "2", "--t", "1000")
+        assert payload["theta"] == 0.0
+        code, out = run(capsys, "mode", "homoclinic", "--k", "1", "--P", "2",
+                        "--samples", "3", "--t-min", "1e300", "--t-max", "1e301")
+        assert code == EXIT_OK
+        assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["0.0"] * 3
 
     def test_homoclinic_csv(self, capsys):
         code, out = run(capsys, "mode", "homoclinic", "--k", "1", "--P", "2",

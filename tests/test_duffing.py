@@ -55,6 +55,17 @@ class TestEnergyAndRoots:
         assert level.value == pytest.approx(1.25, rel=1e-15)
         assert level.regime is EnergyRegime.POSITIVE
 
+    def test_an_energy_past_the_float_range_is_refused(self):
+        # theta0^4 overflows past theta0 = 1e77 (E = 2.5e307), and theta0^2
+        # past 1.3e154, where the stiffness term is -inf and E would be NaN
+        assert energy_from_initial_amplitude(ModeParams(k=1, P=0.0), 1e77) == \
+            pytest.approx(2.5e307, rel=1e-15)
+        for params, alpha in ((ModeParams(k=1, P=0.0), 1e78), (ModeParams(k=1, P=2.0), 1e200)):
+            with pytest.raises(DomainError, match="energy must be finite"):
+                energy_from_initial_amplitude(params, alpha)
+            with pytest.raises(DomainError, match="energy must be finite"):
+                energy_of(params, alpha, 0.0)
+
     def test_turning_roots_sign_changing(self):
         roots = turning_roots(ModeParams(k=1, P=0.0), 2.0)
         assert roots.hi == pytest.approx(2.0, rel=1e-14)
@@ -449,6 +460,19 @@ class TestHomoclinic:
         vals = homoclinic(params, ts)
         assert vals.shape == ts.shape
         assert vals[5] == pytest.approx(math.sqrt(2.0), rel=1e-14)
+
+    def test_sech_underflows_to_zero(self):
+        # k sqrt(P - k^2) |t| past 710.5: cosh is past the float range (and
+        # at t = 1e308, k sqrt(P - k^2) t too), and the value is 0.0, for a
+        # scalar as for an array, with no OverflowError and no RuntimeWarning
+        params = ModeParams(k=1, P=2.0)
+        for t in (711.0, -1000.0, 1e301, 10**300):
+            value = homoclinic(params, t)
+            assert type(value) is float and value == 0.0
+        assert homoclinic(ModeParams(k=1, P=1e10), 1e308) == 0.0
+        ts = np.array([-1e301, -1000.0, 0.0, 711.0, 1e308])
+        assert homoclinic(params, ts).tolist() == [0.0, 0.0, homoclinic(params, 0.0), 0.0, 0.0]
+        assert homoclinic(ModeParams(k=1, P=1e10), ts).tolist()[-1] == 0.0
 
     def test_needs_supercritical_load(self):
         with pytest.raises(DomainError):

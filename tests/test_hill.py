@@ -707,15 +707,46 @@ GATE_10_BACKBONE = [(3, 7, 0.0, energy_from_initial_amplitude(
     for i in range(200)]
 
 
+# a(t) changes sign on cn orbits (first three), on dn orbits (next two), and
+# keeps its sign (last four)
+KINK_CELLS = [(2, 1, 1.0397, 0.1266), (1, 2, 5.2319, 459.7), (2, 1, 3.0, 5.0),
+              (1, 2, 5.6942, -0.5097), (1, 5, 80.0, -26.004166666666666),
+              (2, 1, 0.0, 1.0), (1, 2, 2.0, -0.25), (1, 3, 5.0, -2.0), (2, 3, 6.5, 3.0)]
+
+
 class TestBatch:
     """classify_batch runs one Magnus kernel over many cells; every cell's
     report equals classify_stability's, bit for bit."""
 
     @pytest.mark.parametrize("cells", [list(HALF_PERIOD_BATTERY.values()), ROW_80,
-                                       GATE_10_BACKBONE],
-                             ids=["battery", "row80", "gate10-backbone"])
+                                       GATE_10_BACKBONE, KINK_CELLS],
+                             ids=["battery", "row80", "gate10-backbone", "kinks"])
     def test_equals_per_cell(self, cells):
         assert [cell_record(r) for r in classify_batch(cells)] == per_cell_records(cells)
+
+    def test_kink_column(self):
+        """The kink column is NaN where a(t) keeps its sign, and elsewhere the
+        time_at_square of a's root, where a(t) is 0 on the orbit: in a batch
+        of several, a one-row (0-d) batch and a batch's rows."""
+        problems = [build_hill(*cell) for cell in KINK_CELLS]
+        signed = [p.coeff_min < 0.0 < p.coeff_max for p in problems]
+        assert [p.orbit.sign_changing for p in problems[:5]] == [True] * 3 + [False] * 2
+        assert signed == [True] * 5 + [False] * 4
+        batch = beammodes.hill._Batch.of(problems)
+        assert batch.kink.shape == (len(problems), 1)
+        np.testing.assert_array_equal(batch[[0, 5, 3]].kink, batch.kink[[0, 5, 3]])
+        for problem, kinked, kink in zip(problems, signed, batch.kink[:, 0].tolist()):
+            alone = beammodes.hill._Batch.of([problem]).kink
+            assert alone.shape == ()
+            if not kinked:
+                assert math.isnan(kink) and math.isnan(alone)
+                continue
+            assert kink == alone == problem.orbit.time_at_square(
+                -problem.linear_term / problem.coupling)
+            assert 0.0 < kink < 0.5 * problem.coeff_period
+            theta = problem.orbit.states([kink])[0, 0]
+            scale = problem.coupling * problem.orbit.sq_hi
+            assert abs(problem.coefficient(theta * theta)) <= 1e-12 * scale
 
     def test_mixed_batch_with_an_error_and_a_fallback(self, monkeypatch):
         # at a cap of 256 steps the near-separatrix cell (512 steps) falls

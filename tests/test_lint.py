@@ -1,15 +1,19 @@
 """Static checks on the package source, in place of a linter: every name a
 module imports at module level is used in that module, every private
 module-level function, class or constant is used somewhere in the package,
-no module reads another's private name but the one listed, and none
-imports a private scipy module."""
+every public function, class, method and property is used in the package
+or named by the benchmark but the ones listed, no module reads another's
+private name but the one listed, and none imports a private scipy module."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "beammodes"
+BENCH = SRC.parents[1] / "perfbench"
 # the package root imports its names to re-export them
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -91,6 +95,77 @@ def test_the_check_sees_an_unused_private_name():
     defining = "def _imported():\n    pass\ndef _attribute():\n    pass\n"
     assert unused_private_names([module, other, defining]) == {
         "_SPARE", "_ALONE", "_recursive"}
+
+
+def _reference(node: ast.AST) -> str | None:
+    """The name a node reads: a name or an attribute."""
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def unreferenced_public_names(sources: list[str], named: str) -> set[str]:
+    """Public module-level functions and classes in the sources, and public
+    methods and properties of those classes ("Class.method"), whose name no
+    source reads as a name or an attribute outside their own definition and
+    the text `named` does not hold as a word."""
+    trees = [ast.parse(source) for source in sources]
+    reads = Counter(_reference(node) for tree in trees for node in ast.walk(tree))
+    functions = ast.FunctionDef, ast.AsyncFunctionDef
+    unread = set()
+    for tree in trees:
+        for node in tree.body:
+            found = [(node.name, node)] if isinstance(node, (*functions, ast.ClassDef)) else []
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{inner.name}", inner) for inner in node.body
+                          if isinstance(inner, functions)]
+            for qualified, definition in found:
+                name = definition.name
+                own = sum(_reference(inner) == name for inner in ast.walk(definition))
+                if not name.startswith("_") and reads[name] == own \
+                        and not re.search(rf"\b{name}\b", named):
+                    unread.add(qualified)
+    return unread
+
+
+# public API that nothing in the package reads, each with why it stays
+READ_BY_TESTS_ALONE = {
+    "comparison_bounds": "gate 13 checks the envelope inequality f < h with it",
+    "residual_check": "gate 12 checks each stationary profile's residual with it",
+    "verdict_runs": "gate 10 counts the adaptive sweep's instability windows with it",
+    "StationarySolution.profile": "a catalog entry's u(x), which residual_check checks",
+    "ModeParams.floor_energy": "a mode's lowest admissible energy, where energy grids start",
+}
+
+
+def test_every_public_name_is_used():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    named = "\n".join(path.read_text() for path in sorted(BENCH.glob("*.py")))
+    assert unreferenced_public_names(sources, named) == set(READ_BY_TESTS_ALONE)
+
+
+def test_the_check_sees_an_unused_public_name():
+    module = ("class Orbit:\n"
+              "    def states(self):\n"
+              "        return self.frame()\n"
+              "    def frame(self):\n"
+              "        return self.frame\n"
+              "    @property\n"
+              "    def spare(self):\n"
+              "        return 0\n"
+              "    def _private(self):\n"
+              "        pass\n"
+              "def recursive(n):\n"
+              "    return 1 if n <= 1 else n * recursive(n - 1)\n"
+              "def benched():\n"
+              "    pass\n"
+              "def _hidden():\n"
+              "    pass\n")
+    other = ("from .owner import Orbit, recursive\n"
+             "def run(orbit: Orbit):\n"
+             "    return orbit.states\n")
+    assert unreferenced_public_names([module, other], "WRAPPED = [('owner', 'benched')]") == {
+        "recursive", "Orbit.spare", "run"}
 
 
 def _private(name: str) -> bool:
