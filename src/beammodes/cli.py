@@ -76,7 +76,7 @@ def _cmd_mode_orbit(args) -> dict | str:
     orbit = duffing.orbit_from_energy(params, args.E, sign=args.sign)
     require_count("--samples", args.samples, 0)
     if args.samples:
-        ts = np.linspace(0.0, args.periods * orbit.period, args.samples)
+        ts = _grid(0.0, args.periods * orbit.period, args.samples, "linear")
         return csv_text(("t", "theta", "theta_dot"),
                         np.column_stack((ts, orbit.states(ts))).tolist())
     return {
@@ -209,6 +209,7 @@ def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
     check = require_positive_finite if log else require_finite
     check("grid start", lo)
     check("grid end", hi)
+    require_finite("grid span", hi - lo)
     return list(np.geomspace(lo, hi, points) if log else np.linspace(lo, hi, points))
 
 

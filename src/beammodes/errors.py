@@ -125,17 +125,15 @@ def require_mode_pair(m, n, P) -> None:
 
 
 class Serializable:
-    """Base of the result dataclasses: to_dict() gives the fields in
+    """Base of the result dataclasses: to_dict() gives every field, in
     declaration order, ready for json.dumps.
 
     Nested results become dicts, enums their .value, complex numbers
     [re, im], and arrays, numpy scalars and tuples lists or plain numbers.
-    A field declared with metadata={"to_dict": False} is left out.
     """
 
     def to_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)
-                if f.metadata.get("to_dict", True)}
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
 def _plain(value):

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -142,10 +142,10 @@ class MonodromyResult(Serializable):
     to integration error (from monodromy the matrix is det Phi(T/2) M and
     det is (det Phi(T/2))^2).  coefficient_integrals holds (int_0^T a,
     int_0^T (a^+)^2) from the same integration when the matrix comes from
-    monodromy, and None when a bare matrix was classified.  step_doubling
+    monodromy, and None for a limit row or a bare matrix.  step_doubling
     holds the Magnus kernel's final step count over T/2 and the gap between
-    its last two traces, and None when the matrix came from DOP853 or was
-    classified bare.  Both stay out of to_dict.
+    its last two traces, and None when the matrix came from DOP853, so the
+    nulls in to_dict tell which pass made the matrix.
     """
 
     matrix: np.ndarray
@@ -153,10 +153,8 @@ class MonodromyResult(Serializable):
     trace: float
     multipliers: tuple[complex, complex]
     verdict: Verdict
-    coefficient_integrals: tuple[float, float] | None = field(
-        default=None, metadata={"to_dict": False})
-    step_doubling: tuple[int, float] | None = field(
-        default=None, metadata={"to_dict": False})
+    coefficient_integrals: tuple[float, float] | None = None
+    step_doubling: tuple[int, float] | None = None
 
 
 def require_tol_margin(tol_margin: float) -> None:

@@ -89,6 +89,16 @@ REFUSED = [
     *[(["atlas", "sweep", "--m", "1", "--n", "2", "--P", "0", "--grid-min", "0",
         "--grid-max", "1e300", "--points", points, *extra], "energy must be finite")
       for points, extra in (("3", []), ("4", ["--adaptive"]))],
+    # a time axis whose end, periods * T, is past the float range
+    (["mode", "orbit", "--k", "1", "--P", "0", "--E", "0.5", "--samples", "3",
+      "--periods", "1e308"], "grid end"),
+    # linear grids with finite ends whose span hi - lo is past the float range
+    (["mode", "homoclinic", "--k", "1", "--P", "2", "--samples", "3",
+      "--t-min=-1e308", "--t-max", "1e308"], "grid span"),
+    (["atlas", "sweep", "--axis", "energy", "--m", "1", "--n", "2", "--P", "0",
+      "--grid-min=-1e308", "--grid-max", "1e308", "--points", "3"], "grid span"),
+    (["atlas", "thresholds", "--m", "2", "--n", "1", "--P", "3", "--e-min=-1e308",
+      "--e-max", "1e308", "--points", "3"], "grid span"),
 ]
 
 
@@ -503,7 +513,14 @@ def _monodromy(result):
     return {"matrix": result.matrix.tolist(), "det": result.det,
             "trace": result.trace,
             "multipliers": [[z.real, z.imag] for z in result.multipliers],
-            "verdict": result.verdict.value}
+            "verdict": result.verdict.value,
+            # null on a limit row; step_doubling also null on the DOP853 pass
+            "coefficient_integrals": _listed(result.coefficient_integrals),
+            "step_doubling": _listed(result.step_doubling)}
+
+
+def _listed(pair):
+    return None if pair is None else list(pair)
 
 
 def _criteria(report):

@@ -1,7 +1,10 @@
 """Linearized stability of one mode against another: monodromy and criteria."""
 
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,22 @@ from beammodes.regime import cazenave_limit_classify
 from beammodes.special import sigma_constant
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, loaded from its path and left unchanged; it
+    is in sys.modules while it runs, since its dataclasses look their
+    module up there."""
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 class TestProblemSetup:
@@ -97,11 +116,24 @@ class TestMonodromy:
         json.dumps(d)
         assert d["verdict"] == "stable"
 
-    def test_to_dict_leaves_out_coefficient_integrals(self):
-        result = monodromy(build_hill(2, 1, 0.0, 1.0))
-        assert result.coefficient_integrals is not None
-        assert list(result.to_dict()) == ["matrix", "det", "trace",
-                                          "multipliers", "verdict"]
+    def test_to_dict_nulls_tell_the_pass(self, monkeypatch):
+        """The kernel sets step_doubling and the coefficient integrals, the
+        DOP853 fallback the integrals alone, and a limit row neither."""
+        keys = ["matrix", "det", "trace", "multipliers", "verdict",
+                "coefficient_integrals", "step_doubling"]
+        problem = build_hill(2, 1, 3.0, 1.0)
+        limit = cazenave_limit_classify([2.25])[0].to_dict()
+        kernel = monodromy(problem).to_dict()
+        monkeypatch.setattr(beammodes.hill, "MAX_MAGNUS_STEPS", 16)
+        fallback = monodromy(problem).to_dict()
+        assert list(kernel) == list(fallback) == list(limit) == keys
+        steps, delta = kernel["step_doubling"]
+        assert isinstance(steps, int) and isinstance(delta, float)
+        for d in (kernel, fallback):
+            assert len(d["coefficient_integrals"]) == 2
+            assert all(isinstance(v, float) for v in d["coefficient_integrals"])
+        assert fallback["step_doubling"] is None
+        assert limit["coefficient_integrals"] is None and limit["step_doubling"] is None
 
 
 class TestClassifyMatrix:
@@ -571,6 +603,21 @@ class TestMagnusKernel:
         for value, want in zip(kernel.coefficient_integrals, integrals):
             assert value == pytest.approx(want, rel=1e-9, abs=0.0)
 
+    def test_no_benchmark_cell_falls_back(self, workloads):
+        """Every cell of the benchmark's atlas rows (seeds 1-5, the F1 row
+        included) and of gate 10's adaptive sweep converges in the kernel at
+        the default tol: none takes the DOP853 fallback."""
+        rows = [(*op.spec.modes[0], op.spec.P, E)
+                for seed in range(1, 6)
+                for op in workloads.atlas(beammodes, seed).ops if op.kind == "row"
+                for E in op.spec.energy_grid]
+        assert rows
+        cells = rows + [(3, 7, 0.0, c.E)
+                        for c in atlas.adaptive_amplitude_sweep(3, 7, 0.0, 50.0, 400)]
+        for cell, report in zip(cells, classify_batch(cells)):
+            assert not isinstance(report, Exception), (cell, report)
+            assert report.monodromy.step_doubling is not None, cell
+
     @pytest.mark.parametrize("case", list(HALF_PERIOD_BATTERY))
     def test_tighter_tolerance_is_no_less_accurate(self, case):
         # up to the resolution of the reference (1e-13): the DOP853 pass at
@@ -590,8 +637,9 @@ class TestMagnusKernel:
         steps, delta = result.step_doubling
         assert steps & (steps - 1) == 0 and 32 <= steps <= beammodes.hill.MAX_MAGNUS_STEPS
         assert delta <= IntegratorConfig().rel_tol * abs(result.trace)
-        assert list(result.to_dict()) == ["matrix", "det", "trace",
-                                          "multipliers", "verdict"]
+        assert list(result.to_dict()) == ["matrix", "det", "trace", "multipliers",
+                                          "verdict", "coefficient_integrals",
+                                          "step_doubling"]
 
     @pytest.mark.parametrize("how", ["cap", "non-finite trace"])
     def test_fallback_is_the_dop853_pass(self, monkeypatch, how):

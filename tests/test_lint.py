@@ -3,7 +3,8 @@ module imports at module level is used in that module, every private
 module-level function, class or constant is used somewhere in the package,
 every public function, class, method and property is used in the package
 or named by the benchmark but the ones listed, no module reads another's
-private name but the one listed, and none imports a private scipy module."""
+private name but the one listed, none imports a private scipy module, and
+no dataclass field carries metadata: to_dict keeps every field."""
 
 import ast
 import re
@@ -259,3 +260,37 @@ def test_the_check_sees_a_private_scipy_import():
     assert scipy_imports(source) == {
         "scipy.integrate._ivp.rk", "scipy.integrate.DOP853", "scipy.integrate._ivp", "scipy",
         "scipy.integrate._ivp.rk.SAFETY", "scipy.optimize.brentq"}
+
+
+def fields_with_metadata(source: str) -> set[str]:
+    """Class.field of every class attribute declared with a field(...) or
+    dataclasses.field(...) call that passes metadata=."""
+    found = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            call = node.value if isinstance(node, (ast.AnnAssign, ast.Assign)) else None
+            if isinstance(call, ast.Call) and _reference(call.func) == "field" \
+                    and any(kw.arg == "metadata" for kw in call.keywords):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update(f"{cls.name}.{t.id}" for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_field_carries_metadata(module):
+    assert fields_with_metadata((SRC / module).read_text()) == set()
+
+
+def test_the_check_sees_a_field_with_metadata():
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass, field\n"
+              "@dataclass\n"
+              "class Result:\n"
+              "    kept: float = field(default=0.0)\n"
+              "    hidden: tuple | None = field(default=None, metadata={'to_dict': False})\n"
+              "    other: int = dataclasses.field(default=1, metadata={})\n"
+              "    plain: int = 2\n"
+              "    shown = field(metadata={'unit': 's'})\n")
+    assert fields_with_metadata(source) == {"Result.hidden", "Result.other", "Result.shown"}
